@@ -2,15 +2,14 @@
 
 Exit codes: 0 success, 1 at least one verification check failed, 2 the
 spec does not describe a region, 3 an exact computation was refused for
-size.  The condensation memo can persist between runs in the directory
-named by --cache or the DOUGLASTILE_CACHE_DIR environment variable.
+size.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import os
 import sys
 import time
 
@@ -23,8 +22,6 @@ from .render import ascii_region, svg_region
 __all__ = ["main", "cmd_count", "cmd_verify", "cmd_trace", "cmd_render"]
 
 _ENGINES = ("brute", "condense", "shuffle", "formula")
-_CACHE_ENV = "DOUGLASTILE_CACHE_DIR"
-_CACHE_FILE = "condense-memo.json"
 
 
 def _comma_ints(text: str) -> tuple[int, ...]:
@@ -51,9 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--version", action="version", version=f"douglastile {__version__}"
-    )
-    parser.add_argument(
-        "--cache", help="directory for the persistent condensation memo"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -112,52 +106,12 @@ def _resolve_spec(args) -> RegionSpec:
     return RegionSpec(args.a, args.d)
 
 
-def _cache_dir(args) -> str | None:
-    return args.cache or os.environ.get(_CACHE_ENV)
-
-
-def _load_memo(cache_dir: str | None) -> dict[RegionSpec, int]:
-    if not cache_dir:
-        return {}
-    path = os.path.join(cache_dir, _CACHE_FILE)
-    if not os.path.exists(path):
-        return {}
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    memo = {}
-    for key, value in raw.items():
-        side_text, d_text = key.split(":")
-        spec = RegionSpec(
-            int(side_text), tuple(int(v) for v in d_text.split(","))
-        )
-        memo[spec] = int(value)
-    return memo
-
-
-def _save_memo(cache_dir: str | None, memo: dict[RegionSpec, int]) -> None:
-    if not cache_dir:
-        return
-    os.makedirs(cache_dir, exist_ok=True)
-    raw = {
-        f"{spec.side}:{','.join(str(v) for v in spec.distances)}": str(count)
-        for spec, count in sorted(
-            memo.items(), key=lambda kv: (kv[0].side, kv[0].distances)
-        )
-    }
-    path = os.path.join(cache_dir, _CACHE_FILE)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(raw, fh, indent=0, sort_keys=True)
-
-
 def cmd_count(args) -> int:
     spec = _resolve_spec(args)
     if args.engine == "brute":
         result = count_matchings(dual_graph(regions.build_region(spec.side, spec.distances)))
     elif args.engine == "condense":
-        cache = _cache_dir(args)
-        memo = _load_memo(cache)
-        result = condensation_count(spec, memo)
-        _save_memo(cache, memo)
+        result = condensation_count(spec)
     elif args.engine == "shuffle":
         result = shuffle.shuffle_count(spec)
     else:
@@ -184,7 +138,8 @@ def _verify_one(spec: RegionSpec, memo: dict[RegionSpec, int]) -> dict:
     counts: dict[str, str | None] = {}
     formula = timed("formula", lambda: regions.formula_count(region))
     counts["formula"] = str(formula)
-    counts["shuffle"] = str(timed("shuffle", lambda: shuffle.shuffle_count(spec)))
+    exponent = timed("shuffle", lambda: shuffle.shuffle_exponent(spec))
+    counts["shuffle"] = str(2 ** exponent)
     counts["condense"] = str(
         timed("condense", lambda: condensation_count(spec, memo))
     )
@@ -195,7 +150,6 @@ def _verify_one(spec: RegionSpec, memo: dict[RegionSpec, int]) -> dict:
         counts["brute"] = None
         timings.pop("brute", None)
 
-    exponent = shuffle.shuffle_exponent(spec)
     checks: dict[str, bool | None] = {
         "line_counts": (
             spec.side
@@ -222,18 +176,13 @@ def _verify_one(spec: RegionSpec, memo: dict[RegionSpec, int]) -> dict:
     except (condensation.BaseCase, ValueError):
         checks["case_deltas_balance"] = None
 
+    stats_record = dataclasses.asdict(stats)
+    del stats_record["total_size"]
+    stats_record["total"] = total
     report = {
         "tool": f"douglastile {__version__}",
         "spec": {"a": spec.side, "d": list(spec.distances)},
-        "stats": {
-            "black_square_lines": stats.black_square_lines,
-            "up_triangle_lines": stats.up_triangle_lines,
-            "down_triangle_lines": stats.down_triangle_lines,
-            "black_lines": stats.black_lines,
-            "width": stats.width,
-            "regular_cells": stats.regular_cells,
-            "total": total,
-        },
+        "stats": stats_record,
         "counts": counts,
         "checks": checks,
         "ok": all(value is not False for value in checks.values()),
@@ -251,23 +200,16 @@ def _kuo_block(spec: RegionSpec, kuo_max: int) -> dict | None:
     except condensation.CornersNotFound:
         return None
     counts = condensation.kuo_counts(graph, quad)
-    identity_ok = (
-        counts["full"] * counts["minus_all"]
-        == counts["minus_west_south"] * counts["minus_east_north"]
-        + counts["minus_north_west"] * counts["minus_south_east"]
-    )
     return {
         "counts": {name: str(value) for name, value in counts.items()},
-        "identity_ok": identity_ok,
+        "identity_ok": condensation.kuo_identity(counts),
     }
 
 
 def cmd_trace(args) -> int:
     spec = _resolve_spec(args)
     regions.build_region(spec.side, spec.distances)
-    cache = _cache_dir(args)
-    memo = _load_memo(cache)
-    for record in condensation.trace_recurrence(spec, memo):
+    for record in condensation.trace_recurrence(spec):
         node = dict(record)
         node_spec = RegionSpec(node["spec"]["a"], tuple(node["spec"]["d"]))
         node["count"] = str(node["count"])
@@ -275,13 +217,11 @@ def cmd_trace(args) -> int:
             node["sub_counts"] = [str(c) for c in node["sub_counts"]]
         node["kuo"] = _kuo_block(node_spec, args.kuo_max)
         print(json.dumps(node, sort_keys=True))
-    _save_memo(cache, memo)
     return 0
 
 
 def cmd_verify(args) -> int:
-    cache = _cache_dir(args)
-    memo = _load_memo(cache)
+    memo: dict[RegionSpec, int] = {}
     failed = passed = 0
     if args.sweep is not None:
         compositions = valid = 0
@@ -313,7 +253,6 @@ def cmd_verify(args) -> int:
         print(json.dumps(report, sort_keys=True))
         passed, failed = (1, 0) if report["ok"] else (0, 1)
         summary = {"summary": {"passed": passed, "failed": failed}}
-    _save_memo(cache, memo)
     print(json.dumps(summary, sort_keys=True))
     return 0 if failed == 0 else 1
 

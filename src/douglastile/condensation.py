@@ -35,6 +35,7 @@ __all__ = [
     "canonical_spec",
     "pick_corners",
     "kuo_counts",
+    "kuo_identity",
     "verify_kuo",
     "case_recurrence",
     "condensation_count",
@@ -139,15 +140,19 @@ def kuo_counts(graph: MatchGraph, quad: CornerQuad) -> dict[str, int]:
     }
 
 
+def kuo_identity(counts: dict[str, int]) -> bool:
+    """Whether the six deletion counts of `kuo_counts` satisfy the identity."""
+    return (
+        counts["full"] * counts["minus_all"]
+        == counts["minus_west_south"] * counts["minus_east_north"]
+        + counts["minus_north_west"] * counts["minus_south_east"]
+    )
+
+
 def verify_kuo(graph: MatchGraph, quad: CornerQuad | None = None) -> bool:
     if quad is None:
         quad = pick_corners(graph)
-    c = kuo_counts(graph, quad)
-    return (
-        c["full"] * c["minus_all"]
-        == c["minus_west_south"] * c["minus_east_north"]
-        + c["minus_north_west"] * c["minus_south_east"]
-    )
+    return kuo_identity(kuo_counts(graph, quad))
 
 
 def _first_wide(d: tuple[int, ...]) -> int | None:
@@ -342,86 +347,74 @@ def case_recurrence(spec: RegionSpec) -> CaseRecurrence:
     raise CaseUnreachable(f"side {a} with width {w} not classified")
 
 
-_MEMO: dict[RegionSpec, int] = {}
+def _spec_dict(spec: RegionSpec | None) -> dict | None:
+    if spec is None:
+        return None
+    return {"a": spec.side, "d": list(spec.distances)}
+
+
+def _resolve(
+    spec: RegionSpec, memo: dict[RegionSpec, int], out: list[dict] | None
+) -> int:
+    """Count a spec by the recurrence, memoised by canonical spec.
+
+    When `out` is a list, each spec resolved for the first time appends
+    one record to it in preorder, so a trace lists every distinct
+    sub-spec once.
+    """
+    canon, _ = canonical_spec(spec)
+    if canon in memo:
+        return memo[canon]
+    if canon in BASE_TABLE:
+        count = BASE_TABLE[canon]
+        if out is not None:
+            out.append(
+                {"spec": _spec_dict(canon), "case": "base", "count": count}
+            )
+        memo[canon] = count
+        return count
+    rec = case_recurrence(canon)
+    node = {
+        "spec": _spec_dict(canon),
+        "case": rec.case_id,
+        "flipped": rec.was_flipped,
+        "subs": [_spec_dict(g) for g in rec.subspecs],
+        "identity": rec.identity,
+    }
+    if out is not None:
+        out.append(node)
+    counts = [1 if g is None else _resolve(g, memo, out) for g in rec.subspecs]
+    if len(counts) == 1:
+        count = rec.multiplier * counts[0]
+    else:
+        m1, m2, m3 = counts
+        count, remainder = divmod(2 * m1 * m2, m3)
+        if remainder:
+            raise DivisionInexact(
+                f"{canon.side}:{canon.distances}: "
+                f"2*{m1}*{m2} not divisible by {m3}"
+            )
+    node["sub_counts"] = counts
+    node["count"] = count
+    memo[canon] = count
+    return count
 
 
 def condensation_count(
     spec: RegionSpec, memo: dict[RegionSpec, int] | None = None
 ) -> int:
-    """Matching count by the condensation recurrence alone."""
-    if memo is None:
-        memo = _MEMO
+    """Matching count by the condensation recurrence alone.
 
-    def resolve(s: RegionSpec) -> int:
-        canon, _ = canonical_spec(s)
-        if canon in memo:
-            return memo[canon]
-        if canon in BASE_TABLE:
-            memo[canon] = BASE_TABLE[canon]
-            return memo[canon]
-        rec = case_recurrence(canon)
-        counts = [1 if g is None else resolve(g) for g in rec.subspecs]
-        if len(counts) == 1:
-            result = rec.multiplier * counts[0]
-        else:
-            m1, m2, m3 = counts
-            result, remainder = divmod(2 * m1 * m2, m3)
-            if remainder:
-                raise DivisionInexact(
-                    f"{canon.side}:{canon.distances}: "
-                    f"2*{m1}*{m2} not divisible by {m3}"
-                )
-        memo[canon] = result
-        return result
-
+    Pass the same `memo` dict to several calls to share their sub-counts.
+    """
     regions.build_region(spec.side, spec.distances)
-    return resolve(spec)
+    return _resolve(spec, {} if memo is None else memo, None)
 
 
-def trace_recurrence(
-    spec: RegionSpec, memo: dict[RegionSpec, int] | None = None
-) -> list[dict]:
+def trace_recurrence(spec: RegionSpec) -> list[dict]:
     """Preorder walk of the recurrence tree, one record per distinct spec."""
-    if memo is None:
-        memo = {}
     out: list[dict] = []
-    seen: set[RegionSpec] = set()
-
-    def spec_dict(s: RegionSpec | None):
-        if s is None:
-            return None
-        return {"a": s.side, "d": list(s.distances)}
-
-    def walk(s: RegionSpec) -> int:
-        canon, _ = canonical_spec(s)
-        if canon in seen:
-            return condensation_count(canon, memo)
-        seen.add(canon)
-        if canon in BASE_TABLE:
-            count = BASE_TABLE[canon]
-            out.append(
-                {"spec": spec_dict(canon), "case": "base", "count": count}
-            )
-            return count
-        rec = case_recurrence(canon)
-        node = {
-            "spec": spec_dict(canon),
-            "case": rec.case_id,
-            "flipped": rec.was_flipped,
-            "subs": [spec_dict(g) for g in rec.subspecs],
-            "identity": rec.identity,
-        }
-        out.append(node)
-        counts = [1 if g is None else walk(g) for g in rec.subspecs]
-        if len(counts) == 1:
-            count = rec.multiplier * counts[0]
-        else:
-            count = 2 * counts[0] * counts[1] // counts[2]
-        node["sub_counts"] = counts
-        node["count"] = count
-        return count
-
-    walk(spec)
+    _resolve(spec, {}, out)
     return out
 
 
@@ -522,7 +515,7 @@ def stats_deltas(spec: RegionSpec) -> dict:
     return {
         "case": rec.case_id,
         "flipped": rec.was_flipped,
-        "normalized": {"a": parent.side, "d": list(parent.distances)},
+        "normalized": _spec_dict(parent),
         "parent": {"width": w, "regular_cells": cells},
         "measured": measured,
         "predicted": predictions,

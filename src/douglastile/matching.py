@@ -62,12 +62,6 @@ class MatchGraph:
     vertices: tuple[Vertex, ...]
     edges: tuple[Edge, ...]
 
-    def vertex(self, vid: int) -> Vertex:
-        for v in self.vertices:
-            if v.id == vid:
-                return v
-        raise KeyError(vid)
-
     def without(self, ids) -> MatchGraph:
         """Induced subgraph after deleting the given vertex ids."""
         drop = set(ids)

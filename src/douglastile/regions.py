@@ -19,7 +19,7 @@ white; both conditions are checked constructively by ``build_region``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterator
@@ -158,8 +158,6 @@ class Region:
     cells: tuple[Cell, ...]
     corners: Corners
     drawn_levels: tuple[int, ...]
-    layers: tuple[int, ...]
-    contour: tuple[tuple[int, int], ...]
 
 
 def _drawn_levels(distances: tuple[int, ...]) -> tuple[int, ...]:
@@ -279,18 +277,11 @@ def build_region(side: int, distances) -> Region:
     if any(c.color is Color.BLACK for c in cells if c.level == -total):
         raise SpecInvalid(REASON_PARITY)
 
-    layers = tuple(
-        sum(1 for dl in drawn if dl > c.level)
-        + (1 if c.kind is CellKind.DOWN else 0)
-        for c in cells
-    )
     return Region(
         spec=spec,
         cells=cells,
         corners=Corners(north=north, east=east, south=south, west=west),
         drawn_levels=drawn,
-        layers=layers,
-        contour=contour,
     )
 
 
@@ -424,7 +415,6 @@ def spec_from_json(text: str) -> RegionSpec:
 
 
 def region_to_json(region: Region) -> str:
-    stats = structural_stats(region)
     return json.dumps(
         {
             "spec": {"a": region.spec.side, "d": list(region.spec.distances)},
@@ -444,14 +434,6 @@ def region_to_json(region: Region) -> str:
                 "west": list(region.corners.west),
             },
             "drawn_levels": list(region.drawn_levels),
-            "stats": {
-                "black_square_lines": stats.black_square_lines,
-                "up_triangle_lines": stats.up_triangle_lines,
-                "down_triangle_lines": stats.down_triangle_lines,
-                "black_lines": stats.black_lines,
-                "width": stats.width,
-                "regular_cells": stats.regular_cells,
-                "total_size": stats.total_size,
-            },
+            "stats": asdict(structural_stats(region)),
         }
     )

@@ -6,11 +6,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import brute_count, valid_specs
+from douglastile import condensation
 from douglastile.condensation import (
     BASE_TABLE,
     BaseCase,
     CornerQuad,
     CornersNotFound,
+    DivisionInexact,
     canonical_spec,
     case_recurrence,
     condensation_count,
@@ -243,10 +245,10 @@ def test_pick_corners_on_duals():
     for spec in valid_specs(6):
         g = dual_graph(build_region(spec.side, spec.distances))
         quad = pick_corners(g)
-        assert g.vertex(quad.west).part == "black"
-        assert g.vertex(quad.east).part == "black"
-        assert g.vertex(quad.south).part == "white"
-        assert g.vertex(quad.north).part == "white"
+        assert g.vertices[quad.west].part == "black"
+        assert g.vertices[quad.east].part == "black"
+        assert g.vertices[quad.south].part == "white"
+        assert g.vertices[quad.north].part == "white"
         assert len({quad.west, quad.south, quad.east, quad.north}) == 4
 
 
@@ -351,3 +353,28 @@ def test_condensation_agrees_with_formula_on_deeper_specs():
         spec = RegionSpec(raw[0], raw[1])
         region = build_region(spec.side, spec.distances)
         assert condensation_count(spec) == formula_count(region)
+
+
+def test_count_and_trace_both_check_exactness(monkeypatch):
+    # a wrong base count makes (3; 6) = 2 * 8 * 8 / 3 inexact
+    monkeypatch.setitem(BASE_TABLE, RegionSpec(1, (2,)), 3)
+    spec = RegionSpec(3, (6,))
+    with pytest.raises(DivisionInexact):
+        condensation_count(spec)
+    with pytest.raises(DivisionInexact):
+        trace_recurrence(spec)
+
+
+def test_trace_dispatches_each_distinct_spec_once(monkeypatch):
+    calls = []
+    dispatch = condensation.case_recurrence
+
+    def counted(spec):
+        calls.append(spec)
+        return dispatch(spec)
+
+    monkeypatch.setattr(condensation, "case_recurrence", counted)
+    trace = trace_recurrence(RegionSpec(7, (4, 2, 5, 4)))
+    non_base = [node for node in trace if node["case"] != "base"]
+    assert len(non_base) == 14
+    assert len(calls) == len(non_base)

@@ -60,7 +60,7 @@ def test_dual_graph_shape():
     parts = [v.part for v in g.vertices]
     assert parts.count("black") == parts.count("white")
     for e in g.edges:
-        assert {g.vertex(e.u).part, g.vertex(e.v).part} == {"black", "white"}
+        assert {g.vertices[e.u].part, g.vertices[e.v].part} == {"black", "white"}
         assert e.weight == 1
 
 
