@@ -51,6 +51,7 @@ from .regions import (
     RegionStats,
     SpecInvalid,
     build_region,
+    check_spec,
     compositions,
     enumerate_valid_regions,
     find_region,

@@ -1,8 +1,8 @@
 """Command line front end: count, verify, trace, render.
 
 Exit codes: 0 success, 1 at least one verification check failed, 2 the
-spec does not describe a region, 3 an exact computation was refused for
-size.
+spec is malformed or does not describe a region, 3 an exact computation
+was refused for size.
 """
 
 from __future__ import annotations
@@ -96,8 +96,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_spec(args) -> RegionSpec:
     if args.spec:
-        with open(args.spec, encoding="utf-8") as fh:
-            return regions.spec_from_json(fh.read())
+        try:
+            with open(args.spec, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise SpecInvalid(f"cannot read spec file: {exc}") from None
+        return regions.spec_from_json(text)
     if args.d is None:
         raise SpecInvalid(regions.REASON_POSITIVE)
     if args.a is None:
@@ -122,7 +126,7 @@ def cmd_count(args) -> int:
     return 0
 
 
-def _verify_one(spec: RegionSpec, memo: dict[RegionSpec, int]) -> dict:
+def _verify_one(region: regions.Region, memo: dict[RegionSpec, int]) -> dict:
     timings: dict[str, float] = {}
 
     def timed(name, fn):
@@ -131,7 +135,7 @@ def _verify_one(spec: RegionSpec, memo: dict[RegionSpec, int]) -> dict:
         timings[name] = time.perf_counter() - start
         return out
 
-    region = regions.build_region(spec.side, spec.distances)
+    spec = region.spec
     stats = regions.structural_stats(region)
     total = spec.total
 
@@ -181,7 +185,7 @@ def _verify_one(spec: RegionSpec, memo: dict[RegionSpec, int]) -> dict:
     stats_record["total"] = total
     report = {
         "tool": f"douglastile {__version__}",
-        "spec": {"a": spec.side, "d": list(spec.distances)},
+        "spec": spec.to_dict(),
         "stats": stats_record,
         "counts": counts,
         "checks": checks,
@@ -208,7 +212,7 @@ def _kuo_block(spec: RegionSpec, kuo_max: int) -> dict | None:
 
 def cmd_trace(args) -> int:
     spec = _resolve_spec(args)
-    regions.build_region(spec.side, spec.distances)
+    regions.check_spec(spec.side, spec.distances)
     for record in condensation.trace_recurrence(spec):
         node = dict(record)
         node_spec = RegionSpec(node["spec"]["a"], tuple(node["spec"]["d"]))
@@ -233,7 +237,7 @@ def cmd_verify(args) -> int:
                 except SpecInvalid:
                     continue
                 valid += 1
-                report = _verify_one(region.spec, memo)
+                report = _verify_one(region, memo)
                 print(json.dumps(report, sort_keys=True))
                 if report["ok"]:
                     passed += 1
@@ -249,7 +253,8 @@ def cmd_verify(args) -> int:
             }
         }
     else:
-        report = _verify_one(_resolve_spec(args), memo)
+        spec = _resolve_spec(args)
+        report = _verify_one(regions.build_region(spec.side, spec.distances), memo)
         print(json.dumps(report, sort_keys=True))
         passed, failed = (1, 0) if report["ok"] else (0, 1)
         summary = {"summary": {"passed": passed, "failed": failed}}
@@ -279,6 +284,9 @@ def cmd_render(args) -> int:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        # counts are exact powers of two with arbitrarily many digits
+        sys.set_int_max_str_digits(0)
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -249,7 +249,7 @@ def case_recurrence(spec: RegionSpec) -> CaseRecurrence:
     Raises BaseCase for the tabulated smallest regions and SpecInvalid if
     the spec does not describe a region at all.
     """
-    regions.build_region(spec.side, spec.distances)
+    regions.check_spec(spec.side, spec.distances)
     a = spec.side
     w = spec.width
     d = spec.distances
@@ -347,57 +347,57 @@ def case_recurrence(spec: RegionSpec) -> CaseRecurrence:
     raise CaseUnreachable(f"side {a} with width {w} not classified")
 
 
-def _spec_dict(spec: RegionSpec | None) -> dict | None:
-    if spec is None:
-        return None
-    return {"a": spec.side, "d": list(spec.distances)}
-
-
 def _resolve(
     spec: RegionSpec, memo: dict[RegionSpec, int], out: list[dict] | None
 ) -> int:
     """Count a spec by the recurrence, memoised by canonical spec.
 
-    When `out` is a list, each spec resolved for the first time appends
-    one record to it in preorder, so a trace lists every distinct
-    sub-spec once.
+    New specs are found in preorder with an explicit stack, then counted
+    by increasing total, since every sub-spec is smaller than its parent.
+    When `out` is a list, each new spec appends one record to it in
+    preorder, so a trace lists every distinct sub-spec once.
     """
-    canon, _ = canonical_spec(spec)
-    if canon in memo:
-        return memo[canon]
-    if canon in BASE_TABLE:
-        count = BASE_TABLE[canon]
+    found: dict[RegionSpec, tuple[dict, CaseRecurrence]] = {}
+    stack = [spec]
+    while stack:
+        canon, _ = canonical_spec(stack.pop())
+        if canon in memo or canon in found:
+            continue
+        if canon in BASE_TABLE:
+            memo[canon] = BASE_TABLE[canon]
+            node = {"spec": canon.to_dict(), "case": "base", "count": memo[canon]}
+        else:
+            rec = case_recurrence(canon)
+            node = {
+                "spec": canon.to_dict(),
+                "case": rec.case_id,
+                "flipped": rec.was_flipped,
+                "subs": [None if g is None else g.to_dict() for g in rec.subspecs],
+                "identity": rec.identity,
+            }
+            found[canon] = (node, rec)
+            stack.extend(g for g in reversed(rec.subspecs) if g is not None)
         if out is not None:
-            out.append(
-                {"spec": _spec_dict(canon), "case": "base", "count": count}
-            )
+            out.append(node)
+    for canon in sorted(found, key=lambda s: s.total):
+        node, rec = found[canon]
+        counts = [
+            1 if g is None else memo[canonical_spec(g)[0]] for g in rec.subspecs
+        ]
+        if len(counts) == 1:
+            count = rec.multiplier * counts[0]
+        else:
+            m1, m2, m3 = counts
+            count, remainder = divmod(2 * m1 * m2, m3)
+            if remainder:
+                raise DivisionInexact(
+                    f"{canon.side}:{canon.distances}: "
+                    f"2*{m1}*{m2} not divisible by {m3}"
+                )
+        node["sub_counts"] = counts
+        node["count"] = count
         memo[canon] = count
-        return count
-    rec = case_recurrence(canon)
-    node = {
-        "spec": _spec_dict(canon),
-        "case": rec.case_id,
-        "flipped": rec.was_flipped,
-        "subs": [_spec_dict(g) for g in rec.subspecs],
-        "identity": rec.identity,
-    }
-    if out is not None:
-        out.append(node)
-    counts = [1 if g is None else _resolve(g, memo, out) for g in rec.subspecs]
-    if len(counts) == 1:
-        count = rec.multiplier * counts[0]
-    else:
-        m1, m2, m3 = counts
-        count, remainder = divmod(2 * m1 * m2, m3)
-        if remainder:
-            raise DivisionInexact(
-                f"{canon.side}:{canon.distances}: "
-                f"2*{m1}*{m2} not divisible by {m3}"
-            )
-    node["sub_counts"] = counts
-    node["count"] = count
-    memo[canon] = count
-    return count
+    return memo[canonical_spec(spec)[0]]
 
 
 def condensation_count(
@@ -407,7 +407,7 @@ def condensation_count(
 
     Pass the same `memo` dict to several calls to share their sub-counts.
     """
-    regions.build_region(spec.side, spec.distances)
+    regions.check_spec(spec.side, spec.distances)
     return _resolve(spec, {} if memo is None else memo, None)
 
 
@@ -515,7 +515,7 @@ def stats_deltas(spec: RegionSpec) -> dict:
     return {
         "case": rec.case_id,
         "flipped": rec.was_flipped,
-        "normalized": _spec_dict(parent),
+        "normalized": parent.to_dict(),
         "parent": {"width": w, "regular_cells": cells},
         "measured": measured,
         "predicted": predictions,

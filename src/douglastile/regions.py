@@ -11,9 +11,10 @@ remaining sides are plain zigzags, so the whole region is determined by
 the spec.
 
 Cells are checkerboard coloured by diagonal line, starting white on ell.
-A spec describes a region only if the forced staircase returns to the
-height of the western corner and the bottom line of cells comes out
-white; both conditions are checked constructively by ``build_region``.
+A spec describes a region only if the forced staircase misses its point
+reflection, returns to the height of the western corner, and the bottom
+line of cells comes out white.  ``check_spec`` decides all of this from
+the distance tuple alone, without building a cell.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ __all__ = [
     "RegionStats",
     "Corners",
     "Region",
+    "check_spec",
     "build_region",
     "find_region",
     "flipped",
@@ -98,6 +100,10 @@ class RegionSpec:
     def width(self) -> int:
         # number of white squares on the bottom line of a valid region
         return self.total - self.side
+
+    def to_dict(self) -> dict:
+        """The ``{"a": side, "d": [distances...]}`` record of JSON output."""
+        return {"a": self.side, "d": list(self.distances)}
 
 
 @dataclass(frozen=True)
@@ -192,16 +198,14 @@ def _forced_path(tiers: dict[int, int], total: int) -> list[tuple[int, int]]:
     return pts
 
 
-def build_region(side: int, distances) -> Region:
+def check_spec(side: int, distances) -> RegionSpec:
+    """The spec, or SpecInvalid naming the first region condition it fails."""
     distances = tuple(distances)
     if side < 1 or not distances or any(d < 1 for d in distances):
         raise SpecInvalid(REASON_POSITIVE)
     spec = RegionSpec(side, distances)
     total = spec.total
-    drawn = _drawn_levels(distances)
-    drawn_set = set(drawn)
     tiers = _tiers_above(distances)
-
     ne = _forced_path(tiers, total)
     sw = [(-side - y, -side - x) for x, y in ne]
     shared = set(ne) & set(sw)
@@ -213,6 +217,19 @@ def build_region(side: int, distances) -> Region:
         raise SpecInvalid(REASON_CROSSING)
     if ne[-1][1] != -side:
         raise SpecInvalid(REASON_CORNERS)
+    if tiers[-total] % 2:
+        raise SpecInvalid(REASON_PARITY)
+    return spec
+
+
+def build_region(side: int, distances) -> Region:
+    spec = check_spec(side, distances)
+    total = spec.total
+    drawn = _drawn_levels(spec.distances)
+    drawn_set = set(drawn)
+    tiers = _tiers_above(spec.distances)
+    ne = _forced_path(tiers, total)
+    sw = [(-side - y, -side - x) for x, y in ne]
 
     north = (0, 0)
     east = ne[-1]
@@ -273,9 +290,8 @@ def build_region(side: int, distances) -> Region:
     cells = tuple(cells)
 
     _check_cell_structure(cells, total)
-
     if any(c.color is Color.BLACK for c in cells if c.level == -total):
-        raise SpecInvalid(REASON_PARITY)
+        raise RuntimeError("internal: bottom line not white")
 
     return Region(
         spec=spec,
@@ -406,18 +422,21 @@ def enumerate_valid_regions(max_total: int) -> Iterator[Region]:
 
 
 def spec_to_json(spec: RegionSpec) -> str:
-    return json.dumps({"a": spec.side, "d": list(spec.distances)})
+    return json.dumps(spec.to_dict())
 
 
 def spec_from_json(text: str) -> RegionSpec:
-    data = json.loads(text)
-    return RegionSpec(int(data["a"]), tuple(int(d) for d in data["d"]))
+    try:
+        data = json.loads(text)
+        return RegionSpec(int(data["a"]), tuple(int(d) for d in data["d"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SpecInvalid(f"malformed spec JSON: {exc!r}") from None
 
 
 def region_to_json(region: Region) -> str:
     return json.dumps(
         {
-            "spec": {"a": region.spec.side, "d": list(region.spec.distances)},
+            "spec": region.spec.to_dict(),
             "cells": [
                 {
                     "kind": c.kind.value,

@@ -31,7 +31,7 @@ from .matching import (
     Vertex,
     matching_generating_function,
 )
-from .regions import Region, RegionSpec, _tiers_above
+from .regions import RegionSpec, _drawn_levels, _tiers_above
 
 __all__ = [
     "ZERO",
@@ -288,16 +288,16 @@ def scale_row_part(
     return AztecDiamond(n, WeightPattern(tuple(tuple(r) for r in mat)))
 
 
-def region_code(region: Region) -> tuple[str, ...]:
+def region_code(spec: RegionSpec) -> tuple[str, ...]:
     """Symbols of the black lines, top to bottom.
 
     A black square line is "0"; a cut line is "+" when its black half is
     the upper triangles and "-" when it is the lower triangles.
     """
-    drawn = set(region.drawn_levels)
-    tiers = _tiers_above(region.spec.distances)
+    drawn = set(_drawn_levels(spec.distances))
+    tiers = _tiers_above(spec.distances)
     out = []
-    for level in range(0, -region.spec.total - 1, -1):
+    for level in range(0, -spec.total - 1, -1):
         t = tiers[level]
         if level in drawn:
             out.append(PLUS if t % 2 else MINUS)
@@ -321,8 +321,9 @@ def pattern_of_code(code: tuple[str, ...]) -> WeightPattern:
 
 def characteristic_matrix(spec: RegionSpec) -> WeightPattern:
     """The 2q x 2 stack of binary blocks encoding the region's black lines."""
-    region = regions.build_region(spec.side, spec.distances)
-    return pattern_of_code(region_code(region))
+    return pattern_of_code(
+        region_code(regions.check_spec(spec.side, spec.distances))
+    )
 
 
 def encode(pattern: WeightPattern) -> tuple[str, ...]:
@@ -370,8 +371,7 @@ def binary_reduction_step(pattern: WeightPattern) -> tuple[WeightPattern, int]:
 
 def code_trace(spec: RegionSpec) -> list[dict]:
     """The full symbol reduction of a region, one record per round."""
-    region = regions.build_region(spec.side, spec.distances)
-    cur = region_code(region)
+    cur = region_code(regions.check_spec(spec.side, spec.distances))
     out = []
     step = 0
     while cur:
@@ -405,8 +405,7 @@ def shuffle_exponent(spec: RegionSpec) -> int:
     mismatch would mean the symbol bookkeeping itself is broken, so it is
     raised loudly instead of picking a side.
     """
-    region = regions.build_region(spec.side, spec.distances)
-    code = region_code(region)
+    code = region_code(regions.check_spec(spec.side, spec.distances))
     procedural = 0
     cur = code
     while cur:

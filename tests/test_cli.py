@@ -71,6 +71,29 @@ def test_missing_spec_exits_two(capsys):
     assert err.startswith("invalid spec:")
 
 
+@pytest.mark.parametrize(
+    "content",
+    ["", '{"a": 2}', '{"a": "x", "d": [4]}', None],
+    ids=["empty", "no-distances", "not-an-int", "missing-file"],
+)
+def test_malformed_spec_file_exits_two(tmp_path, capsys, content):
+    path = tmp_path / "spec.json"
+    if content is not None:
+        path.write_text(content)
+    code, out, err = run_cli(capsys, "count", "--spec", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid spec: ") and err.count("\n") == 1
+
+
+def test_count_prints_past_the_int_digit_limit(capsys):
+    code, out, _ = run_cli(
+        capsys, "count", "--a", "170", "--d", "340", "--engine", "shuffle"
+    )
+    assert code == 0
+    assert out.strip() == str(2**14535)
+
+
 def test_brute_size_limit_exits_three(capsys):
     code, _, err = run_cli(
         capsys, "count", "--a", "21", "--d", "42", "--engine", "brute"

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import brute_count, valid_specs
-from douglastile import condensation
+from douglastile import condensation, regions
 from douglastile.condensation import (
     BASE_TABLE,
     BaseCase,
@@ -36,6 +36,7 @@ from douglastile.regions import (
     flipped,
     formula_count,
 )
+from douglastile.shuffle import characteristic_matrix, code_trace, shuffle_exponent
 
 # dispatch fixtures: spec -> (case, normalized, flipped, sub-specs, multiplier)
 # sub-spec counts were confirmed against brute force when frozen
@@ -378,3 +379,24 @@ def test_trace_dispatches_each_distinct_spec_once(monkeypatch):
     non_base = [node for node in trace if node["case"] != "base"]
     assert len(non_base) == 14
     assert len(calls) == len(non_base)
+
+
+def test_spec_engines_build_no_cells(monkeypatch):
+    # condense, shuffle and trace decide validity from the distances alone
+    def no_cells(*args):
+        raise AssertionError("cells built")
+
+    monkeypatch.setattr(regions, "build_region", no_cells)
+    monkeypatch.setattr(regions, "find_region", no_cells)
+    spec = RegionSpec(24, (3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5))
+    assert condensation_count(spec) == 2**271
+    assert shuffle_exponent(spec) == 271
+    assert len(trace_recurrence(spec)) == 212
+    assert len(code_trace(spec)) == 27
+    characteristic_matrix(spec)
+
+
+def test_condense_deep_staircase_needs_no_recursion():
+    # the staircase recurrence goes one level deeper per layer
+    spec = RegionSpec(1, (1,) * 1199 + (2,))
+    assert condensation_count(spec) == 2**1200

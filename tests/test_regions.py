@@ -1,6 +1,7 @@
 """Region construction, validity checking, and the line-count lemmas."""
 
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from douglastile.regions import (
     RegionSpec,
     SpecInvalid,
     build_region,
+    check_spec,
     compositions,
     enumerate_valid_regions,
     find_region,
@@ -97,6 +99,34 @@ def test_validity_matches_derived_side():
                 else:
                     assert side == derived
                     assert region.spec == RegionSpec(side, tuple(d))
+
+
+def test_check_spec_agrees_with_build_region():
+    # the arithmetic check and the cell builder reach one verdict on every
+    # composition with total <= 12 and side 0..total+1; the tally is the one
+    # the cell builder produced before it delegated to check_spec
+    def verdict(check, side, d):
+        try:
+            check(side, d)
+        except SpecInvalid as err:
+            return err.reason
+        return "ok"
+
+    tally = Counter()
+    for total in range(1, 13):
+        for d in compositions(total):
+            for side in range(total + 2):
+                got = verdict(check_spec, side, d)
+                assert verdict(build_region, side, d) == got
+                tally[got] += 1
+    assert tally == {
+        "ok": 2047,
+        REASON_POSITIVE: 4095,
+        REASON_CORNERS: 40123,
+        REASON_CROSSING: 4946,
+        REASON_PARITY: 2036,
+    }
+    assert check_spec(7, [4, 2, 5, 4]) == RegionSpec(7, (4, 2, 5, 4))
 
 
 def test_find_region_reports_parity_first():

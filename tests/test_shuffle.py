@@ -217,7 +217,7 @@ def test_scale_row_part_bounds():
 def test_region_codes(raw, code):
     side, distances = raw
     region = build_region(side, distances)
-    got = region_code(region)
+    got = region_code(region.spec)
     assert "".join(got) == code
     assert len(got) == structural_stats(region).black_lines
 
@@ -226,7 +226,7 @@ def test_characteristic_matrix_encodes_back():
     for spec in valid_specs(8):
         pat = characteristic_matrix(spec)
         region = build_region(spec.side, spec.distances)
-        assert encode(pat) == region_code(region)
+        assert encode(pat) == region_code(spec)
         assert pat.cols == 2
         assert pat.rows == 2 * structural_stats(region).black_lines
 
