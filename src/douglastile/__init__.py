@@ -1,8 +1,8 @@
 """Exact domino-tiling counts for generalized Douglas regions.
 
 Three independent engines count the perfect matchings of a region's dual
-graph: direct transfer-matrix enumeration, Kuo graphical condensation,
-and weighted Aztec-diamond shuffling.  All of them land on a power of
+graph: a Kasteleyn determinant, Kuo graphical condensation, and weighted
+Aztec-diamond shuffling.  All of them land on a power of
 two predicted by a closed-form exponent read off the region's shape.
 """
 

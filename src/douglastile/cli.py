@@ -126,7 +126,11 @@ def cmd_count(args) -> int:
     return 0
 
 
-def _verify_one(region: regions.Region, memo: dict[RegionSpec, int]) -> dict:
+def _verify_one(
+    region: regions.Region,
+    memo: dict[RegionSpec, int],
+    stats_memo: dict[RegionSpec, regions.RegionStats],
+) -> dict:
     timings: dict[str, float] = {}
 
     def timed(name, fn):
@@ -137,6 +141,7 @@ def _verify_one(region: regions.Region, memo: dict[RegionSpec, int]) -> dict:
 
     spec = region.spec
     stats = regions.structural_stats(region)
+    stats_memo[spec] = stats
     total = spec.total
 
     counts: dict[str, str | None] = {}
@@ -176,7 +181,8 @@ def _verify_one(region: regions.Region, memo: dict[RegionSpec, int]) -> dict:
     else:
         checks["kuo"] = None
     try:
-        checks["case_deltas_balance"] = stats_deltas(spec)["balance_ok"]
+        deltas = stats_deltas(spec, stats_memo)
+        checks["case_deltas_balance"] = deltas["balance_ok"]
     except (condensation.BaseCase, ValueError):
         checks["case_deltas_balance"] = None
 
@@ -226,6 +232,7 @@ def cmd_trace(args) -> int:
 
 def cmd_verify(args) -> int:
     memo: dict[RegionSpec, int] = {}
+    stats_memo: dict[RegionSpec, regions.RegionStats] = {}
     failed = passed = 0
     if args.sweep is not None:
         compositions = valid = 0
@@ -237,7 +244,7 @@ def cmd_verify(args) -> int:
                 except SpecInvalid:
                     continue
                 valid += 1
-                report = _verify_one(region, memo)
+                report = _verify_one(region, memo, stats_memo)
                 print(json.dumps(report, sort_keys=True))
                 if report["ok"]:
                     passed += 1
@@ -254,7 +261,9 @@ def cmd_verify(args) -> int:
         }
     else:
         spec = _resolve_spec(args)
-        report = _verify_one(regions.build_region(spec.side, spec.distances), memo)
+        report = _verify_one(
+            regions.build_region(spec.side, spec.distances), memo, stats_memo
+        )
         print(json.dumps(report, sort_keys=True))
         passed, failed = (1, 0) if report["ok"] else (0, 1)
         summary = {"summary": {"passed": passed, "failed": failed}}

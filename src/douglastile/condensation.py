@@ -422,7 +422,21 @@ def _triangle(n: int) -> int:
     return n * (n + 1) // 2
 
 
-def stats_deltas(spec: RegionSpec) -> dict:
+def _region_stats(
+    spec: RegionSpec, memo: dict[RegionSpec, regions.RegionStats]
+) -> regions.RegionStats:
+    stats = memo.get(spec)
+    if stats is None:
+        stats = memo[spec] = regions.structural_stats(
+            regions.build_region(spec.side, spec.distances)
+        )
+    return stats
+
+
+def stats_deltas(
+    spec: RegionSpec,
+    memo: dict[RegionSpec, regions.RegionStats] | None = None,
+) -> dict:
     """Measured vs predicted width and cell-count drops of the sub-regions.
 
     The predictions for the first deletion pair are unambiguous; the ones
@@ -432,14 +446,17 @@ def stats_deltas(spec: RegionSpec) -> dict:
     from the number of layers.  The balance identity at the end restates
     the exponent bookkeeping of the recurrence purely in measured
     quantities and must always hold.
+
+    Pass the same `memo` dict to several calls to build each region's
+    cells once; it maps a spec to its `structural_stats`.
     """
     rec = case_recurrence(spec)
     if not rec.case_id.startswith("I."):
         raise ValueError("delta predictions cover Case I specs only")
+    if memo is None:
+        memo = {}
     parent = rec.normalized
-    pstats = regions.structural_stats(
-        regions.build_region(parent.side, parent.distances)
-    )
+    pstats = _region_stats(parent, memo)
     a = parent.side
     w = pstats.width
     cells = pstats.regular_cells
@@ -451,7 +468,7 @@ def stats_deltas(spec: RegionSpec) -> dict:
         if g is None:
             measured.append(None)
             continue
-        gs = regions.structural_stats(regions.build_region(g.side, g.distances))
+        gs = _region_stats(g, memo)
         measured.append(
             {"width": gs.width, "regular_cells": gs.regular_cells}
         )

@@ -425,10 +425,20 @@ def spec_to_json(spec: RegionSpec) -> str:
     return json.dumps(spec.to_dict())
 
 
+def _json_int(value) -> int:
+    # JSON true/false load as bool, a subclass of int; refuse them too
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def spec_from_json(text: str) -> RegionSpec:
+    """Spec from `{"a": side, "d": [distances]}`; only JSON integers count."""
     try:
         data = json.loads(text)
-        return RegionSpec(int(data["a"]), tuple(int(d) for d in data["d"]))
+        return RegionSpec(
+            _json_int(data["a"]), tuple(_json_int(d) for d in data["d"])
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecInvalid(f"malformed spec JSON: {exc!r}") from None
 

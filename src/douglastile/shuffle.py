@@ -25,7 +25,6 @@ from fractions import Fraction
 
 from . import regions
 from .matching import (
-    DEFAULT_FRONTIER_LIMIT,
     Edge,
     MatchGraph,
     Vertex,
@@ -180,12 +179,10 @@ def aztec_match_graph(ad: AztecDiamond) -> MatchGraph:
     return MatchGraph(tuple(verts), tuple(edges))
 
 
-def aztec_mgf(
-    ad: AztecDiamond, frontier_limit: int = DEFAULT_FRONTIER_LIMIT
-) -> Fraction:
+def aztec_mgf(ad: AztecDiamond) -> Fraction:
     if ad.order == 0:
         return Fraction(1)
-    return matching_generating_function(aztec_match_graph(ad), frontier_limit)
+    return matching_generating_function(aztec_match_graph(ad))
 
 
 def cell_factor(weights: tuple[Fraction, Fraction, Fraction, Fraction]) -> Fraction:

@@ -310,7 +310,7 @@ def test_criterion_9_exponent_identity_and_merges():
 
 
 def test_criterion_10_oracle_equivalence():
-    with criterion(10, "sweep counter equals the permanent on small graphs"):
+    with criterion(10, "Kasteleyn determinant equals the permanent on small graphs"):
         graphs = []
         for spec in valid_specs(8):
             graphs.append(dual_graph(build_region(spec.side, spec.distances)))

@@ -73,8 +73,22 @@ def test_missing_spec_exits_two(capsys):
 
 @pytest.mark.parametrize(
     "content",
-    ["", '{"a": 2}', '{"a": "x", "d": [4]}', None],
-    ids=["empty", "no-distances", "not-an-int", "missing-file"],
+    [
+        "",
+        '{"a": 2}',
+        '{"a": "x", "d": [4]}',
+        None,
+        '{"a": 2.7, "d": [4.9]}',
+        '{"a": true, "d": [2]}',
+    ],
+    ids=[
+        "empty",
+        "no-distances",
+        "not-an-int",
+        "missing-file",
+        "non-integer-number",
+        "bool",
+    ],
 )
 def test_malformed_spec_file_exits_two(tmp_path, capsys, content):
     path = tmp_path / "spec.json"
@@ -96,7 +110,7 @@ def test_count_prints_past_the_int_digit_limit(capsys):
 
 def test_brute_size_limit_exits_three(capsys):
     code, _, err = run_cli(
-        capsys, "count", "--a", "21", "--d", "42", "--engine", "brute"
+        capsys, "count", "--a", "53", "--d", "106", "--engine", "brute"
     )
     assert code == 3
     assert err.startswith("size limit:")

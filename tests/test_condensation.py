@@ -321,6 +321,28 @@ def test_stats_deltas_layer_reading_and_balance():
     assert checked > 400
 
 
+def test_stats_deltas_memo_builds_each_region_once(monkeypatch):
+    specs = []
+    for spec in valid_specs(8):
+        try:
+            if case_recurrence(spec).case_id.startswith("I."):
+                specs.append(spec)
+        except BaseCase:
+            pass
+    fresh = [stats_deltas(spec) for spec in specs]
+    built = []
+    real_build = regions.build_region
+
+    def counting_build(side, distances):
+        built.append(RegionSpec(side, tuple(distances)))
+        return real_build(side, distances)
+
+    monkeypatch.setattr(regions, "build_region", counting_build)
+    memo: dict = {}
+    assert [stats_deltas(spec, memo) for spec in specs] == fresh
+    assert len(built) == len(set(built)) == len(memo)
+
+
 def test_stats_deltas_rejects_case_two():
     with pytest.raises(ValueError):
         stats_deltas(RegionSpec(1, (1, 1, 1, 2)))

@@ -1,6 +1,8 @@
-"""Matching counts: frontier sweep vs permanent oracle, forced-edge
+"""Matching counts: Kasteleyn determinant vs permanent oracle, forced-edge
 reduction, and the graph utilities."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -8,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_count, valid_specs
+from douglastile.condensation import kuo_counts, pick_corners
 from douglastile.matching import (
     RYSER_LIMIT,
+    VERTEX_LIMIT,
     Edge,
     MatchGraph,
     SizeLimit,
@@ -25,6 +29,7 @@ from douglastile.matching import (
     reduce_forced,
 )
 from douglastile.regions import RegionSpec, build_region, formula_count
+from douglastile.shuffle import AztecDiamond, WeightPattern, aztec_match_graph
 
 
 def bipartite(n_black, n_white, mask, weights=None):
@@ -45,6 +50,38 @@ def bipartite(n_black, n_white, mask, weights=None):
                 edges.append(Edge(i, n_black + j, w))
             bit += 1
     return MatchGraph(tuple(verts), tuple(edges))
+
+
+# plane graphs on which the permanent stays quick: region duals and
+# Aztec diamond graphs with at most 20 vertices
+PLANE_BASES = tuple(
+    g
+    for g in [dual_graph(build_region(s.side, s.distances)) for s in valid_specs(8)]
+    + [aztec_match_graph(AztecDiamond(n, WeightPattern.ones(2, 2))) for n in (1, 2, 3)]
+    if len(g.vertices) <= 20
+)
+
+WEIGHT_PICKS = [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(0), Fraction(-1, 3)]
+
+
+@st.composite
+def plane_graphs(draw, weights=(Fraction(1),)):
+    """A base plane graph with a few vertices and edges deleted.
+
+    Edge k gets weight `picks[k % len(picks)]`, picks drawn from `weights`.
+    """
+    g = draw(st.sampled_from(PLANE_BASES))
+    drop = draw(st.lists(st.integers(0, 63), max_size=4))
+    g = g.without(g.vertices[k % len(g.vertices)].id for k in drop)
+    cut = set(draw(st.lists(st.integers(0, 127), max_size=6)))
+    picks = draw(st.lists(st.sampled_from(weights), min_size=1, max_size=6))
+    edges = [e for k, e in enumerate(g.edges) if k % max(len(g.edges), 1) not in cut]
+    return MatchGraph(
+        g.vertices,
+        tuple(
+            Edge(e.u, e.v, picks[k % len(picks)]) for k, e in enumerate(edges)
+        ),
+    )
 
 
 def test_base_counts_match_formula():
@@ -77,44 +114,45 @@ def test_tiny_graphs():
     assert count_matchings(no_match) == 0
 
 
-@given(
-    n=st.integers(min_value=1, max_value=5),
-    m=st.integers(min_value=1, max_value=5),
-    mask=st.integers(min_value=0, max_value=(1 << 25) - 1),
-)
+@given(g=plane_graphs())
 @settings(max_examples=200, deadline=None)
-def test_sweep_agrees_with_permanent(n, m, mask):
-    g = bipartite(n, m, mask)
+def test_sweep_agrees_with_permanent(g):
     assert Fraction(count_matchings(g)) == permanent_oracle(g)
 
 
-@given(
-    n=st.integers(min_value=1, max_value=4),
-    mask=st.integers(min_value=0, max_value=(1 << 16) - 1),
-    picks=st.lists(
-        st.sampled_from(
-            [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(0), Fraction(-1, 3)]
-        ),
-        min_size=1,
-        max_size=6,
-    ),
-)
+@given(g=plane_graphs(weights=WEIGHT_PICKS))
 @settings(max_examples=200, deadline=None)
-def test_weighted_mgf_agrees_with_permanent(n, mask, picks):
-    g = bipartite(n, n, mask, weights=picks)
+def test_weighted_mgf_agrees_with_permanent(g):
     assert matching_generating_function(g) == permanent_oracle(g)
 
 
+def test_non_plane_graph_is_refused():
+    k33 = bipartite(3, 3, (1 << 9) - 1)
+    with pytest.raises(ValueError, match="graph is not plane"):
+        count_matchings(k33)
+    with pytest.raises(ValueError, match="graph is not plane"):
+        matching_generating_function(k33)
+    # the permanent needs no drawing
+    assert permanent_oracle(k33) == 6
+
+
 def test_sweep_order_insensitive_to_positions():
-    # counting must not depend on where the vertices sit
-    g = bipartite(3, 3, 0b111101110)
-    moved = MatchGraph(
-        tuple(
-            Vertex(v.id, v.part, Fraction(-v.y, 3), v.x * 7) for v in g.vertices
-        ),
-        g.edges,
-    )
-    assert count_matchings(g) == count_matchings(moved)
+    # counting must not depend on where the vertices of a plane drawing
+    # sit: turned, sheared apart or mirrored, the count stays
+    for g in (
+        dual_graph(build_region(7, (4, 2, 5, 4))),
+        aztec_match_graph(AztecDiamond(4, WeightPattern.ones(2, 2))),
+    ):
+        want = count_matchings(g)
+        for move in (
+            lambda v: (Fraction(-v.y, 3), v.x * 7),
+            lambda v: (-v.x, v.y),
+        ):
+            moved = MatchGraph(
+                tuple(Vertex(v.id, v.part, *move(v)) for v in g.vertices),
+                g.edges,
+            )
+            assert count_matchings(moved) == want
 
 
 def test_mgf_multiplicative_over_components():
@@ -171,11 +209,18 @@ def test_rejects_malformed_edges():
 
 
 def test_size_limits():
-    big = bipartite(22, 22, (1 << (22 * 22)) - 1)
+    def path(n):
+        verts = tuple(
+            Vertex(i, "black" if i % 2 == 0 else "white", Fraction(i), Fraction(0))
+            for i in range(n)
+        )
+        return MatchGraph(verts, tuple(Edge(i, i + 1) for i in range(n - 1)))
+
+    assert count_matchings(path(VERTEX_LIMIT)) == 1 - VERTEX_LIMIT % 2
     with pytest.raises(SizeLimit):
-        count_matchings(big)
+        count_matchings(path(VERTEX_LIMIT + 1))
     with pytest.raises(SizeLimit):
-        count_matchings(bipartite(6, 6, (1 << 36) - 1), frontier_limit=3)
+        matching_generating_function(path(VERTEX_LIMIT + 1))
     wide = bipartite(RYSER_LIMIT + 1, RYSER_LIMIT + 1, 0)
     with pytest.raises(SizeLimit):
         permanent_oracle(wide)
@@ -185,19 +230,9 @@ def test_permanent_unequal_parts_is_zero():
     assert permanent_oracle(bipartite(2, 3, (1 << 6) - 1)) == 0
 
 
-@given(
-    n=st.integers(min_value=1, max_value=4),
-    m=st.integers(min_value=1, max_value=4),
-    mask=st.integers(min_value=0, max_value=(1 << 16) - 1),
-    picks=st.lists(
-        st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 2)]),
-        min_size=1,
-        max_size=5,
-    ),
-)
+@given(g=plane_graphs(weights=[Fraction(1), Fraction(2), Fraction(1, 2)]))
 @settings(max_examples=200, deadline=None)
-def test_reduce_forced_preserves_mgf(n, m, mask, picks):
-    g = bipartite(n, m, mask, weights=picks)
+def test_reduce_forced_preserves_mgf(g):
     reduced, mult = reduce_forced(g)
     assert mult * matching_generating_function(reduced) == (
         matching_generating_function(g)
@@ -273,3 +308,20 @@ def test_brute_count_matches_formula_to_t8():
     for spec in valid_specs(8):
         region = build_region(spec.side, spec.distances)
         assert brute_count(spec) == formula_count(region)
+
+
+def test_kuo_deletion_counts_golden():
+    # the five deletion counts of every region with total <= 8, pinned by
+    # the digest computed with the exponential frontier-sweep counter,
+    # which shares no code with the determinant
+    lines = []
+    for spec in valid_specs(8):
+        g = dual_graph(build_region(spec.side, spec.distances))
+        counts = kuo_counts(g, pick_corners(g))
+        del counts["full"]
+        lines.append(json.dumps(counts, sort_keys=True))
+    assert sum(len(json.loads(line)) for line in lines) == 635
+    digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+    assert digest == (
+        "26d74b30590bc33a1a1d57ca6e9248039fe0d7c2828014b46f5baa19760be2d7"
+    )
