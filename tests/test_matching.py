@@ -230,9 +230,28 @@ def test_permanent_unequal_parts_is_zero():
     assert permanent_oracle(bipartite(2, 3, (1 << 6) - 1)) == 0
 
 
+@given(
+    n=st.integers(min_value=1, max_value=4),
+    m=st.integers(min_value=1, max_value=4),
+    mask=st.integers(min_value=0, max_value=(1 << 16) - 1),
+    picks=st.lists(
+        st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 2)]),
+        min_size=1,
+        max_size=5,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_reduce_forced_preserves_mgf(n, m, mask, picks):
+    # dense and unequal-part graphs need not be plane, so the reference is
+    # the permanent, which needs no drawing
+    g = bipartite(n, m, mask, weights=picks)
+    reduced, mult = reduce_forced(g)
+    assert mult * permanent_oracle(reduced) == permanent_oracle(g)
+
+
 @given(g=plane_graphs(weights=[Fraction(1), Fraction(2), Fraction(1, 2)]))
 @settings(max_examples=200, deadline=None)
-def test_reduce_forced_preserves_mgf(g):
+def test_reduce_forced_preserves_mgf_on_plane_graphs(g):
     reduced, mult = reduce_forced(g)
     assert mult * matching_generating_function(reduced) == (
         matching_generating_function(g)
