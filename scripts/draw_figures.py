@@ -9,7 +9,7 @@ largest example so the power of two can be read off the printed rounds.
 import argparse
 import pathlib
 
-from douglastile.matching import dual_graph, greedy_matching
+from douglastile.matching import dual_graph, perfect_matching
 from douglastile.regions import RegionSpec, build_region
 from douglastile.render import svg_region
 from douglastile.shuffle import code_trace, shuffle_exponent
@@ -35,7 +35,7 @@ def main(argv=None) -> int:
         region = build_region(spec.side, spec.distances)
         matching = None
         if name == "aztec3":
-            matching = greedy_matching(dual_graph(region))
+            matching = perfect_matching(dual_graph(region))
         path = out / f"{name}.svg"
         path.write_text(
             svg_region(region, matching=matching, unit=args.unit),

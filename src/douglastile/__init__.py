@@ -4,89 +4,49 @@ Three independent engines count the perfect matchings of a region's dual
 graph: a Kasteleyn determinant, Kuo graphical condensation, and weighted
 Aztec-diamond shuffling.  All of them land on a power of
 two predicted by a closed-form exponent read off the region's shape.
+
+The names below are the public surface; everything else is imported from
+its module (`douglastile.regions`, `.matching`, `.condensation`,
+`.shuffle`, `.render`, `.cli`).
 """
 
 __version__ = "0.1.0"
 
-from .condensation import (
-    BASE_TABLE,
-    BaseCase,
-    CaseRecurrence,
-    CaseUnreachable,
-    CornerQuad,
-    CornersNotFound,
-    DivisionInexact,
-    canonical_spec,
-    case_recurrence,
-    condensation_count,
-    kuo_counts,
-    pick_corners,
-    stats_deltas,
-    trace_recurrence,
-    verify_kuo,
-)
-from .matching import (
-    Edge,
-    MatchGraph,
-    SizeLimit,
-    Vertex,
-    canonical_embedding,
-    count_matchings,
-    dual_graph,
-    graph_from_json,
-    graph_to_json,
-    greedy_matching,
-    matching_generating_function,
-    permanent_oracle,
-    reduce_forced,
-)
+from .condensation import condensation_count, trace_recurrence, verify_kuo
+from .matching import SizeLimit, count_matchings, dual_graph, perfect_matching
 from .regions import (
-    Cell,
-    CellKind,
-    Color,
-    Corners,
-    NegativeExponent,
     Region,
     RegionSpec,
-    RegionStats,
     SpecInvalid,
     build_region,
     check_spec,
-    compositions,
-    enumerate_valid_regions,
     find_region,
-    flipped,
     formula_count,
-    formula_exponent,
-    spec_from_json,
-    spec_to_json,
     structural_stats,
 )
 from .render import ascii_region, svg_region
-from .shuffle import (
-    AztecDiamond,
-    FormulaProcedureMismatch,
-    NotBinaryBlock,
-    SingularBlock,
-    WeightPattern,
-    aztec_match_graph,
-    aztec_mgf,
-    binary_reduction_step,
-    characteristic_matrix,
-    code_trace,
-    encode,
-    pattern_from_json,
-    pattern_of_code,
-    pattern_to_json,
-    reduction_step,
-    reduction_trace,
-    region_code,
-    scale_row_part,
-    shift_code,
-    shuffle_count,
-    shuffle_exponent,
-    urban_renewal,
-    weight_matrix,
-)
+from .shuffle import code_trace, shuffle_count, shuffle_exponent
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "__version__",
+    "RegionSpec",
+    "Region",
+    "SpecInvalid",
+    "SizeLimit",
+    "check_spec",
+    "find_region",
+    "build_region",
+    "structural_stats",
+    "formula_count",
+    "dual_graph",
+    "count_matchings",
+    "perfect_matching",
+    "condensation_count",
+    "trace_recurrence",
+    "verify_kuo",
+    "shuffle_count",
+    "shuffle_exponent",
+    "code_trace",
+    "ascii_region",
+    "svg_region",
+]

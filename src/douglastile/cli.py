@@ -14,8 +14,8 @@ import sys
 import time
 
 from . import __version__, condensation, regions, shuffle
-from .condensation import condensation_count, stats_deltas, verify_kuo
-from .matching import SizeLimit, count_matchings, dual_graph, greedy_matching
+from .condensation import condensation_count, stats_deltas
+from .matching import SizeLimit, count_matchings, dual_graph, perfect_matching
 from .regions import RegionSpec, SpecInvalid
 from .render import ascii_region, svg_region
 
@@ -154,7 +154,8 @@ def _verify_one(
     )
     graph = dual_graph(region)
     try:
-        counts["brute"] = str(timed("brute", lambda: count_matchings(graph)))
+        brute = timed("brute", lambda: count_matchings(graph))
+        counts["brute"] = str(brute)
     except SizeLimit:
         counts["brute"] = None
         timings.pop("brute", None)
@@ -177,7 +178,9 @@ def _verify_one(
         == 1,
     }
     if total <= 8:
-        checks["kuo"] = timed("kuo", lambda: verify_kuo(graph))
+        quad = condensation.pick_corners(graph)
+        kuo = timed("kuo", lambda: condensation.kuo_counts(graph, quad, brute))
+        checks["kuo"] = condensation.kuo_identity(kuo)
     else:
         checks["kuo"] = None
     try:
@@ -209,7 +212,7 @@ def _kuo_block(spec: RegionSpec, kuo_max: int) -> dict | None:
         quad = condensation.pick_corners(graph)
     except condensation.CornersNotFound:
         return None
-    counts = condensation.kuo_counts(graph, quad)
+    counts = condensation.kuo_counts(graph, quad, count_matchings(graph))
     return {
         "counts": {name: str(value) for name, value in counts.items()},
         "identity_ok": condensation.kuo_identity(counts),
@@ -282,7 +285,7 @@ def cmd_render(args) -> int:
     else:
         matching = None
         if args.matching:
-            matching = greedy_matching(dual_graph(region))
+            matching = perfect_matching(dual_graph(region))
         text = svg_region(region, matching)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import regions
 from .matching import MatchGraph, count_matchings
-from .regions import RegionSpec, SpecInvalid
+from .regions import RegionSpec
 
 __all__ = [
     "BaseCase",
@@ -128,10 +128,11 @@ def pick_corners(graph: MatchGraph) -> CornerQuad:
     return CornerQuad(west=west.id, south=south.id, east=east.id, north=north.id)
 
 
-def kuo_counts(graph: MatchGraph, quad: CornerQuad) -> dict[str, int]:
+def kuo_counts(graph: MatchGraph, quad: CornerQuad, full: int) -> dict[str, int]:
+    """The six counts of Kuo's identity; `full` is the caller's count of G."""
     x, y, z, t = quad.west, quad.south, quad.east, quad.north
     return {
-        "full": count_matchings(graph),
+        "full": full,
         "minus_all": count_matchings(graph.without((x, y, z, t))),
         "minus_west_south": count_matchings(graph.without((x, y))),
         "minus_east_north": count_matchings(graph.without((z, t))),
@@ -152,7 +153,7 @@ def kuo_identity(counts: dict[str, int]) -> bool:
 def verify_kuo(graph: MatchGraph, quad: CornerQuad | None = None) -> bool:
     if quad is None:
         quad = pick_corners(graph)
-    return kuo_identity(kuo_counts(graph, quad))
+    return kuo_identity(kuo_counts(graph, quad, count_matchings(graph)))
 
 
 def _first_wide(d: tuple[int, ...]) -> int | None:

@@ -12,16 +12,19 @@ black x white matrix with the same sign, and the determinant is one
 sparse exact elimination.  A Ryser permanent, which needs no plane
 drawing, serves as an independent cross-check on small instances.  All
 arithmetic is integer or Fraction; nothing here touches floats.
+
+`perfect_matching` returns one matching for drawing: the iterative
+augmenting-path search that also fixes the sign of the weighted
+determinant, with no size limit and no plane drawing needed.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .regions import Region
+from .regions import Region, _shared_sides
 
 __all__ = [
     "RYSER_LIMIT",
@@ -35,10 +38,8 @@ __all__ = [
     "matching_generating_function",
     "permanent_oracle",
     "reduce_forced",
-    "greedy_matching",
+    "perfect_matching",
     "canonical_embedding",
-    "graph_to_json",
-    "graph_from_json",
 ]
 
 RYSER_LIMIT = 16
@@ -93,18 +94,8 @@ def dual_graph(region: Region) -> MatchGraph:
         Vertex(i, cell.color.value, *cell.center)
         for i, cell in enumerate(region.cells)
     )
-    by_edge: dict[tuple, list[int]] = {}
-    for i, cell in enumerate(region.cells):
-        for key in cell.boundary():
-            by_edge.setdefault(key, []).append(i)
-    edges = []
-    for key in sorted(by_edge):
-        touching = by_edge[key]
-        if len(touching) == 2:
-            i, j = sorted(touching)
-            edges.append(Edge(i, j))
-    edges.sort(key=lambda e: (e.u, e.v))
-    return MatchGraph(verts, tuple(edges))
+    edges = tuple(Edge(i, j) for i, j in sorted(_shared_sides(region.cells)))
+    return MatchGraph(verts, edges)
 
 
 def _prepare(graph: MatchGraph):
@@ -113,10 +104,6 @@ def _prepare(graph: MatchGraph):
     `black[i]` tells the colour class, `adj[i]` lists (neighbour, edge
     index) pairs and `ends[e]` is the (black, white) pair of edge e.
     """
-    if len(graph.vertices) > VERTEX_LIMIT:
-        raise SizeLimit(
-            f"{len(graph.vertices)} vertices exceed {VERTEX_LIMIT}"
-        )
     index = {v.id: pos for pos, v in enumerate(graph.vertices)}
     black = [v.part == "black" for v in graph.vertices]
     adj: list[list[tuple[int, int]]] = [[] for _ in graph.vertices]
@@ -368,13 +355,29 @@ def _determinant(rows: list[dict[int, int]]) -> int:
     return _permutation_sign(pivot_row) * det
 
 
-def _reference_matching(adj_rows: list[list[int]]) -> list[int] | None:
-    """Column matched to each row in one perfect matching, or None.
+def _biadjacency(black, ends):
+    """Edges as (row, column) keys, with the row and column counts.
+
+    Rows are the black vertices and columns the white ones, each in
+    vertex order.
+    """
+    rank = []
+    seen = [0, 0]
+    for is_black in black:
+        rank.append(seen[is_black])
+        seen[is_black] += 1
+    return [(rank[b], rank[w]) for b, w in ends], seen[1], seen[0]
+
+
+def _reference_matching(keys, n: int) -> list[int] | None:
+    """Column matched to each of n rows in one perfect matching, or None.
 
     Greedy start, then one augmenting-path search per free row, iterative
     so deep graphs need no recursion.
     """
-    n = len(adj_rows)
+    adj_rows: list[list[int]] = [[] for _ in range(n)]
+    for r, c in keys:
+        adj_rows[r].append(c)
     row_col = [-1] * n
     col_row = [-1] * n
     for r, cols in enumerate(adj_rows):
@@ -422,28 +425,23 @@ def _kasteleyn(graph: MatchGraph, weighted: bool):
     right.  Components need no separate pass: K is block diagonal up to
     the order of rows and columns, so its determinant is their product.
     """
+    if len(graph.vertices) > VERTEX_LIMIT:
+        raise SizeLimit(
+            f"{len(graph.vertices)} vertices exceed {VERTEX_LIMIT}"
+        )
     black, adj, ends = _prepare(graph)
     if not adj:
         return 1
     neg = _kasteleyn_signs(black, adj, ends, graph)
     if neg is None:
         return 0
-    # rows are black vertices and columns white ones, in vertex order
-    rank = []
-    seen = [0, 0]
-    for is_black in black:
-        rank.append(seen[is_black])
-        seen[is_black] += 1
-    keys = [(rank[b], rank[w]) for b, w in ends]
-    rows: list[dict] = [{} for _ in range(seen[1])]
+    keys, n, _ = _biadjacency(black, ends)
+    rows: list[dict] = [{} for _ in range(n)]
     if not weighted:
         for (r, c), flip in zip(keys, neg):
             rows[r][c] = -1 if flip else 1
         return abs(_determinant(rows))
-    adj_rows: list[list[int]] = [[] for _ in rows]
-    for r, c in keys:
-        adj_rows[r].append(c)
-    matched = _reference_matching(adj_rows)
+    matched = _reference_matching(keys, n)
     if matched is None:
         return 0
     edge_at = {key: e for e, key in enumerate(keys)}
@@ -569,60 +567,25 @@ def reduce_forced(graph: MatchGraph) -> tuple[MatchGraph, Fraction]:
     return MatchGraph(verts, edges), multiplier
 
 
-def greedy_matching(graph: MatchGraph) -> list[tuple[int, int]] | None:
-    """One perfect matching, found forced-choices-first, or None.
+def perfect_matching(graph: MatchGraph) -> list[tuple[int, int]] | None:
+    """One perfect matching as vertex-id pairs, or None if there is none.
 
-    Backtracking search that always branches on a vertex of minimum
-    remaining degree, so forced edges are taken immediately.  Meant for
-    rendering overlays, not for counting.
+    Each pair and the list are ordered by position in `graph.vertices`.
     """
-    index = {v.id: pos for pos, v in enumerate(graph.vertices)}
-    n = len(graph.vertices)
-    if n % 2:
+    black, _, ends = _prepare(graph)
+    keys, n_black, n_white = _biadjacency(black, ends)
+    if n_black != n_white:
         return None
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for e in graph.edges:
-        i, j = index[e.u], index[e.v]
-        adj[i].append(j)
-        adj[j].append(i)
-    for ns in adj:
-        ns.sort()
-    alive = [True] * n
-
-    def pick() -> int | None:
-        best, best_deg = None, None
-        for i in range(n):
-            if not alive[i]:
-                continue
-            deg = sum(1 for j in adj[i] if alive[j])
-            if best_deg is None or deg < best_deg:
-                best, best_deg = i, deg
-        return best
-
-    out: list[tuple[int, int]] = []
-
-    def solve() -> bool:
-        i = pick()
-        if i is None:
-            return True
-        alive[i] = False
-        for j in adj[i]:
-            if not alive[j]:
-                continue
-            alive[j] = False
-            out.append((i, j))
-            if solve():
-                return True
-            out.pop()
-            alive[j] = True
-        alive[i] = True
-        return False
-
-    if not solve():
+    matched = _reference_matching(keys, n_black)
+    if matched is None:
         return None
-    return [
-        (graph.vertices[i].id, graph.vertices[j].id) for i, j in sorted(out)
-    ]
+    blacks = [i for i, is_black in enumerate(black) if is_black]
+    whites = [i for i, is_black in enumerate(black) if not is_black]
+    pairs = sorted(
+        tuple(sorted((blacks[r], whites[c]))) for r, c in enumerate(matched)
+    )
+    ids = [v.id for v in graph.vertices]
+    return [(ids[i], ids[j]) for i, j in pairs]
 
 
 def canonical_embedding(graph: MatchGraph):
@@ -640,40 +603,3 @@ def canonical_embedding(graph: MatchGraph):
         )
     )
     return (verts, edges)
-
-
-def _frac_str(value: Fraction) -> str:
-    return str(Fraction(value))
-
-
-def graph_to_json(graph: MatchGraph) -> str:
-    return json.dumps(
-        {
-            "vertices": [
-                {
-                    "id": v.id,
-                    "part": v.part,
-                    "x": _frac_str(v.x),
-                    "y": _frac_str(v.y),
-                }
-                for v in graph.vertices
-            ],
-            "edges": [
-                {"u": e.u, "v": e.v, "w": _frac_str(e.weight)}
-                for e in graph.edges
-            ],
-        }
-    )
-
-
-def graph_from_json(text: str) -> MatchGraph:
-    data = json.loads(text)
-    verts = tuple(
-        Vertex(int(v["id"]), v["part"], Fraction(v["x"]), Fraction(v["y"]))
-        for v in data["vertices"]
-    )
-    edges = tuple(
-        Edge(int(e["u"]), int(e["v"]), Fraction(e["w"]))
-        for e in data["edges"]
-    )
-    return MatchGraph(verts, edges)

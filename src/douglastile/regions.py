@@ -20,7 +20,7 @@ the distance tuple alone, without building a cell.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterator
@@ -47,10 +47,7 @@ __all__ = [
     "formula_exponent",
     "formula_count",
     "compositions",
-    "enumerate_valid_regions",
-    "spec_to_json",
     "spec_from_json",
-    "region_to_json",
 ]
 
 REASON_POSITIVE = "side and distances must be positive"
@@ -289,7 +286,7 @@ def build_region(side: int, distances) -> Region:
     cells.sort(key=lambda c: (tier_of(c), c.anchor[0]))
     cells = tuple(cells)
 
-    _check_cell_structure(cells, total)
+    _check_cell_structure(cells)
     if any(c.color is Color.BLACK for c in cells if c.level == -total):
         raise RuntimeError("internal: bottom line not white")
 
@@ -301,22 +298,27 @@ def build_region(side: int, distances) -> Region:
     )
 
 
-def _check_cell_structure(cells: tuple[Cell, ...], total: int) -> None:
-    """Internal sanity pass: connectivity and proper colour alternation."""
-    if any(c.color is not Color.WHITE for c in cells if c.level == 0):
-        raise RuntimeError("internal: top line not white")
+def _shared_sides(cells) -> list[tuple[int, int]]:
+    """Index pairs i < j of the cells that share a side, one per side."""
     by_edge: dict[tuple, list[int]] = {}
     for i, cell in enumerate(cells):
         for key in cell.boundary():
             by_edge.setdefault(key, []).append(i)
     pairs = []
-    for key, touching in by_edge.items():
-        if len(touching) > 2:
-            raise RuntimeError("internal: edge shared three ways")
+    for touching in by_edge.values():
         if len(touching) == 2:
-            pairs.append(touching)
+            pairs.append((touching[0], touching[1]))
+        elif len(touching) > 2:
+            raise RuntimeError("internal: edge shared three ways")
+    return pairs
+
+
+def _check_cell_structure(cells: tuple[Cell, ...]) -> None:
+    """Internal sanity pass: connectivity and proper colour alternation."""
+    if any(c.color is not Color.WHITE for c in cells if c.level == 0):
+        raise RuntimeError("internal: top line not white")
     adj: dict[int, list[int]] = {i: [] for i in range(len(cells))}
-    for i, j in pairs:
+    for i, j in _shared_sides(cells):
         if cells[i].color is cells[j].color:
             raise RuntimeError("internal: adjacent cells share a colour")
         adj[i].append(j)
@@ -407,24 +409,6 @@ def compositions(total: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def enumerate_valid_regions(max_total: int) -> Iterator[Region]:
-    """Regions for every distance composition with sum <= max_total.
-
-    Compositions that admit no region are skipped silently; the order is
-    by total, then lexicographic within a total.
-    """
-    for total in range(1, max_total + 1):
-        for distances in compositions(total):
-            try:
-                yield find_region(distances)
-            except SpecInvalid:
-                continue
-
-
-def spec_to_json(spec: RegionSpec) -> str:
-    return json.dumps(spec.to_dict())
-
-
 def _json_int(value) -> int:
     # JSON true/false load as bool, a subclass of int; refuse them too
     if type(value) is not int:
@@ -441,28 +425,3 @@ def spec_from_json(text: str) -> RegionSpec:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecInvalid(f"malformed spec JSON: {exc!r}") from None
-
-
-def region_to_json(region: Region) -> str:
-    return json.dumps(
-        {
-            "spec": region.spec.to_dict(),
-            "cells": [
-                {
-                    "kind": c.kind.value,
-                    "color": c.color.value,
-                    "level": c.level,
-                    "anchor": list(c.anchor),
-                }
-                for c in region.cells
-            ],
-            "corners": {
-                "north": list(region.corners.north),
-                "east": list(region.corners.east),
-                "south": list(region.corners.south),
-                "west": list(region.corners.west),
-            },
-            "drawn_levels": list(region.drawn_levels),
-            "stats": asdict(structural_stats(region)),
-        }
-    )

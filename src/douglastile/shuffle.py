@@ -6,7 +6,8 @@ of an even-by-even pattern.  One round of urban renewal replaces every
 aligned 2 x 2 block [[x, w], [y, z]] by [[z, y], [w, x]] / (xz + yw) and
 shifts the whole pattern one step up and one step left, turning the
 order-n diamond into an order n-1 diamond while the matching generating
-function picks up the product of the block factors.
+function picks up the product of the block factors (`reduction_step`;
+repeating it down to order 0 multiplies out to the generating function).
 
 A region enters this picture through its characteristic pattern: one
 2 x 2 binary block per black line, stacked top to bottom.  Reducing that
@@ -18,8 +19,6 @@ matching exponent without ever building a graph.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,7 +47,6 @@ __all__ = [
     "cell_factor",
     "urban_renewal",
     "reduction_step",
-    "reduction_trace",
     "scale_row_part",
     "region_code",
     "characteristic_matrix",
@@ -59,8 +57,6 @@ __all__ = [
     "code_trace",
     "shuffle_exponent",
     "shuffle_count",
-    "pattern_to_json",
-    "pattern_from_json",
 ]
 
 ZERO = "0"
@@ -241,25 +237,6 @@ def reduction_step(ad: AztecDiamond) -> tuple[AztecDiamond, Fraction]:
     return AztecDiamond(n - 1, new_pattern), factor
 
 
-def reduction_trace(ad: AztecDiamond) -> list[dict]:
-    """Reduce to order 0, recording one line per step."""
-    out = []
-    step = 0
-    while ad.order > 0:
-        before = _pattern_sha256(ad.pattern)
-        ad, factor = reduction_step(ad)
-        out.append(
-            {
-                "step": step,
-                "order": ad.order + 1,
-                "factor": str(factor),
-                "pattern_sha256": before,
-            }
-        )
-        step += 1
-    return out
-
-
 def scale_row_part(
     ad: AztecDiamond, part: int, factor: Fraction
 ) -> AztecDiamond:
@@ -418,29 +395,3 @@ def shuffle_exponent(spec: RegionSpec) -> int:
 
 def shuffle_count(spec: RegionSpec) -> int:
     return 2 ** shuffle_exponent(spec)
-
-
-def _pattern_sha256(pattern: WeightPattern) -> str:
-    return hashlib.sha256(pattern_to_json(pattern).encode()).hexdigest()
-
-
-def pattern_to_json(pattern: WeightPattern) -> str:
-    return json.dumps(
-        {
-            "rows": pattern.rows,
-            "cols": pattern.cols,
-            "entries": [
-                [str(v) for v in row] for row in pattern.entries
-            ],
-        }
-    )
-
-
-def pattern_from_json(text: str) -> WeightPattern:
-    data = json.loads(text)
-    pattern = WeightPattern(
-        tuple(tuple(Fraction(v) for v in row) for row in data["entries"])
-    )
-    if pattern.rows != data["rows"] or pattern.cols != data["cols"]:
-        raise ValueError("pattern dimensions disagree with entries")
-    return pattern

@@ -2,12 +2,16 @@
 criterion line registry echoed after the run."""
 
 from functools import lru_cache
+from typing import Iterator
 
 from douglastile.matching import count_matchings, dual_graph
 from douglastile.regions import (
+    Region,
     RegionSpec,
+    SpecInvalid,
     build_region,
-    enumerate_valid_regions,
+    compositions,
+    find_region,
 )
 
 # one "PASS criterion N: ..." or "FAIL criterion N: ..." line per
@@ -23,6 +27,20 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.section("acceptance criteria")
     for line in CRITERION_LINES:
         terminalreporter.write_line(line)
+
+
+def enumerate_valid_regions(max_total: int) -> Iterator[Region]:
+    """Regions for every distance composition with sum <= max_total.
+
+    Compositions that admit no region are skipped silently; the order is
+    by total, then lexicographic within a total.
+    """
+    for total in range(1, max_total + 1):
+        for distances in compositions(total):
+            try:
+                yield find_region(distances)
+            except SpecInvalid:
+                continue
 
 
 @lru_cache(maxsize=None)

@@ -259,6 +259,19 @@ def test_render_svg_to_file(tmp_path, capsys):
     assert svg.count("<line") == 10
 
 
+def test_render_matching_on_aztec_32():
+    # a recursive finder ran out of stack here; a fresh process keeps the
+    # default recursion limit
+    proc = subprocess.run(
+        [sys.executable, "-m", "douglastile", "render", "--a", "32",
+         "--d", "64", "--format", "svg", "--matching", "sample-by-forced-order"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("<line") == 1056
+
+
 def test_render_matching_needs_svg(capsys):
     code, _, err = run_cli(
         capsys,

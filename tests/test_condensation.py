@@ -265,7 +265,7 @@ def test_kuo_identity_exact_on_duals():
     for spec in valid_specs(6):
         g = dual_graph(build_region(spec.side, spec.distances))
         quad = pick_corners(g)
-        c = kuo_counts(g, quad)
+        c = kuo_counts(g, quad, brute_count(spec))
         assert set(c) == {
             "full",
             "minus_all",

@@ -1,0 +1,30 @@
+"""The README's library example runs, and names the whole public surface."""
+
+import ast
+import re
+from pathlib import Path
+
+import douglastile
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def library_block() -> str:
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("\n## Library\n") :]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_library_block_runs():
+    exec(compile(library_block(), str(README), "exec"), {})
+
+
+def test_public_surface_is_the_readme_import():
+    documented = [
+        alias.name
+        for node in ast.walk(ast.parse(library_block()))
+        if isinstance(node, ast.ImportFrom) and node.module == "douglastile"
+        for alias in node.names
+    ]
+    assert sorted(douglastile.__all__) == sorted(documented)
+    assert len(documented) == len(set(documented))

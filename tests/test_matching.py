@@ -21,10 +21,8 @@ from douglastile.matching import (
     canonical_embedding,
     count_matchings,
     dual_graph,
-    graph_from_json,
-    graph_to_json,
-    greedy_matching,
     matching_generating_function,
+    perfect_matching,
     permanent_oracle,
     reduce_forced,
 )
@@ -282,23 +280,30 @@ def test_reduce_forced_strips_pendant_chain():
     assert mult == 6
 
 
-def test_greedy_matching_on_duals():
-    for side, d in [(2, (4,)), (2, (1, 2, 1)), (7, (4, 2, 5, 4))]:
+def test_perfect_matching_on_duals():
+    for side, d in [(2, (4,)), (2, (1, 2, 1)), (7, (4, 2, 5, 4)), (64, (128,))]:
         g = dual_graph(build_region(side, d))
-        matching = greedy_matching(g)
+        matching = perfect_matching(g)
         assert matching is not None
+        assert matching == sorted(matching)
+        assert all(u < v for u, v in matching)
         used = [vid for pair in matching for vid in pair]
         assert sorted(used) == sorted(v.id for v in g.vertices)
         edge_set = {(e.u, e.v) for e in g.edges}
-        for u, v in matching:
-            assert (min(u, v), max(u, v)) in edge_set
+        for pair in matching:
+            assert pair in edge_set
 
 
-def test_greedy_matching_none_when_impossible():
+def test_perfect_matching_none_when_impossible():
     star = bipartite(1, 3, 0b111)
-    assert greedy_matching(star) is None
+    assert perfect_matching(star) is None
     odd = MatchGraph((Vertex(0, "black", Fraction(0), Fraction(0)),), ())
-    assert greedy_matching(odd) is None
+    assert perfect_matching(odd) is None
+    # balanced, but both blacks see only the first white
+    blocked = bipartite(2, 2, 0b0101)
+    assert count_matchings(blocked) == 0
+    assert perfect_matching(blocked) is None
+    assert perfect_matching(MatchGraph((), ())) == []
 
 
 def test_canonical_embedding_ignores_translation_and_ids():
@@ -316,13 +321,6 @@ def test_canonical_embedding_ignores_translation_and_ids():
     assert canonical_embedding(MatchGraph((), ())) == ((), ())
 
 
-def test_graph_json_round_trip():
-    g = bipartite(2, 2, 0b1011, weights=[Fraction(2, 3), Fraction(7)])
-    back = graph_from_json(graph_to_json(g))
-    assert back == g
-    assert matching_generating_function(back) == matching_generating_function(g)
-
-
 def test_brute_count_matches_formula_to_t8():
     for spec in valid_specs(8):
         region = build_region(spec.side, spec.distances)
@@ -336,7 +334,7 @@ def test_kuo_deletion_counts_golden():
     lines = []
     for spec in valid_specs(8):
         g = dual_graph(build_region(spec.side, spec.distances))
-        counts = kuo_counts(g, pick_corners(g))
+        counts = kuo_counts(g, pick_corners(g), count_matchings(g))
         del counts["full"]
         lines.append(json.dumps(counts, sort_keys=True))
     assert sum(len(json.loads(line)) for line in lines) == 635

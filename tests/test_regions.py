@@ -1,13 +1,12 @@
 """Region construction, validity checking, and the line-count lemmas."""
 
-import json
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import valid_specs
+from conftest import enumerate_valid_regions, valid_specs
 from douglastile.regions import (
     REASON_CORNERS,
     REASON_CROSSING,
@@ -21,14 +20,11 @@ from douglastile.regions import (
     build_region,
     check_spec,
     compositions,
-    enumerate_valid_regions,
     find_region,
     flipped,
     formula_count,
     formula_exponent,
-    region_to_json,
     spec_from_json,
-    spec_to_json,
     structural_stats,
 )
 
@@ -250,23 +246,20 @@ def test_compositions_of_zero():
 
 
 def test_spec_json_round_trip():
-    spec = RegionSpec(7, (4, 2, 5, 4))
-    text = spec_to_json(spec)
-    assert json.loads(text) == {"a": 7, "d": [4, 2, 5, 4]}
-    assert spec_from_json(text) == spec
+    spec = spec_from_json('{"a": 7, "d": [4, 2, 5, 4]}')
+    assert spec == RegionSpec(7, (4, 2, 5, 4))
+    assert spec.to_dict() == {"a": 7, "d": [4, 2, 5, 4]}
 
 
 def test_region_json_payload():
     region = build_region(2, (1, 2, 1))
-    data = json.loads(region_to_json(region))
-    assert data["spec"] == {"a": 2, "d": [1, 2, 1]}
-    assert data["drawn_levels"] == [-1, -3]
-    assert len(data["cells"]) == len(region.cells)
+    assert region.spec == RegionSpec(2, (1, 2, 1))
+    assert region.drawn_levels == (-1, -3)
+    assert {c.kind for c in region.cells} == set(CellKind)
     stats = structural_stats(region)
-    assert data["stats"]["regular_cells"] == stats.regular_cells
-    assert data["stats"]["width"] == stats.width
-    kinds = {c["kind"] for c in data["cells"]}
-    assert kinds == {"square", "up", "down"}
+    assert stats.regular_cells == 7
+    assert stats.width == 2
+    assert stats.total_size == len(region.cells) == 20
 
 
 def test_cell_boundary_keys():

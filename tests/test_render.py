@@ -1,6 +1,9 @@
 """ASCII and SVG renderings."""
 
-from douglastile.matching import dual_graph, greedy_matching
+import hashlib
+
+from conftest import enumerate_valid_regions
+from douglastile.matching import dual_graph, perfect_matching
 from douglastile.regions import build_region
 from douglastile.render import ascii_region, svg_region
 
@@ -46,10 +49,25 @@ def test_svg_structure():
 
 def test_svg_matching_overlay():
     region = build_region(2, (1, 2, 1))
-    matching = greedy_matching(dual_graph(region))
+    matching = perfect_matching(dual_graph(region))
     svg = svg_region(region, matching)
     assert svg.count("<polygon") == len(region.cells)
     assert svg.count("<line") == len(region.cells) // 2
+
+
+def test_svg_matching_overlay_golden():
+    # every valid region with total <= 10 and the Aztec diamond of order
+    # 30, each SVG followed by a newline; the digest was taken with the
+    # recursive minimum-degree backtracking finder the overlays used before
+    regions = list(enumerate_valid_regions(10)) + [build_region(30, (60,))]
+    digest = hashlib.sha256()
+    for region in regions:
+        svg = svg_region(region, perfect_matching(dual_graph(region)))
+        digest.update(svg.encode() + b"\n")
+    assert len(regions) == 512
+    assert digest.hexdigest() == (
+        "1581a2dd5e451661738d4b1d909dfd954189402aded94878fffd89a302331666"
+    )
 
 
 def test_svg_triangle_polygons():
