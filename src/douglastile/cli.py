@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 at least one verification check failed, 2 the
 spec is malformed or does not describe a region, 3 an exact computation
-was refused for size.
+was refused for size, 4 an internal consistency check failed (a bug, not
+a property of the input).
 """
 
 from __future__ import annotations
@@ -16,12 +17,21 @@ import time
 from . import __version__, condensation, regions, shuffle
 from .condensation import condensation_count, stats_deltas
 from .matching import SizeLimit, count_matchings, dual_graph, perfect_matching
-from .regions import RegionSpec, SpecInvalid
+from .regions import InternalError, RegionSpec, SpecInvalid
 from .render import ascii_region, svg_region
 
 __all__ = ["main", "cmd_count", "cmd_verify", "cmd_trace", "cmd_render"]
 
 _ENGINES = ("brute", "condense", "shuffle", "formula")
+
+# failures that no input should cause: each one is a bug in an engine
+_INTERNAL = (
+    condensation.CaseUnreachable,
+    condensation.DivisionInexact,
+    condensation.CornersNotFound,
+    shuffle.FormulaProcedureMismatch,
+    InternalError,
+)
 
 
 def _comma_ints(text: str) -> tuple[int, ...]:
@@ -221,7 +231,6 @@ def _kuo_block(spec: RegionSpec, kuo_max: int) -> dict | None:
 
 def cmd_trace(args) -> int:
     spec = _resolve_spec(args)
-    regions.check_spec(spec.side, spec.distances)
     for record in condensation.trace_recurrence(spec):
         node = dict(record)
         node_spec = RegionSpec(node["spec"]["a"], tuple(node["spec"]["d"]))
@@ -308,3 +317,7 @@ def main(argv=None) -> int:
     except SizeLimit as exc:
         print(f"size limit: {exc}", file=sys.stderr)
         return 3
+    except _INTERNAL as exc:
+        reason = getattr(exc, "reason", str(exc))
+        print(f"internal error: {reason}", file=sys.stderr)
+        return 4

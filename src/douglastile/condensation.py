@@ -177,7 +177,7 @@ def _subspec(side: int, entries) -> RegionSpec | None:
     entries = tuple(entries)
     if side == 0 and entries and all(e == 0 for e in entries):
         return None
-    if side < 1 or not entries or any(e < 1 for e in entries):
+    if side < 1 or not entries or min(entries) < 1:
         raise CaseUnreachable(f"degenerate sub-spec {side}:{entries}")
     return RegionSpec(side, entries)
 
@@ -251,6 +251,11 @@ def case_recurrence(spec: RegionSpec) -> CaseRecurrence:
     the spec does not describe a region at all.
     """
     regions.check_spec(spec.side, spec.distances)
+    return _dispatch(spec)
+
+
+def _dispatch(spec: RegionSpec) -> CaseRecurrence:
+    """`case_recurrence` for a spec already known to describe a region."""
     a = spec.side
     w = spec.width
     d = spec.distances
@@ -368,7 +373,9 @@ def _resolve(
             memo[canon] = BASE_TABLE[canon]
             node = {"spec": canon.to_dict(), "case": "base", "count": memo[canon]}
         else:
-            rec = case_recurrence(canon)
+            # the root was checked by the caller, and every sub-spec the
+            # case table produces describes a region
+            rec = _dispatch(canon)
             node = {
                 "spec": canon.to_dict(),
                 "case": rec.case_id,
@@ -414,6 +421,7 @@ def condensation_count(
 
 def trace_recurrence(spec: RegionSpec) -> list[dict]:
     """Preorder walk of the recurrence tree, one record per distinct spec."""
+    regions.check_spec(spec.side, spec.distances)
     out: list[dict] = []
     _resolve(spec, {}, out)
     return out

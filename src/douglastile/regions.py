@@ -15,6 +15,12 @@ A spec describes a region only if the forced staircase misses its point
 reflection, returns to the height of the western corner, and the bottom
 line of cells comes out white.  ``check_spec`` decides all of this from
 the distance tuple alone, without building a cell.
+
+``build_region`` makes the cells one diagonal level at a time: each level
+meets the region in a single run of cells from the SW staircase to the NE
+staircase, so the cells come out line by line from the top, west to east,
+with no contour to trace and nothing to sort.  Cells that share a side
+are paired by looking up their anchors.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ __all__ = [
     "REASON_PARITY",
     "SpecInvalid",
     "NegativeExponent",
+    "InternalError",
     "Color",
     "CellKind",
     "Cell",
@@ -68,9 +75,21 @@ class NegativeExponent(ValueError):
     """Closed-form exponent came out negative (no valid region does this)."""
 
 
+class InternalError(RuntimeError):
+    """A consistency check on built cells failed; valid specs never do."""
+
+    def __init__(self, reason: str):
+        super().__init__(f"internal: {reason}")
+        self.reason = reason
+
+
 class Color(str, Enum):
     BLACK = "black"
     WHITE = "white"
+
+
+# colour of a cell line by the parity of its tier
+_COLORS = (Color.WHITE, Color.BLACK)
 
 
 class CellKind(str, Enum):
@@ -118,20 +137,6 @@ class Cell:
         if self.kind is CellKind.DOWN:
             return (x + Fraction(2, 3), y + Fraction(1, 3))
         return (x + Fraction(1, 2), y + Fraction(1, 2))
-
-    def boundary(self) -> tuple[tuple, ...]:
-        """Edge keys of the sides this cell can share with a neighbour.
-
-        Horizontal edge ("h", x, y) joins (x, y) to (x+1, y); vertical edge
-        ("v", x, y) joins (x, y) to (x, y+1); ("d", x, y) is the cut
-        diagonal of the square anchored at (x, y).
-        """
-        x, y = self.anchor
-        if self.kind is CellKind.UP:
-            return (("v", x, y), ("h", x, y + 1), ("d", x, y))
-        if self.kind is CellKind.DOWN:
-            return (("h", x, y), ("v", x + 1, y), ("d", x, y))
-        return (("h", x, y), ("h", x, y + 1), ("v", x, y), ("v", x + 1, y))
 
 
 @dataclass(frozen=True)
@@ -226,113 +231,91 @@ def build_region(side: int, distances) -> Region:
     drawn_set = set(drawn)
     tiers = _tiers_above(spec.distances)
     ne = _forced_path(tiers, total)
-    sw = [(-side - y, -side - x) for x, y in ne]
 
-    north = (0, 0)
-    east = ne[-1]
-    south = (0, -total)
-    west = (-side, -side)
-
-    width = spec.width
-    se = [east]
-    for _ in range(width):
-        x, y = se[-1]
-        se.append((x, y - 1))
-        se.append((x - 1, y - 1))
-    nw = [west]
-    for _ in range(side):
-        x, y = nw[-1]
-        nw.append((x, y + 1))
-        nw.append((x + 1, y + 1))
-    contour = tuple(ne + se[1:] + list(reversed(sw))[1:] + nw[1:-1])
-
-    # scan the vertical contour edges row by row; between an odd and the
-    # following even crossing the row is inside the region
-    rows: dict[int, list[int]] = {}
-    npts = len(contour)
-    for i in range(npts):
-        x0, y0 = contour[i]
-        x1, y1 = contour[(i + 1) % npts]
-        if x0 == x1:
-            for y in range(min(y0, y1), max(y0, y1)):
-                rows.setdefault(y, []).append(x0)
-    anchors = []
-    for y in sorted(rows, reverse=True):
-        xs = sorted(rows[y])
-        if len(xs) % 2:
-            raise RuntimeError("internal: open contour row")
-        for i in range(0, len(xs), 2):
-            for x in range(xs[i], xs[i + 1]):
-                anchors.append((x, y))
-
-    cells = []
-    for x, y in anchors:
-        level = y - x
-        if not -total <= level <= 0:
-            raise RuntimeError("internal: cell outside the support band")
-        base = tiers[level]
+    # level -j meets the region in one run of anchors (x, x - j): from the
+    # SW staircase, the point reflection (-side - y, -side - x) of ne[j],
+    # up to ne[j] itself.  A drawn level gives a line of upper halves, then
+    # a line of lower halves; any other level one line of squares.
+    cells: list[Cell] = []
+    for j, (east_x, east_y) in enumerate(ne):
+        level = -j
+        tier = tiers[level]
+        anchors = [(x, x + level) for x in range(-side - east_y, east_x)]
         if level in drawn_set:
-            up_color = Color.WHITE if base % 2 == 0 else Color.BLACK
-            down_color = Color.WHITE if (base + 1) % 2 == 0 else Color.BLACK
-            cells.append(Cell(CellKind.UP, up_color, level, (x, y)))
-            cells.append(Cell(CellKind.DOWN, down_color, level, (x, y)))
+            up, down = _COLORS[tier % 2], _COLORS[(tier + 1) % 2]
+            cells += [Cell(CellKind.UP, up, level, a) for a in anchors]
+            cells += [Cell(CellKind.DOWN, down, level, a) for a in anchors]
         else:
-            color = Color.WHITE if base % 2 == 0 else Color.BLACK
-            cells.append(Cell(CellKind.SQUARE, color, level, (x, y)))
-
-    def tier_of(cell: Cell) -> int:
-        return tiers[cell.level] + (1 if cell.kind is CellKind.DOWN else 0)
-
-    cells.sort(key=lambda c: (tier_of(c), c.anchor[0]))
+            color = _COLORS[tier % 2]
+            cells += [Cell(CellKind.SQUARE, color, level, a) for a in anchors]
     cells = tuple(cells)
 
     _check_cell_structure(cells)
     if any(c.color is Color.BLACK for c in cells if c.level == -total):
-        raise RuntimeError("internal: bottom line not white")
+        raise InternalError("bottom line not white")
 
     return Region(
         spec=spec,
         cells=cells,
-        corners=Corners(north=north, east=east, south=south, west=west),
+        corners=Corners(
+            north=(0, 0), east=ne[-1], south=(0, -total), west=(-side, -side)
+        ),
         drawn_levels=drawn,
     )
 
 
 def _shared_sides(cells) -> list[tuple[int, int]]:
-    """Index pairs i < j of the cells that share a side, one per side."""
-    by_edge: dict[tuple, list[int]] = {}
+    """Index pairs i < j of the cells that share a side, one per side.
+
+    Every side is the west or north side of one anchor's unit square and
+    the east or south side of another's.  A square owns all four sides of
+    its anchor, an upper half the west and north ones, a lower half the
+    east and south ones, and the two halves share their cut diagonal.
+    """
+    west_north: dict[tuple[int, int], int] = {}
+    east_south: dict[tuple[int, int], int] = {}
     for i, cell in enumerate(cells):
-        for key in cell.boundary():
-            by_edge.setdefault(key, []).append(i)
+        kind, anchor = cell.kind, cell.anchor
+        # a second claim on one role at one anchor gives a side three owners
+        if kind is not CellKind.DOWN and west_north.setdefault(anchor, i) != i:
+            raise InternalError("edge shared three ways")
+        if kind is not CellKind.UP and east_south.setdefault(anchor, i) != i:
+            raise InternalError("edge shared three ways")
     pairs = []
-    for touching in by_edge.values():
-        if len(touching) == 2:
-            pairs.append((touching[0], touching[1]))
-        elif len(touching) > 2:
-            raise RuntimeError("internal: edge shared three ways")
+    get = west_north.get
+    for (x, y), i in east_south.items():
+        # across the east side, the south side and a cut diagonal (a
+        # square owns both roles at its anchor and pairs with nothing there)
+        for j in (get((x + 1, y)), get((x, y - 1)), get((x, y))):
+            if j is not None and j != i:
+                pairs.append((i, j) if i < j else (j, i))
     return pairs
 
 
 def _check_cell_structure(cells: tuple[Cell, ...]) -> None:
-    """Internal sanity pass: connectivity and proper colour alternation."""
+    """Internal sanity pass: white top line, proper colour alternation,
+    connectivity, and no side with three owners."""
     if any(c.color is not Color.WHITE for c in cells if c.level == 0):
-        raise RuntimeError("internal: top line not white")
-    adj: dict[int, list[int]] = {i: [] for i in range(len(cells))}
+        raise InternalError("top line not white")
+    colors = [c.color for c in cells]
+    adj: list[list[int]] = [[] for _ in cells]
     for i, j in _shared_sides(cells):
-        if cells[i].color is cells[j].color:
-            raise RuntimeError("internal: adjacent cells share a colour")
+        if colors[i] is colors[j]:
+            raise InternalError("adjacent cells share a colour")
         adj[i].append(j)
         adj[j].append(i)
-    seen = {0}
+    seen = bytearray(len(cells))
+    seen[0] = 1
+    reached = 1
     queue = [0]
     while queue:
-        i = queue.pop()
-        for j in adj[i]:
-            if j not in seen:
-                seen.add(j)
+        for j in adj[queue.pop()]:
+            if not seen[j]:
+                seen[j] = 1
+                reached += 1
                 queue.append(j)
-    if len(seen) != len(cells):
-        raise RuntimeError("internal: region is disconnected")
+    if reached != len(cells):
+        raise InternalError("region is disconnected")
 
 
 def find_region(distances) -> Region:

@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
+from douglastile import condensation, regions
 from douglastile.cli import main
+from douglastile.regions import Color
 
 DEEP = ["--a", "7", "--d", "4,2,5,4"]
 
@@ -114,6 +116,26 @@ def test_brute_size_limit_exits_three(capsys):
     )
     assert code == 3
     assert err.startswith("size limit:")
+
+
+def test_recurrence_failure_exits_four(capsys, monkeypatch):
+    def unreachable(spec):
+        raise condensation.CaseUnreachable(f"no case for {spec.side}")
+
+    monkeypatch.setattr(condensation, "_dispatch", unreachable)
+    code, out, err = run_cli(capsys, "count", *DEEP, "--engine", "condense")
+    assert code == 4
+    assert out == ""
+    assert err == "internal error: no case for 7\n"
+
+
+def test_cell_check_failure_exits_four(capsys, monkeypatch):
+    # every cell line white: the structure check of build_region must fire
+    monkeypatch.setattr(regions, "_COLORS", (Color.WHITE, Color.WHITE))
+    code, out, err = run_cli(capsys, "count", *DEEP, "--engine", "formula")
+    assert code == 4
+    assert out == ""
+    assert err == "internal error: adjacent cells share a colour\n"
 
 
 def test_verify_single_report(capsys):

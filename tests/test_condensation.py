@@ -33,6 +33,7 @@ from douglastile.regions import (
     RegionSpec,
     SpecInvalid,
     build_region,
+    check_spec,
     flipped,
     formula_count,
 )
@@ -190,7 +191,8 @@ def test_dispatch_identity_by_brute_force(
 
 
 def test_every_valid_spec_is_classified():
-    for spec in valid_specs(10):
+    produced = 0
+    for spec in valid_specs(12):
         try:
             rec = case_recurrence(spec)
         except BaseCase:
@@ -202,8 +204,29 @@ def test_every_valid_spec_is_classified():
             assert sub.total < parent.total or len(sub.distances) < len(
                 parent.distances
             )
-            # sub-specs are themselves valid regions
-            build_region(sub.side, sub.distances)
+            # sub-specs are themselves valid regions; the recurrence
+            # dispatches them without checking, so this must hold
+            assert check_spec(sub.side, sub.distances) == sub
+            produced += 1
+    assert produced == 6032
+
+
+def test_recurrence_checks_only_the_root(monkeypatch):
+    calls = []
+    check = regions.check_spec
+
+    def counted(side, distances):
+        calls.append(side)
+        return check(side, distances)
+
+    monkeypatch.setattr(regions, "check_spec", counted)
+    staircase = RegionSpec(1, (1,) * 199 + (2,))
+    assert condensation_count(staircase) == 2**200
+    assert len(calls) == 1
+    assert len(trace_recurrence(staircase)) == 198
+    assert len(calls) == 2
+    with pytest.raises(SpecInvalid):
+        trace_recurrence(RegionSpec(1, (3,)))
 
 
 def test_case_recurrence_rejects_invalid_spec():
@@ -390,13 +413,13 @@ def test_count_and_trace_both_check_exactness(monkeypatch):
 
 def test_trace_dispatches_each_distinct_spec_once(monkeypatch):
     calls = []
-    dispatch = condensation.case_recurrence
+    dispatch = condensation._dispatch
 
     def counted(spec):
         calls.append(spec)
         return dispatch(spec)
 
-    monkeypatch.setattr(condensation, "case_recurrence", counted)
+    monkeypatch.setattr(condensation, "_dispatch", counted)
     trace = trace_recurrence(RegionSpec(7, (4, 2, 5, 4)))
     non_base = [node for node in trace if node["case"] != "base"]
     assert len(non_base) == 14

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import enumerate_valid_regions, valid_specs
+from reference_cells import reference_region
 from douglastile.regions import (
     REASON_CORNERS,
     REASON_CROSSING,
@@ -15,8 +16,11 @@ from douglastile.regions import (
     Cell,
     CellKind,
     Color,
+    InternalError,
     RegionSpec,
     SpecInvalid,
+    _check_cell_structure,
+    _shared_sides,
     build_region,
     check_spec,
     compositions,
@@ -262,11 +266,64 @@ def test_region_json_payload():
     assert stats.total_size == len(region.cells) == 20
 
 
-def test_cell_boundary_keys():
-    square = Cell(CellKind.SQUARE, Color.WHITE, 0, (0, 0))
-    up = Cell(CellKind.UP, Color.WHITE, -1, (1, 0))
-    down = Cell(CellKind.DOWN, Color.BLACK, -1, (1, 0))
-    assert len(square.boundary()) == 4
-    # the cut halves share exactly their diagonal key
-    shared = set(up.boundary()) & set(down.boundary())
-    assert shared == {("d", 1, 0)}
+def test_build_region_matches_reference():
+    # the per-level builder and the contour row scan give equal regions:
+    # the same cells in the same order, corners and drawn levels
+    aztec = [(n, (2 * n,)) for n in (32, 64)]
+    staircases = [(1, (1,) * (k - 1) + (2,)) for k in (40, 80)]
+    specs = [(s.side, s.distances) for s in valid_specs(12)]
+    specs += aztec + staircases
+    assert len(specs) == 2051
+    for side, distances in specs:
+        expected = reference_region(side, distances)
+        assert build_region(side, distances) == expected
+
+
+def _square(color, x, y):
+    return Cell(CellKind.SQUARE, color, y - x, (x, y))
+
+
+W, B = Color.WHITE, Color.BLACK
+
+
+def test_shared_sides_pairs():
+    # the halves of a cut square share their diagonal, and its upper half
+    # meets the square to its west, its lower half the square below
+    up = Cell(CellKind.UP, B, -1, (1, 0))
+    down = Cell(CellKind.DOWN, W, -1, (1, 0))
+    west, below = _square(W, 0, 0), _square(B, 1, -1)
+    assert _shared_sides((up, down)) == [(0, 1)]
+    assert sorted(_shared_sides((up, down, west, below))) == [
+        (0, 1), (0, 2), (1, 3)
+    ]
+    # a 3 x 3 block of squares: twelve shared sides, four at the middle
+    block = tuple(_square(W, x, y) for y in range(3) for x in range(3))
+    pairs = _shared_sides(block)
+    assert len(pairs) == len(set(pairs)) == 12
+    assert all(i < j for i, j in pairs)
+    middle = block.index(_square(W, 1, 1))
+    assert sum(middle in pair for pair in pairs) == 4
+
+
+@pytest.mark.parametrize(
+    "cells,reason",
+    [
+        ((_square(B, 0, 0),), "top line not white"),
+        (
+            (_square(W, 0, 0), _square(W, 1, 0)),
+            "adjacent cells share a colour",
+        ),
+        ((_square(W, 0, 0), _square(B, 2, 0)), "region is disconnected"),
+        ((_square(W, 1, 0), _square(B, 1, 0)), "edge shared three ways"),
+        (
+            (_square(W, 1, 0), Cell(CellKind.UP, B, -1, (1, 0))),
+            "edge shared three ways",
+        ),
+    ],
+    ids=["top-line", "colour", "disconnected", "two-squares", "square-and-up"],
+)
+def test_cell_structure_faults(cells, reason):
+    with pytest.raises(InternalError) as err:
+        _check_cell_structure(cells)
+    assert err.value.reason == reason
+    assert str(err.value) == f"internal: {reason}"
