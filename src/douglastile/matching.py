@@ -5,13 +5,16 @@ Kasteleyn determinant (Kasteleyn, "The statistics of dimers on a
 lattice", 1961; Kuperberg, "An exploration of the permanent-determinant
 method", 1998).  The cyclic order of neighbours read off the vertex
 coordinates gives the faces; each component must come out plane
-(V - E + F = 2), or the graph is refused with ValueError.  The edges are
-signed so that every face walk of length 2k has k + 1 negative edges
-mod 2; then every perfect matching enters the determinant of the signed
-black x white matrix with the same sign, and the determinant is one
-sparse exact elimination.  A Ryser permanent, which needs no plane
-drawing, serves as an independent cross-check on small instances.  All
-arithmetic is integer or Fraction; nothing here touches floats.
+(V - E + F = 2), or the graph is refused with ValueError.  Coordinates
+are ints (region duals sit in sixths of a lattice unit, Aztec graphs on
+the integer lattice) or any rationals, and the order is exact on both
+with no rescaling.  The edges are signed so that every face walk of
+length 2k has k + 1 negative edges mod 2; then every perfect matching
+enters the determinant of the signed black x white matrix with the same
+sign, and the determinant is one sparse exact elimination.  A Ryser
+permanent, which needs no plane drawing, serves as an independent
+cross-check on small instances.  All arithmetic is integer or Fraction;
+nothing here touches floats.
 
 `perfect_matching` returns one matching for drawing: the iterative
 augmenting-path search that also fixes the sign of the weighted
@@ -57,8 +60,8 @@ class SizeLimit(RuntimeError):
 class Vertex:
     id: int
     part: str  # "black" or "white"
-    x: Fraction
-    y: Fraction
+    x: int | Fraction  # int, or any rational
+    y: int | Fraction
 
 
 @dataclass(frozen=True)
@@ -88,7 +91,8 @@ def dual_graph(region: Region) -> MatchGraph:
 
     Vertex ids follow the cell order of the region (line by line from the
     top, west to east), which keeps the elimination front of the
-    determinant to roughly one line of cells.
+    determinant to roughly one line of cells.  Each vertex sits at its
+    cell's centroid, in integer sixths of a lattice unit.
     """
     verts = tuple(
         Vertex(i, cell.color.value, *cell.center)
@@ -156,15 +160,12 @@ def _components(black, adj):
 def _rotation(graph: MatchGraph, adj):
     """Each vertex's (neighbour, edge) pairs in counterclockwise order.
 
-    Coordinates are scaled to integers by their common denominator, then
-    neighbours are ordered by half-plane and exact cross products.  Only
-    the cyclic order matters, so up to two neighbours need no sorting.
+    Neighbours are ordered by half-plane and cross products of the
+    coordinates as given, which are exact on ints and on Fractions alike.
+    Only the cyclic order matters, so up to two neighbours need no sorting.
     """
-    xs = [v.x for v in graph.vertices]
-    ys = [v.y for v in graph.vertices]
-    scale = lcm(*{c.denominator for c in xs}, *{c.denominator for c in ys})
-    px = [c.numerator * (scale // c.denominator) for c in xs]
-    py = [c.numerator * (scale // c.denominator) for c in ys]
+    px = [v.x for v in graph.vertices]
+    py = [v.y for v in graph.vertices]
     rot = []
     for i, pairs in enumerate(adj):
         if len(pairs) < 3:

@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Iterator
 
 __all__ = [
@@ -98,6 +97,11 @@ class CellKind(str, Enum):
     DOWN = "down"  # lower-right half of a cut square
 
 
+# a cell's centroid minus six times its anchor: every centroid of a unit
+# square or of a half-square triangle is a whole number of sixths
+_SIXTHS = {CellKind.SQUARE: (3, 3), CellKind.UP: (2, 4), CellKind.DOWN: (4, 2)}
+
+
 @dataclass(frozen=True)
 class RegionSpec:
     """Side length plus layer distances, the full description of a region."""
@@ -130,13 +134,11 @@ class Cell:
     anchor: tuple[int, int]
 
     @property
-    def center(self) -> tuple[Fraction, Fraction]:
+    def center(self) -> tuple[int, int]:
+        """The centroid in sixths of a lattice unit."""
         x, y = self.anchor
-        if self.kind is CellKind.UP:
-            return (x + Fraction(1, 3), y + Fraction(2, 3))
-        if self.kind is CellKind.DOWN:
-            return (x + Fraction(2, 3), y + Fraction(1, 3))
-        return (x + Fraction(1, 2), y + Fraction(1, 2))
+        dx, dy = _SIXTHS[self.kind]
+        return (6 * x + dx, 6 * y + dy)
 
 
 @dataclass(frozen=True)

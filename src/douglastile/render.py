@@ -44,8 +44,8 @@ def ascii_region(region: Region) -> str:
 _FILL = {Color.BLACK: "#3f3f3f", Color.WHITE: "#ffffff"}
 
 
-def _scaled(value, unit: int) -> str:
-    out = Fraction(value) * unit
+def _scaled(sixths: int, unit: int) -> str:
+    out = Fraction(sixths, 6) * unit
     if out.denominator == 1:
         return str(out.numerator)
     return str(float(out))

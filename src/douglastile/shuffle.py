@@ -159,9 +159,7 @@ def aztec_match_graph(ad: AztecDiamond) -> MatchGraph:
             if (s + t) % 2:
                 index[(s, t)] = len(verts)
                 part = "black" if s % 2 else "white"
-                verts.append(
-                    Vertex(len(verts), part, Fraction(s), Fraction(t))
-                )
+                verts.append(Vertex(len(verts), part, s, t))
     edges = []
     for t0 in range(-n, n):
         for s0 in range(-n, n):

@@ -324,3 +324,30 @@ def test_module_entry_point():
     )
     assert proc.returncode == 2
     assert proc.stderr.strip() == "invalid spec: ell-prime on black squares"
+
+
+def test_side_is_derived_through_find_region(capsys, monkeypatch):
+    # perfbench's traced `regions.valid_ratio` is the pass rate of
+    # `find_region` calls and reads null when no command makes one, so the
+    # CLI keeps deriving a missing side, and each sweep region, through it
+    calls = []
+    real = regions.find_region
+
+    def counted(distances):
+        calls.append(tuple(distances))
+        return real(distances)
+
+    monkeypatch.setattr(regions, "find_region", counted)
+    for argv in (
+        ["count", "--d", "4,2,5,4"],
+        ["trace", "--d", "4,2,5,4"],
+        ["render", "--d", "4,2,5,4"],
+    ):
+        calls.clear()
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert calls == [(4, 2, 5, 4)], argv
+    calls.clear()
+    code, _, _ = run_cli(capsys, "verify", "--sweep", "4")
+    assert code == 0
+    assert len(calls) == len(set(calls)) == 15

@@ -18,6 +18,8 @@ from douglastile.matching import (
     MatchGraph,
     SizeLimit,
     Vertex,
+    _kasteleyn_signs,
+    _prepare,
     canonical_embedding,
     count_matchings,
     dual_graph,
@@ -26,7 +28,7 @@ from douglastile.matching import (
     permanent_oracle,
     reduce_forced,
 )
-from douglastile.regions import RegionSpec, build_region, formula_count
+from douglastile.regions import CellKind, RegionSpec, build_region, formula_count
 from douglastile.shuffle import AztecDiamond, WeightPattern, aztec_match_graph
 
 
@@ -342,3 +344,51 @@ def test_kuo_deletion_counts_golden():
     assert digest == (
         "26d74b30590bc33a1a1d57ca6e9248039fe0d7c2828014b46f5baa19760be2d7"
     )
+
+
+def _centroid(cell):
+    # the mean of the cell's corners, as exact fractions of a lattice unit
+    x, y = cell.anchor
+    if cell.kind is CellKind.UP:
+        corners = [(x, y), (x, y + 1), (x + 1, y + 1)]
+    elif cell.kind is CellKind.DOWN:
+        corners = [(x, y), (x + 1, y), (x + 1, y + 1)]
+    else:
+        corners = [(x, y), (x + 1, y), (x + 1, y + 1), (x, y + 1)]
+    n = len(corners)
+    return (
+        sum(Fraction(px) for px, _ in corners) / n,
+        sum(Fraction(py) for _, py in corners) / n,
+    )
+
+
+def test_dual_positions_are_integer_sixths():
+    # every dual vertex sits at six times its cell's centroid, as ints
+    specs = [(s.side, s.distances) for s in valid_specs(10)] + [(8, (16,))]
+    for side, distances in specs:
+        region = build_region(side, distances)
+        g = dual_graph(region)
+        for v, cell in zip(g.vertices, region.cells, strict=True):
+            assert type(v.x) is int and type(v.y) is int
+            cx, cy = _centroid(cell)
+            assert (v.x, v.y) == (6 * cx, 6 * cy)
+    aztec = aztec_match_graph(AztecDiamond(8, WeightPattern.ones(2, 2)))
+    assert all(type(v.x) is int and type(v.y) is int for v in aztec.vertices)
+
+
+def test_rational_positions_order_exactly():
+    # the same drawing in lattice units, with Fraction coordinates, must
+    # give the same Kasteleyn signs and the same count as the int sixths
+    for side, distances in ((7, (4, 2, 5, 4)), (15, (4, 2, 5, 4, 3, 6, 2, 3))):
+        g = dual_graph(build_region(side, distances))
+        scaled = MatchGraph(
+            tuple(
+                Vertex(v.id, v.part, Fraction(v.x, 6), Fraction(v.y, 6))
+                for v in g.vertices
+            ),
+            g.edges,
+        )
+        assert {v.x.denominator for v in scaled.vertices} == {2, 3}
+        signs = [_kasteleyn_signs(*_prepare(h), h) for h in (g, scaled)]
+        assert signs[0] is not None and signs[0] == signs[1]
+        assert count_matchings(scaled) == count_matchings(g)
