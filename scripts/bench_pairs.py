@@ -1,24 +1,25 @@
 #!/usr/bin/env python3
 """Alternating parent/change perfbench runs, written as BENCH_<label>.json.
 
-Run from the repository root:
+Run from the repository root, with a checkout of the parent revision made
+beforehand (``git clone`` or an unpacked ``git archive``):
 
-    python3 scripts/bench_pairs.py --parent HEAD --label sixths \\
+    git clone -q . ../parent && git -C ../parent checkout -q HEAD~1
+    python3 scripts/bench_pairs.py --parent ../parent --label sixths \\
         --pairs sweep:10 --pairs deep:2 --pairs graph:2 \\
-        --held-out sweep:2:42 --trace 1
+        --held-out sweep:2:47 --trace 1
 
-The parent revision is checked out with ``git worktree`` in a temporary
-directory, which is removed afterwards (``--parent-dir`` takes an existing
-checkout instead).  The change is the working tree as it stands.  Pair i
-of a workload runs ``perfbench/run.py --workload W`` in both trees, the
-parent first in odd pairs and the change first in even ones.  ``--held-out``
-adds pairs at another seed, and ``--trace 1`` one traced run per side on
-every workload named.  The file holds every run, plus per-metric medians,
-quartiles (ranges below four pairs) and the number of pairs the change won.
+The change is the working tree as it stands.  Pair i of a workload runs
+``perfbench/run.py --workload W`` in both trees, the parent first in odd
+pairs and the change first in even ones.  ``--pairs`` runs at perfbench's
+default seed, ``--held-out`` at the seed it names, and ``--trace 1`` adds
+one traced run per side on every workload named.  The file holds every
+run, plus per-metric medians, quartiles (ranges below four pairs) and the
+number of pairs the change won.
 
 Exit status is 1 if any run's last line is not a JSON result, reports
 ``failed`` > 0, or carries a null or non-finite metric; 0 otherwise.
-Standard library only.
+The record is written either way.  Standard library only.
 """
 
 from __future__ import annotations
@@ -29,30 +30,46 @@ import math
 import os
 import platform
 import shlex
-import shutil
 import statistics
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_SEED = 20131004  # perfbench/run.py's default
 
 
-def parse_plan(text: str) -> tuple[str, int, int]:
-    """``W:N`` or ``W:N:SEED`` -> (workload, pairs, seed)."""
+def _plan(text: str, with_seed: bool) -> tuple[str, int, int]:
+    form = "W:N:SEED" if with_seed else "W:N"
     parts = text.split(":")
-    if len(parts) not in (2, 3):
-        raise argparse.ArgumentTypeError(f"expected W:N or W:N:SEED, got {text!r}")
+    if len(parts) != (3 if with_seed else 2):
+        raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}")
     try:
         count = int(parts[1])
-        seed = int(parts[2]) if len(parts) == 3 else DEFAULT_SEED
+        seed = int(parts[2]) if with_seed else DEFAULT_SEED
     except ValueError:
         raise argparse.ArgumentTypeError(f"non-integer count or seed in {text!r}")
     if count < 1:
         raise argparse.ArgumentTypeError(f"need at least one pair in {text!r}")
     return parts[0], count, seed
+
+
+def parse_pairs(text: str) -> tuple[str, int, int]:
+    """``W:N`` -> (workload, pairs, perfbench's default seed)."""
+    return _plan(text, with_seed=False)
+
+
+def parse_held_out(text: str) -> tuple[str, int, int]:
+    """``W:N:SEED`` -> (workload, pairs, seed)."""
+    return _plan(text, with_seed=True)
+
+
+def _finite(value) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
 
 
 def check_output(stdout: str, returncode: int):
@@ -76,11 +93,7 @@ def check_output(stdout: str, returncode: int):
         faults.append(f"failed = {result.get('failed')}")
     for name, entry in result["metrics"].items():
         value = entry.get("value") if isinstance(entry, dict) else entry
-        if (
-            isinstance(value, bool)
-            or not isinstance(value, (int, float))
-            or not math.isfinite(value)
-        ):
+        if not _finite(value):
             faults.append(f"metric {name} is {value!r}")
     if returncode != 0:
         faults.append(f"exit code {returncode}")
@@ -117,14 +130,18 @@ def flat_record(info, result) -> dict:
 
 
 def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: medians, quartiles or ranges, and pairs won by the change."""
+    """Per metric: medians, quartiles or ranges, and pairs won by the change.
+
+    A metric that is missing or not a finite number in any run is left out;
+    check_output has already counted that run as faulty.
+    """
     out = {}
     for name in better:
-        if not all(name in p[s]["metrics"] for p in pairs for s in ("parent", "change")):
-            continue
         sides = {
-            s: [p[s]["metrics"][name] for p in pairs] for s in ("parent", "change")
+            s: [p[s]["metrics"].get(name) for p in pairs] for s in ("parent", "change")
         }
+        if not all(_finite(v) for values in sides.values() for v in values):
+            continue
         sign = 1 if better[name] == "higher" else -1
         wins = sum(
             sign * (c - p) > 0 for p, c in zip(sides["parent"], sides["change"])
@@ -161,53 +178,43 @@ def host() -> str:
     return f"{os.cpu_count()} CPUs, {model or 'unknown CPU'}, Python {python}"
 
 
-def git(*args: str) -> str:
-    proc = subprocess.run(
-        ["git", "-C", str(ROOT), *args], capture_output=True, text=True, check=True
-    )
-    return proc.stdout.strip()
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True, help="git revision of the parent")
     parser.add_argument(
-        "--parent-dir", help="an existing checkout of the parent, instead of a worktree"
+        "--parent", required=True, metavar="DIR",
+        help="a checkout of the parent revision",
     )
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     parser.add_argument("--what", default="", help="one line on what the change does")
     parser.add_argument(
-        "--pairs", type=parse_plan, action="append", default=[], metavar="W:N[:SEED]"
+        "--pairs", type=parse_pairs, action="append", default=[], metavar="W:N",
+        help="N pairs of workload W at perfbench's default seed",
     )
     parser.add_argument(
-        "--held-out", type=parse_plan, action="append", default=[], metavar="W:N:SEED",
-        help="pairs at a seed not used while the change was written",
+        "--held-out", type=parse_held_out, action="append", default=[],
+        metavar="W:N:SEED", help="pairs at a seed not used while the change was written",
     )
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     given = list(sys.argv[1:] if argv is None else argv)
     args = parser.parse_args(given)
-    if args.parent_dir:
-        # the record names no local path
-        given = [
-            "--parent-dir=DIR" if a.startswith("--parent-dir=")
-            else "DIR" if a == args.parent_dir else a
-            for a in given
-        ]
     if not args.pairs:
         parser.error("give at least one --pairs W:N")
+    for option, plans in (("--pairs", args.pairs), ("--held-out", args.held_out)):
+        workloads = [w for w, _, _ in plans]
+        if len(set(workloads)) != len(workloads):
+            parser.error(f"give each workload once to {option}")
+    trees = {"parent": Path(args.parent).resolve(), "change": ROOT}
+    if not (trees["parent"] / "perfbench" / "run.py").is_file():
+        parser.error(f"no perfbench/run.py in {args.parent}")
+    # the record names no local path
+    given = [
+        "--parent=DIR" if a.startswith("--parent=")
+        else "DIR" if a == args.parent else a
+        for a in given
+    ]
 
     with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
-    parent_commit = git("rev-parse", "--verify", args.parent + "^{commit}")
-
-    tmp = None
-    if args.parent_dir:
-        parent_tree = Path(args.parent_dir).resolve()
-    else:
-        tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
-        parent_tree = tmp / "parent"
-        git("worktree", "add", "--detach", str(parent_tree), parent_commit)
-    trees = {"parent": parent_tree, "change": ROOT}
 
     faults: list[str] = []
 
@@ -229,23 +236,14 @@ def main(argv=None) -> int:
                 runs.setdefault(workload, []).append(record)
         return runs
 
-    try:
-        pairs = pair_runs(args.pairs)
-        held_out = pair_runs(args.held_out)
-        traced: dict[str, dict] = {"parent": {}, "change": {}}
-        if args.trace:
-            plans = args.pairs + args.held_out
-            for workload in dict.fromkeys(w for w, _, _ in plans):
-                for side in ("parent", "change"):
-                    info, result = one(side, workload, DEFAULT_SEED, 1)
-                    traced[side][workload] = {"trace1": {"info": info, "result": result}}
-    finally:
-        if tmp is not None:
-            for cmd in (["remove", "--force", str(parent_tree)], ["prune"]):
-                subprocess.run(
-                    ["git", "-C", str(ROOT), "worktree", *cmd], capture_output=True
-                )
-            shutil.rmtree(tmp, ignore_errors=True)
+    pairs = pair_runs(args.pairs)
+    held_out = pair_runs(args.held_out)
+    traced: dict[str, dict] = {"parent": {}, "change": {}}
+    if args.trace:
+        for workload in dict.fromkeys(w for w, _, _ in args.pairs + args.held_out):
+            for side in ("parent", "change"):
+                info, result = one(side, workload, DEFAULT_SEED, 1)
+                traced[side][workload] = {"trace1": {"info": info, "result": result}}
 
     record = {
         "label": args.label,
@@ -255,7 +253,6 @@ def main(argv=None) -> int:
         "note": "the change side is the working tree; perfbench reports the commit "
         "it sits on, so src_sha256 tells the two sides apart. Times are perfbench "
         "reference seconds.",
-        "parent_revision": parent_commit,
         "pairs_command": "python3 scripts/bench_pairs.py " + shlex.join(given),
         "pairs_summary": {w: summarise(runs, better) for w, runs in pairs.items()},
         "pairs": pairs,

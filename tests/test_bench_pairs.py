@@ -69,14 +69,22 @@ def test_summary_counts_wins_by_direction():
     assert summary["secs"]["change_better_pairs"] == 1
     short = bench_pairs.summarise(pairs[:2], {"rate": "higher"})
     assert short["rate"]["parent_range"] == [100, 101]
+    # a null or missing value in any run leaves that metric out, not a TypeError
+    pairs[2]["change"]["metrics"]["secs"] = None
+    del pairs[3]["parent"]["metrics"]["rate"]
+    assert bench_pairs.summarise(pairs, {"rate": "higher", "secs": "lower"}) == {}
 
 
 def test_plans_parse():
-    assert bench_pairs.parse_plan("sweep:10") == ("sweep", 10, bench_pairs.DEFAULT_SEED)
-    assert bench_pairs.parse_plan("deep:2:7") == ("deep", 2, 7)
-    for bad in ("sweep", "sweep:x", "sweep:0", "a:1:2:3"):
+    # --pairs always runs at the default seed; only --held-out names one
+    assert bench_pairs.parse_pairs("sweep:10") == ("sweep", 10, bench_pairs.DEFAULT_SEED)
+    assert bench_pairs.parse_held_out("deep:2:7") == ("deep", 2, 7)
+    for bad in ("sweep", "sweep:x", "sweep:0", "sweep:2:47", "a:1:2:3"):
         with pytest.raises(argparse.ArgumentTypeError):
-            bench_pairs.parse_plan(bad)
+            bench_pairs.parse_pairs(bad)
+    for bad in ("sweep:2", "sweep:2:x", "sweep:0:47", "a:1:2:3"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            bench_pairs.parse_held_out(bad)
 
 
 def test_default_seed_is_perfbench_default():
