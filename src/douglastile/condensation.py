@@ -80,7 +80,7 @@ BASE_TABLE: dict[RegionSpec, int] = {
 
 @dataclass(frozen=True)
 class CornerQuad:
-    """Vertex ids of the four outer-face corners, by compass role."""
+    """Vertex positions of the four outer-face corners, by compass role."""
 
     west: int
     south: int
@@ -114,18 +114,18 @@ def pick_corners(graph: MatchGraph) -> CornerQuad:
     Ties resolve toward the outer face: the west pick prefers north, the
     east pick south, the south pick west and the north pick east.
     """
-    blacks = [v for v in graph.vertices if v.part == "black"]
-    whites = [v for v in graph.vertices if v.part == "white"]
+    verts = graph.vertices
+    blacks = [i for i, v in enumerate(verts) if v[0]]
+    whites = [i for i, v in enumerate(verts) if not v[0]]
     if not blacks or not whites:
         raise CornersNotFound("a colour class is empty")
-    west = min(blacks, key=lambda v: (v.x, -v.y))
-    east = max(blacks, key=lambda v: (v.x, -v.y))
-    south = min(whites, key=lambda v: (v.y, v.x))
-    north = max(whites, key=lambda v: (v.y, v.x))
-    ids = {west.id, south.id, east.id, north.id}
-    if len(ids) != 4:
+    west = min(blacks, key=lambda i: (verts[i][1], -verts[i][2]))
+    east = max(blacks, key=lambda i: (verts[i][1], -verts[i][2]))
+    south = min(whites, key=lambda i: (verts[i][2], verts[i][1]))
+    north = max(whites, key=lambda i: (verts[i][2], verts[i][1]))
+    if len({west, south, east, north}) != 4:
         raise CornersNotFound("corner picks are not distinct")
-    return CornerQuad(west=west.id, south=south.id, east=east.id, north=north.id)
+    return CornerQuad(west=west, south=south, east=east, north=north)
 
 
 def kuo_counts(graph: MatchGraph, quad: CornerQuad, full: int) -> dict[str, int]:

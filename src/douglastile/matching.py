@@ -16,7 +16,8 @@ permanent, which needs no plane drawing, serves as an independent
 cross-check on small instances.  All arithmetic is integer or Fraction;
 nothing here touches floats.
 
-`perfect_matching` returns one matching for drawing: the iterative
+A vertex is its position in `MatchGraph.vertices`, and `perfect_matching`
+returns one matching for drawing as position pairs: the iterative
 augmenting-path search that also fixes the sign of the weighted
 determinant, with no size limit and no plane drawing needed.
 """
@@ -27,14 +28,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .regions import Region, _shared_sides
+from .regions import Color, Region, _shared_sides
 
 __all__ = [
     "RYSER_LIMIT",
     "VERTEX_LIMIT",
     "SizeLimit",
-    "Vertex",
-    "Edge",
     "MatchGraph",
     "dual_graph",
     "count_matchings",
@@ -57,49 +56,64 @@ class SizeLimit(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Vertex:
-    id: int
-    part: str  # "black" or "white"
-    x: int | Fraction  # int, or any rational
-    y: int | Fraction
-
-
-@dataclass(frozen=True)
-class Edge:
-    u: int
-    v: int
-    weight: Fraction = Fraction(1)
-
-
-@dataclass(frozen=True)
 class MatchGraph:
-    vertices: tuple[Vertex, ...]
-    edges: tuple[Edge, ...]
+    """A bipartite graph drawn in the plane; vertex i is `vertices[i]`.
 
-    def without(self, ids) -> MatchGraph:
-        """Induced subgraph after deleting the given vertex ids."""
-        drop = set(ids)
-        verts = tuple(v for v in self.vertices if v.id not in drop)
-        edges = tuple(
-            e for e in self.edges if e.u not in drop and e.v not in drop
+    A vertex is `(is_black, x, y)`, the coordinates ints or any rationals,
+    and an edge a pair of vertex positions.  `weights` runs parallel to
+    `edges`; None means every weight is 1.  An edge end that is no
+    position, or weights unlike the edges in length, raise ValueError.
+    """
+
+    vertices: tuple[tuple[bool, int | Fraction, int | Fraction], ...]
+    edges: tuple[tuple[int, int], ...]
+    weights: tuple[Fraction, ...] | None = None
+
+    def __post_init__(self):
+        ends = [i for edge in self.edges for i in edge]
+        if ends and not 0 <= min(ends) <= max(ends) < len(self.vertices):
+            raise ValueError("edge end is not a vertex position")
+        if self.weights is not None and len(self.weights) != len(self.edges):
+            raise ValueError("weights and edges differ in length")
+
+    def without(self, positions) -> MatchGraph:
+        """Induced subgraph after deleting the vertices at `positions`.
+
+        The survivors keep their order and are renumbered from 0; each
+        surviving edge keeps its weight.
+        """
+        drop = set(positions)
+        keep = [i for i in range(len(self.vertices)) if i not in drop]
+        new = {i: pos for pos, i in enumerate(keep)}
+        kept = [
+            ((new[u], new[v]), weight)
+            for (u, v), weight in zip(self.edges, _weights(self))
+            if u in new and v in new
+        ]
+        return MatchGraph(
+            tuple(self.vertices[i] for i in keep),
+            tuple(edge for edge, _ in kept),
+            None if self.weights is None else tuple(w for _, w in kept),
         )
-        return MatchGraph(verts, edges)
+
+
+def _weights(graph: MatchGraph):
+    """Edge weights parallel to `graph.edges`, 1 where `weights` is None."""
+    return graph.weights or (1,) * len(graph.edges)
 
 
 def dual_graph(region: Region) -> MatchGraph:
-    """One vertex per cell, one edge per shared cell side.
+    """One vertex per cell, one edge per shared cell side, unit weights.
 
-    Vertex ids follow the cell order of the region (line by line from the
-    top, west to east), which keeps the elimination front of the
-    determinant to roughly one line of cells.  Each vertex sits at its
-    cell's centroid, in integer sixths of a lattice unit.
+    Vertex i is `region.cells[i]`: line by line from the top, west to
+    east, which keeps the elimination front of the determinant to roughly
+    one line of cells.  Each vertex sits at its cell's centroid, in
+    integer sixths of a lattice unit.
     """
     verts = tuple(
-        Vertex(i, cell.color.value, *cell.center)
-        for i, cell in enumerate(region.cells)
+        (cell.color is Color.BLACK, *cell.center) for cell in region.cells
     )
-    edges = tuple(Edge(i, j) for i, j in sorted(_shared_sides(region.cells)))
-    return MatchGraph(verts, edges)
+    return MatchGraph(verts, tuple(sorted(_shared_sides(region.cells))))
 
 
 def _prepare(graph: MatchGraph):
@@ -108,13 +122,11 @@ def _prepare(graph: MatchGraph):
     `black[i]` tells the colour class, `adj[i]` lists (neighbour, edge
     index) pairs and `ends[e]` is the (black, white) pair of edge e.
     """
-    index = {v.id: pos for pos, v in enumerate(graph.vertices)}
-    black = [v.part == "black" for v in graph.vertices]
+    black = [v[0] for v in graph.vertices]
     adj: list[list[tuple[int, int]]] = [[] for _ in graph.vertices]
     ends: list[tuple[int, int]] = []
     seen = set()
-    for e in graph.edges:
-        i, j = index[e.u], index[e.v]
+    for i, j in graph.edges:
         if i == j:
             raise ValueError("self-loops are not allowed")
         key = (i, j) if i < j else (j, i)
@@ -164,8 +176,8 @@ def _rotation(graph: MatchGraph, adj):
     coordinates as given, which are exact on ints and on Fractions alike.
     Only the cyclic order matters, so up to two neighbours need no sorting.
     """
-    px = [v.x for v in graph.vertices]
-    py = [v.y for v in graph.vertices]
+    px = [v[1] for v in graph.vertices]
+    py = [v[2] for v in graph.vertices]
     rot = []
     for i, pairs in enumerate(adj):
         if len(pairs) < 3:
@@ -451,9 +463,9 @@ def _kasteleyn(graph: MatchGraph, weighted: bool):
         if neg[edge_at[r, c]]:
             sign = -sign
     scale = 1
-    for (r, c), flip, edge in zip(keys, neg, graph.edges):
-        if edge.weight:
-            rows[r][c] = -edge.weight if flip else edge.weight
+    for (r, c), flip, weight in zip(keys, neg, _weights(graph)):
+        if weight:
+            rows[r][c] = -weight if flip else weight
     for r, values in enumerate(rows):
         common = lcm(*(v.denominator for v in values.values()))
         scale *= common
@@ -466,7 +478,7 @@ def _kasteleyn(graph: MatchGraph, weighted: bool):
 
 def count_matchings(graph: MatchGraph) -> int:
     """Number of perfect matchings of an unweighted plane graph."""
-    if any(e.weight != 1 for e in graph.edges):
+    if graph.weights is not None and any(w != 1 for w in graph.weights):
         raise ValueError("count_matchings expects unit edge weights")
     return _kasteleyn(graph, weighted=False)
 
@@ -478,25 +490,25 @@ def matching_generating_function(graph: MatchGraph) -> Fraction:
 
 def permanent_oracle(graph: MatchGraph) -> Fraction:
     """Biadjacency permanent via Ryser's formula with Gray-code updates."""
-    blacks = [v.id for v in graph.vertices if v.part == "black"]
-    whites = [v.id for v in graph.vertices if v.part == "white"]
-    if len(blacks) != len(whites):
+    black = [v[0] for v in graph.vertices]
+    rank, size = [], [0, 0]  # row or column of each vertex, part sizes
+    for is_black in black:
+        rank.append(size[is_black])
+        size[is_black] += 1
+    n = size[1]
+    if n != size[0]:
         return Fraction(0)
-    n = len(blacks)
     if n == 0:
         return Fraction(1)
     if n > RYSER_LIMIT:
         raise SizeLimit(f"permanent side {n} exceeds {RYSER_LIMIT}")
-    col = {w: j for j, w in enumerate(whites)}
-    row = {b: i for i, b in enumerate(blacks)}
     a = [[Fraction(0)] * n for _ in range(n)]
-    for e in graph.edges:
-        if e.u in row and e.v in col:
-            a[row[e.u]][col[e.v]] += e.weight
-        elif e.v in row and e.u in col:
-            a[row[e.v]][col[e.u]] += e.weight
-        else:
+    for (u, v), weight in zip(graph.edges, _weights(graph)):
+        if black[u] == black[v]:
             raise ValueError("edge inside one part of the bipartition")
+        if not black[u]:
+            u, v = v, u
+        a[rank[u]][rank[v]] += weight
     # per(A) = (-1)^n sum over nonempty column sets S of
     #          (-1)^|S| prod_i (row sum of A over S)
     total = Fraction(0)
@@ -530,15 +542,11 @@ def reduce_forced(graph: MatchGraph) -> tuple[MatchGraph, Fraction]:
     weights.  If the cascade isolates a vertex there is no perfect
     matching at all and the zero sentinel (empty graph, 0) comes back.
     """
-    index = {v.id: pos for pos, v in enumerate(graph.vertices)}
     n = len(graph.vertices)
-    adj: list[set[int]] = [set() for _ in range(n)]
-    weight: dict[tuple[int, int], Fraction] = {}
-    for e in graph.edges:
-        i, j = index[e.u], index[e.v]
-        adj[i].add(j)
-        adj[j].add(i)
-        weight[(min(i, j), max(i, j))] = e.weight
+    # adj[i] maps each neighbour of vertex i to the weight of their edge
+    adj: list[dict[int, Fraction]] = [{} for _ in range(n)]
+    for (i, j), w in zip(graph.edges, _weights(graph)):
+        adj[i][j] = adj[j][i] = w
     alive = [True] * n
     multiplier = Fraction(1)
     queue = [i for i in range(n) if len(adj[i]) == 1]
@@ -550,11 +558,11 @@ def reduce_forced(graph: MatchGraph) -> tuple[MatchGraph, Fraction]:
         if not alive[i] or len(adj[i]) != 1:
             continue
         (j,) = adj[i]
-        multiplier *= weight[(min(i, j), max(i, j))]
+        multiplier *= adj[i][j]
         for k in (i, j):
             alive[k] = False
         for k in list(adj[j]):
-            adj[k].discard(j)
+            del adj[k][j]
             if alive[k]:
                 if not adj[k]:
                     return MatchGraph((), ()), Fraction(0)
@@ -562,16 +570,14 @@ def reduce_forced(graph: MatchGraph) -> tuple[MatchGraph, Fraction]:
                     queue.append(k)
         adj[i].clear()
         adj[j].clear()
-    keep = {graph.vertices[i].id for i in range(n) if alive[i]}
-    verts = tuple(v for v in graph.vertices if v.id in keep)
-    edges = tuple(e for e in graph.edges if e.u in keep and e.v in keep)
-    return MatchGraph(verts, edges), multiplier
+    return graph.without(i for i in range(n) if not alive[i]), multiplier
 
 
 def perfect_matching(graph: MatchGraph) -> list[tuple[int, int]] | None:
-    """One perfect matching as vertex-id pairs, or None if there is none.
+    """One perfect matching as pairs of vertex positions, or None if none.
 
-    Each pair and the list are ordered by position in `graph.vertices`.
+    Each pair and the list are in ascending order.  For a dual graph the
+    positions are cell indices, which is what `render.svg_region` draws.
     """
     black, _, ends = _prepare(graph)
     keys, n_black, n_white = _biadjacency(black, ends)
@@ -582,25 +588,22 @@ def perfect_matching(graph: MatchGraph) -> list[tuple[int, int]] | None:
         return None
     blacks = [i for i, is_black in enumerate(black) if is_black]
     whites = [i for i, is_black in enumerate(black) if not is_black]
-    pairs = sorted(
+    return sorted(
         tuple(sorted((blacks[r], whites[c]))) for r, c in enumerate(matched)
     )
-    ids = [v.id for v in graph.vertices]
-    return [(ids[i], ids[j]) for i, j in pairs]
 
 
 def canonical_embedding(graph: MatchGraph):
     """Translation-normalised geometric form, for embedded-graph equality."""
     if not graph.vertices:
         return ((), ())
-    minx = min(v.x for v in graph.vertices)
-    miny = min(v.y for v in graph.vertices)
-    pos = {v.id: (v.x - minx, v.y - miny) for v in graph.vertices}
-    verts = tuple(sorted(pos.values()))
+    _, minx, miny = map(min, zip(*graph.vertices))
+    pos = [(v[1] - minx, v[2] - miny) for v in graph.vertices]
+    verts = tuple(sorted(pos))
     edges = tuple(
         sorted(
-            (tuple(sorted((pos[e.u], pos[e.v]))), e.weight)
-            for e in graph.edges
+            (tuple(sorted((pos[u], pos[v]))), weight)
+            for (u, v), weight in zip(graph.edges, _weights(graph))
         )
     )
     return (verts, edges)

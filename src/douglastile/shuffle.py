@@ -23,12 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import regions
-from .matching import (
-    Edge,
-    MatchGraph,
-    Vertex,
-    matching_generating_function,
-)
+from .matching import MatchGraph, matching_generating_function
 from .regions import RegionSpec, _drawn_levels, _tiers_above
 
 __all__ = [
@@ -158,19 +153,18 @@ def aztec_match_graph(ad: AztecDiamond) -> MatchGraph:
         for s in range(-n, n + 1):
             if (s + t) % 2:
                 index[(s, t)] = len(verts)
-                part = "black" if s % 2 else "white"
-                verts.append(Vertex(len(verts), part, s, t))
-    edges = []
+                verts.append((s % 2 == 1, s, t))
+    weight: dict[tuple[int, int], Fraction] = {}
     for t0 in range(-n, n):
         for s0 in range(-n, n):
             if (s0 + t0) % 2:
                 ends = ((s0, t0), (s0 + 1, t0 + 1))
             else:
                 ends = ((s0 + 1, t0), (s0, t0 + 1))
-            u, v = sorted(index[p] for p in ends)
-            edges.append(Edge(u, v, mat[n - t0 - 1][s0 + n]))
-    edges.sort(key=lambda e: (e.u, e.v))
-    return MatchGraph(tuple(verts), tuple(edges))
+            edge = tuple(sorted(index[p] for p in ends))
+            weight[edge] = mat[n - t0 - 1][s0 + n]
+    edges = tuple(sorted(weight))
+    return MatchGraph(tuple(verts), edges, tuple(map(weight.get, edges)))
 
 
 def aztec_mgf(ad: AztecDiamond) -> Fraction:

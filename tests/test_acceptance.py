@@ -15,10 +15,8 @@ import conftest
 from conftest import brute_count, valid_specs
 from douglastile.condensation import condensation_count, verify_kuo
 from douglastile.matching import (
-    Edge,
     MatchGraph,
     SizeLimit,
-    Vertex,
     count_matchings,
     dual_graph,
     permanent_oracle,
@@ -102,15 +100,14 @@ def grid_graph(m, n):
     verts = []
     for i in range(m):
         for j in range(n):
-            part = "black" if (i + j) % 2 == 0 else "white"
-            verts.append(Vertex(i * n + j, part, Fraction(j), Fraction(-i)))
+            verts.append(((i + j) % 2 == 0, Fraction(j), Fraction(-i)))
     edges = []
     for i in range(m):
         for j in range(n):
             if j + 1 < n:
-                edges.append(Edge(i * n + j, i * n + j + 1))
+                edges.append((i * n + j, i * n + j + 1))
             if i + 1 < m:
-                edges.append(Edge(i * n + j, (i + 1) * n + j))
+                edges.append((i * n + j, (i + 1) * n + j))
     return MatchGraph(tuple(verts), tuple(edges))
 
 

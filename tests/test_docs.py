@@ -1,6 +1,8 @@
-"""The README's library example runs, and names the whole public surface."""
+"""The README's library example runs, and names the whole public surface;
+every module exports only names it defines."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -28,3 +30,11 @@ def test_public_surface_is_the_readme_import():
     ]
     assert sorted(douglastile.__all__) == sorted(documented)
     assert len(documented) == len(set(documented))
+
+
+def test_module_exports_are_defined():
+    # a name left in __all__ after its definition went breaks star imports
+    for name in ("regions", "matching", "condensation", "shuffle", "render", "cli"):
+        module = importlib.import_module(f"douglastile.{name}")
+        missing = [n for n in module.__all__ if not hasattr(module, n)]
+        assert missing == [], name

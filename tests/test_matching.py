@@ -14,10 +14,8 @@ from douglastile.condensation import kuo_counts, pick_corners
 from douglastile.matching import (
     RYSER_LIMIT,
     VERTEX_LIMIT,
-    Edge,
     MatchGraph,
     SizeLimit,
-    Vertex,
     _kasteleyn_signs,
     _prepare,
     canonical_embedding,
@@ -34,22 +32,27 @@ from douglastile.shuffle import AztecDiamond, WeightPattern, aztec_match_graph
 
 def bipartite(n_black, n_white, mask, weights=None):
     """Graph from an edge bitmask over the black x white product."""
-    verts = [
-        Vertex(i, "black", Fraction(i), Fraction(0)) for i in range(n_black)
-    ]
-    verts += [
-        Vertex(n_black + j, "white", Fraction(j), Fraction(1))
-        for j in range(n_white)
-    ]
+    verts = [(True, Fraction(i), Fraction(0)) for i in range(n_black)]
+    verts += [(False, Fraction(j), Fraction(1)) for j in range(n_white)]
     edges = []
+    picked = []
     bit = 0
     for i in range(n_black):
         for j in range(n_white):
             if mask >> bit & 1:
-                w = Fraction(1) if weights is None else weights[bit % len(weights)]
-                edges.append(Edge(i, n_black + j, w))
+                edges.append((i, n_black + j))
+                if weights is not None:
+                    picked.append(weights[bit % len(weights)])
             bit += 1
-    return MatchGraph(tuple(verts), tuple(edges))
+    return MatchGraph(
+        tuple(verts), tuple(edges), None if weights is None else tuple(picked)
+    )
+
+
+def path(n):
+    """Path on n vertices along the x axis, colours alternating."""
+    verts = tuple((i % 2 == 0, i, 0) for i in range(n))
+    return MatchGraph(verts, tuple((i, i + 1) for i in range(n - 1)))
 
 
 # plane graphs on which the permanent stays quick: region duals and
@@ -72,15 +75,16 @@ def plane_graphs(draw, weights=(Fraction(1),)):
     """
     g = draw(st.sampled_from(PLANE_BASES))
     drop = draw(st.lists(st.integers(0, 63), max_size=4))
-    g = g.without(g.vertices[k % len(g.vertices)].id for k in drop)
+    g = g.without(k % len(g.vertices) for k in drop)
     cut = set(draw(st.lists(st.integers(0, 127), max_size=6)))
     picks = draw(st.lists(st.sampled_from(weights), min_size=1, max_size=6))
-    edges = [e for k, e in enumerate(g.edges) if k % max(len(g.edges), 1) not in cut]
+    edges = tuple(
+        e for k, e in enumerate(g.edges) if k % max(len(g.edges), 1) not in cut
+    )
     return MatchGraph(
         g.vertices,
-        tuple(
-            Edge(e.u, e.v, picks[k % len(picks)]) for k, e in enumerate(edges)
-        ),
+        edges,
+        tuple(picks[k % len(picks)] for k in range(len(edges))),
     )
 
 
@@ -94,11 +98,11 @@ def test_dual_graph_shape():
     region = build_region(2, (1, 2, 1))
     g = dual_graph(region)
     assert len(g.vertices) == len(region.cells)
-    parts = [v.part for v in g.vertices]
-    assert parts.count("black") == parts.count("white")
-    for e in g.edges:
-        assert {g.vertices[e.u].part, g.vertices[e.v].part} == {"black", "white"}
-        assert e.weight == 1
+    parts = [v[0] for v in g.vertices]
+    assert parts.count(True) == parts.count(False)
+    for u, v in g.edges:
+        assert {g.vertices[u][0], g.vertices[v][0]} == {True, False}
+    assert g.weights is None
 
 
 def test_tiny_graphs():
@@ -106,7 +110,7 @@ def test_tiny_graphs():
     assert count_matchings(single) == 1
     empty = MatchGraph((), ())
     assert count_matchings(empty) == 1
-    odd = MatchGraph((Vertex(0, "black", Fraction(0), Fraction(0)),), ())
+    odd = MatchGraph(((True, 0, 0),), ())
     assert count_matchings(odd) == 0
     square = bipartite(2, 2, 0b1111)
     assert count_matchings(square) == 2
@@ -138,19 +142,23 @@ def test_non_plane_graph_is_refused():
 
 def test_sweep_order_insensitive_to_positions():
     # counting must not depend on where the vertices of a plane drawing
-    # sit: turned, sheared apart or mirrored, the count stays
+    # sit: turned, sheared apart, mirrored, or scaled from int sixths to
+    # lattice units (Fraction halves and thirds), the count stays
     for g in (
         dual_graph(build_region(7, (4, 2, 5, 4))),
+        dual_graph(build_region(15, (4, 2, 5, 4, 3, 6, 2, 3))),
         aztec_match_graph(AztecDiamond(4, WeightPattern.ones(2, 2))),
     ):
         want = count_matchings(g)
         for move in (
-            lambda v: (Fraction(-v.y, 3), v.x * 7),
-            lambda v: (-v.x, v.y),
+            lambda x, y: (Fraction(-y, 3), x * 7),
+            lambda x, y: (-x, y),
+            lambda x, y: (Fraction(x, 6), Fraction(y, 6)),
         ):
             moved = MatchGraph(
-                tuple(Vertex(v.id, v.part, *move(v)) for v in g.vertices),
+                tuple((b, *move(x, y)) for b, x, y in g.vertices),
                 g.edges,
+                g.weights,
             )
             assert count_matchings(moved) == want
 
@@ -158,14 +166,12 @@ def test_sweep_order_insensitive_to_positions():
 def test_mgf_multiplicative_over_components():
     a = bipartite(2, 2, 0b1111, weights=[Fraction(2), Fraction(1, 3)])
     shift = len(a.vertices)
-    b_raw = bipartite(2, 2, 0b0111, weights=[Fraction(5)])
-    b = MatchGraph(
-        tuple(
-            Vertex(v.id + shift, v.part, v.x + 100, v.y) for v in b_raw.vertices
-        ),
-        tuple(Edge(e.u + shift, e.v + shift, e.weight) for e in b_raw.edges),
+    b = bipartite(2, 2, 0b0111, weights=[Fraction(5)])
+    both = MatchGraph(
+        a.vertices + tuple((c, x + 100, y) for c, x, y in b.vertices),
+        a.edges + tuple((u + shift, v + shift) for u, v in b.edges),
+        a.weights + b.weights,
     )
-    both = MatchGraph(a.vertices + b.vertices, a.edges + b.edges)
     assert matching_generating_function(both) == (
         matching_generating_function(a) * matching_generating_function(b)
     )
@@ -173,17 +179,10 @@ def test_mgf_multiplicative_over_components():
 
 def test_zero_weight_edges_count_as_zero_not_absent():
     # 4-cycle with one zero edge: one of the two matchings is wiped out
-    verts = tuple(
-        Vertex(i, "black" if i % 2 == 0 else "white", Fraction(i), Fraction(0))
-        for i in range(4)
-    )
-    edges = (
-        Edge(0, 1, Fraction(1)),
-        Edge(1, 2, Fraction(1)),
-        Edge(2, 3, Fraction(0)),
-        Edge(3, 0, Fraction(1)),
-    )
-    g = MatchGraph(verts, edges)
+    verts = tuple((i % 2 == 0, i, 0) for i in range(4))
+    edges = ((0, 1), (1, 2), (2, 3), (3, 0))
+    weights = (Fraction(1), Fraction(1), Fraction(0), Fraction(1))
+    g = MatchGraph(verts, edges, weights)
     assert matching_generating_function(g) == 1
     reduced, mult = reduce_forced(g)
     # degrees are all 2, so nothing is forced and nothing is deleted
@@ -198,24 +197,35 @@ def test_count_matchings_requires_unit_weights():
 
 
 def test_rejects_malformed_edges():
-    v = (
-        Vertex(0, "black", Fraction(0), Fraction(0)),
-        Vertex(1, "white", Fraction(1), Fraction(0)),
-    )
-    with pytest.raises(ValueError):
-        count_matchings(MatchGraph(v, (Edge(0, 0),)))
-    with pytest.raises(ValueError):
-        count_matchings(MatchGraph(v, (Edge(0, 1), Edge(1, 0))))
+    v = path(3).vertices
+    with pytest.raises(ValueError, match="self-loops"):
+        count_matchings(MatchGraph(v, ((0, 0),)))
+    with pytest.raises(ValueError, match="parallel"):
+        count_matchings(MatchGraph(v, ((0, 1), (1, 0))))
+    with pytest.raises(ValueError, match="one part"):
+        count_matchings(MatchGraph(v, ((0, 2),)))
+
+
+def test_rejects_edge_end_outside_positions():
+    # with positions as names, -1 would silently mean the last vertex
+    v = path(3).vertices
+    for ends in ((0, 3), (-1, 1), (2, -1)):
+        with pytest.raises(ValueError, match="not a vertex position"):
+            MatchGraph(v, ((0, 1), ends))
+    with pytest.raises(ValueError, match="not a vertex position"):
+        MatchGraph((), ((0, 1),))
+
+
+def test_rejects_weights_unlike_edges():
+    # zip would silently drop the edges past a short weights tuple
+    g = path(4)
+    for weights in ((), (Fraction(2),) * 2, (Fraction(2),) * 4):
+        with pytest.raises(ValueError, match="differ in length"):
+            MatchGraph(g.vertices, g.edges, weights)
+    assert MatchGraph(g.vertices, g.edges, (Fraction(2),) * 3).weights
 
 
 def test_size_limits():
-    def path(n):
-        verts = tuple(
-            Vertex(i, "black" if i % 2 == 0 else "white", Fraction(i), Fraction(0))
-            for i in range(n)
-        )
-        return MatchGraph(verts, tuple(Edge(i, i + 1) for i in range(n - 1)))
-
     assert count_matchings(path(VERTEX_LIMIT)) == 1 - VERTEX_LIMIT % 2
     with pytest.raises(SizeLimit):
         count_matchings(path(VERTEX_LIMIT + 1))
@@ -260,24 +270,16 @@ def test_reduce_forced_preserves_mgf_on_plane_graphs(g):
 
 def test_reduce_forced_zero_sentinel():
     # isolated vertex: no perfect matching anywhere
-    verts = (
-        Vertex(0, "black", Fraction(0), Fraction(0)),
-        Vertex(1, "white", Fraction(1), Fraction(0)),
-        Vertex(2, "black", Fraction(2), Fraction(0)),
-    )
-    g = MatchGraph(verts, (Edge(0, 1),))
+    g = MatchGraph(path(3).vertices, ((0, 1),))
     reduced, mult = reduce_forced(g)
     assert (reduced.vertices, mult) == ((), 0)
 
 
 def test_reduce_forced_strips_pendant_chain():
     # a path on four vertices is matched entirely by the forced cascade
-    verts = tuple(
-        Vertex(i, "black" if i % 2 == 0 else "white", Fraction(i), Fraction(0))
-        for i in range(4)
-    )
-    edges = (Edge(0, 1, Fraction(2)), Edge(1, 2), Edge(2, 3, Fraction(3)))
-    reduced, mult = reduce_forced(MatchGraph(verts, edges))
+    g = path(4)
+    weights = (Fraction(2), Fraction(1), Fraction(3))
+    reduced, mult = reduce_forced(MatchGraph(g.vertices, g.edges, weights))
     assert reduced.vertices == ()
     assert mult == 6
 
@@ -289,9 +291,9 @@ def test_perfect_matching_on_duals():
         assert matching is not None
         assert matching == sorted(matching)
         assert all(u < v for u, v in matching)
-        used = [vid for pair in matching for vid in pair]
-        assert sorted(used) == sorted(v.id for v in g.vertices)
-        edge_set = {(e.u, e.v) for e in g.edges}
+        used = [i for pair in matching for i in pair]
+        assert sorted(used) == list(range(len(g.vertices)))
+        edge_set = set(g.edges)
         for pair in matching:
             assert pair in edge_set
 
@@ -299,7 +301,7 @@ def test_perfect_matching_on_duals():
 def test_perfect_matching_none_when_impossible():
     star = bipartite(1, 3, 0b111)
     assert perfect_matching(star) is None
-    odd = MatchGraph((Vertex(0, "black", Fraction(0), Fraction(0)),), ())
+    odd = MatchGraph(((True, 0, 0),), ())
     assert perfect_matching(odd) is None
     # balanced, but both blacks see only the first white
     blocked = bipartite(2, 2, 0b0101)
@@ -309,13 +311,12 @@ def test_perfect_matching_none_when_impossible():
 
 
 def test_canonical_embedding_ignores_translation_and_ids():
+    # the vertices translated and renumbered in reverse order
     g = dual_graph(build_region(2, (2, 1)))
+    last = len(g.vertices) - 1
     relabeled = MatchGraph(
-        tuple(
-            Vertex(v.id + 50, v.part, v.x + 9, v.y - Fraction(1, 2))
-            for v in g.vertices
-        ),
-        tuple(Edge(e.u + 50, e.v + 50, e.weight) for e in g.edges),
+        tuple((b, x + 9, y - Fraction(1, 2)) for b, x, y in reversed(g.vertices)),
+        tuple((last - v, last - u) for u, v in g.edges),
     )
     assert canonical_embedding(g) == canonical_embedding(relabeled)
     other = dual_graph(build_region(1, (1, 2)))
@@ -368,12 +369,12 @@ def test_dual_positions_are_integer_sixths():
     for side, distances in specs:
         region = build_region(side, distances)
         g = dual_graph(region)
-        for v, cell in zip(g.vertices, region.cells, strict=True):
-            assert type(v.x) is int and type(v.y) is int
+        for (_, x, y), cell in zip(g.vertices, region.cells, strict=True):
+            assert type(x) is int and type(y) is int
             cx, cy = _centroid(cell)
-            assert (v.x, v.y) == (6 * cx, 6 * cy)
+            assert (x, y) == (6 * cx, 6 * cy)
     aztec = aztec_match_graph(AztecDiamond(8, WeightPattern.ones(2, 2)))
-    assert all(type(v.x) is int and type(v.y) is int for v in aztec.vertices)
+    assert all(type(x) is int and type(y) is int for _, x, y in aztec.vertices)
 
 
 def test_rational_positions_order_exactly():
@@ -382,13 +383,52 @@ def test_rational_positions_order_exactly():
     for side, distances in ((7, (4, 2, 5, 4)), (15, (4, 2, 5, 4, 3, 6, 2, 3))):
         g = dual_graph(build_region(side, distances))
         scaled = MatchGraph(
-            tuple(
-                Vertex(v.id, v.part, Fraction(v.x, 6), Fraction(v.y, 6))
-                for v in g.vertices
-            ),
+            tuple((b, Fraction(x, 6), Fraction(y, 6)) for b, x, y in g.vertices),
             g.edges,
         )
-        assert {v.x.denominator for v in scaled.vertices} == {2, 3}
+        assert {x.denominator for _, x, _ in scaled.vertices} == {2, 3}
         signs = [_kasteleyn_signs(*_prepare(h), h) for h in (g, scaled)]
         assert signs[0] is not None and signs[0] == signs[1]
         assert count_matchings(scaled) == count_matchings(g)
+
+
+def _check_without(g, drop):
+    # survivors keep their order and coordinates, and the edges among
+    # them, read as coordinate pairs, keep their weights
+    h = g.without(drop)
+    keep = [i for i in range(len(g.vertices)) if i not in set(drop)]
+    assert h.vertices == tuple(g.vertices[i] for i in keep)
+    assert (h.weights is None) == (g.weights is None)
+
+    def weighed(graph, alive):
+        weights = graph.weights or (1,) * len(graph.edges)
+        return {
+            (graph.vertices[u], graph.vertices[v]): w
+            for (u, v), w in zip(graph.edges, weights, strict=True)
+            if u in alive and v in alive
+        }
+
+    survived = weighed(h, range(len(h.vertices)))
+    assert len(survived) == len(h.edges)
+    assert survived == weighed(g, set(keep))
+
+
+def test_without_renumbers_survivors():
+    checked = 0
+    for spec in valid_specs(8):
+        g = dual_graph(build_region(spec.side, spec.distances))
+        q = pick_corners(g)
+        x, y, z, t = q.west, q.south, q.east, q.north
+        for drop in ((x, y, z, t), (x, y), (z, t), (t, x), (y, z)):
+            _check_without(g, drop)
+            checked += 1
+    assert checked == 5 * 127
+    # a weighted Aztec graph whose 36 edge weights are all distinct
+    pattern = WeightPattern(
+        tuple(tuple(Fraction(6 * r + c + 1, 7) for c in range(6)) for r in range(6))
+    )
+    g = aztec_match_graph(AztecDiamond(3, pattern))
+    assert len(set(g.weights)) == len(g.edges) == 36
+    q = pick_corners(g)
+    for drop in ((q.west, q.south), (q.north, q.east, 5), (), range(0, 24, 3)):
+        _check_without(g, tuple(drop))

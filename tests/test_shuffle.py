@@ -110,7 +110,7 @@ def test_aztec_graph_shape():
         g = aztec_match_graph(AztecDiamond(n, WeightPattern.ones(2, 2)))
         assert len(g.vertices) == 2 * n * (n + 1)
         assert len(g.edges) == 4 * n * n
-        blacks = sum(1 for v in g.vertices if v.part == "black")
+        blacks = sum(1 for v in g.vertices if v[0])
         assert blacks == n * (n + 1)
 
 
