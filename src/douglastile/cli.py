@@ -189,7 +189,7 @@ def _verify_one(
     }
     if total <= 8:
         quad = condensation.pick_corners(graph)
-        kuo = timed("kuo", lambda: condensation.kuo_counts(graph, quad, brute))
+        kuo = timed("kuo", lambda: condensation.kuo_counts(graph, quad))
         checks["kuo"] = condensation.kuo_identity(kuo)
     else:
         checks["kuo"] = None
@@ -219,10 +219,9 @@ def _kuo_block(spec: RegionSpec, kuo_max: int) -> dict | None:
         return None
     graph = dual_graph(regions.build_region(spec.side, spec.distances))
     try:
-        quad = condensation.pick_corners(graph)
+        counts = condensation.kuo_counts(graph, condensation.pick_corners(graph))
     except condensation.CornersNotFound:
         return None
-    counts = condensation.kuo_counts(graph, quad, count_matchings(graph))
     return {
         "counts": {name: str(value) for name, value in counts.items()},
         "identity_ok": condensation.kuo_identity(counts),

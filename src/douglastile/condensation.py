@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import regions
-from .matching import MatchGraph, count_matchings
+from .matching import MatchGraph, OuterFaceError, deletion_counts
 from .regions import RegionSpec
 
 __all__ = [
@@ -128,17 +128,25 @@ def pick_corners(graph: MatchGraph) -> CornerQuad:
     return CornerQuad(west=west, south=south, east=east, north=north)
 
 
-def kuo_counts(graph: MatchGraph, quad: CornerQuad, full: int) -> dict[str, int]:
-    """The six counts of Kuo's identity; `full` is the caller's count of G."""
+def kuo_counts(graph: MatchGraph, quad: CornerQuad) -> dict[str, int]:
+    """The six counts of Kuo's identity, from one signing of the graph.
+
+    Raises CornersNotFound if a corner is not on the outer face.
+    """
     x, y, z, t = quad.west, quad.south, quad.east, quad.north
-    return {
-        "full": full,
-        "minus_all": count_matchings(graph.without((x, y, z, t))),
-        "minus_west_south": count_matchings(graph.without((x, y))),
-        "minus_east_north": count_matchings(graph.without((z, t))),
-        "minus_north_west": count_matchings(graph.without((t, x))),
-        "minus_south_east": count_matchings(graph.without((y, z))),
+    deleted = {
+        "full": (),
+        "minus_all": (x, y, z, t),
+        "minus_west_south": (x, y),
+        "minus_east_north": (z, t),
+        "minus_north_west": (t, x),
+        "minus_south_east": (y, z),
     }
+    try:
+        counts = deletion_counts(graph, deleted.values())
+    except OuterFaceError as exc:
+        raise CornersNotFound(str(exc)) from exc
+    return dict(zip(deleted, counts))
 
 
 def kuo_identity(counts: dict[str, int]) -> bool:
@@ -153,7 +161,7 @@ def kuo_identity(counts: dict[str, int]) -> bool:
 def verify_kuo(graph: MatchGraph, quad: CornerQuad | None = None) -> bool:
     if quad is None:
         quad = pick_corners(graph)
-    return kuo_identity(kuo_counts(graph, quad, count_matchings(graph)))
+    return kuo_identity(kuo_counts(graph, quad))
 
 
 def _first_wide(d: tuple[int, ...]) -> int | None:

@@ -9,10 +9,21 @@ coordinates gives the faces; each component must come out plane
 are ints (region duals sit in sixths of a lattice unit, Aztec graphs on
 the integer lattice) or any rationals, and the order is exact on both
 with no rescaling.  The edges are signed so that every face walk of
-length 2k has k + 1 negative edges mod 2; then every perfect matching
+length 2k but each component's outer walk (the one walk of shoelace
+area <= 0) has k + 1 negative edges mod 2; then every perfect matching
 enters the determinant of the signed black x white matrix with the same
-sign, and the determinant is one sparse exact elimination.  A Ryser
-permanent, which needs no plane drawing, serves as an independent
+sign, and the determinant is one sparse exact elimination.
+
+`deletion_counts` counts several subgraphs G - S from one signing of G.
+When every vertex of S lies on the outer walk of its component, the
+bounded faces of G - S are exactly the bounded faces of G that miss S,
+so G's signing stays a Kasteleyn signing of G - S, components and all;
+that holds even where a component of G has colour classes of unequal
+size, so that G itself has no matching.  Each G - S takes G's signed rows
+less the rows and columns of S, re-ranked, and gets its own exact
+elimination.  `count_matchings` is the case of S empty.
+
+A Ryser permanent, which needs no plane drawing, serves as an independent
 cross-check on small instances.  All arithmetic is integer or Fraction;
 nothing here touches floats.
 
@@ -34,9 +45,11 @@ __all__ = [
     "RYSER_LIMIT",
     "VERTEX_LIMIT",
     "SizeLimit",
+    "OuterFaceError",
     "MatchGraph",
     "dual_graph",
     "count_matchings",
+    "deletion_counts",
     "matching_generating_function",
     "permanent_oracle",
     "reduce_forced",
@@ -53,6 +66,10 @@ VERTEX_LIMIT = 5600
 
 class SizeLimit(RuntimeError):
     """The instance is too large for the requested exact computation."""
+
+
+class OuterFaceError(ValueError):
+    """A vertex to delete is not on the outer face walk of its component."""
 
 
 @dataclass(frozen=True)
@@ -83,17 +100,23 @@ class MatchGraph:
         surviving edge keeps its weight.
         """
         drop = set(positions)
-        keep = [i for i in range(len(self.vertices)) if i not in drop]
-        new = {i: pos for pos, i in enumerate(keep)}
-        kept = [
-            ((new[u], new[v]), weight)
-            for (u, v), weight in zip(self.edges, _weights(self))
-            if u in new and v in new
-        ]
+        # new[i] is the position of survivor i, -1 for a deleted vertex
+        new = [-1] * len(self.vertices)
+        verts = []
+        for i, vertex in enumerate(self.vertices):
+            if i not in drop:
+                new[i] = len(verts)
+                verts.append(vertex)
+        edges, weights = [], []
+        for (u, v), weight in zip(self.edges, _weights(self)):
+            u, v = new[u], new[v]
+            if u >= 0 and v >= 0:
+                edges.append((u, v))
+                weights.append(weight)
         return MatchGraph(
-            tuple(self.vertices[i] for i in keep),
-            tuple(edge for edge, _ in kept),
-            None if self.weights is None else tuple(w for _, w in kept),
+            tuple(verts),
+            tuple(edges),
+            None if self.weights is None else tuple(weights),
         )
 
 
@@ -142,14 +165,15 @@ def _prepare(graph: MatchGraph):
 
 
 def _components(black, adj):
-    """Component of each vertex and spanning-forest edge flags.
+    """Component of each vertex, spanning-forest edge flags and balance.
 
-    Returns None as soon as a component has unequal colour classes, since
-    then no perfect matching exists.
+    `balanced` is False when some component has unequal colour classes,
+    since then no perfect matching exists.
     """
     comp = [-1] * len(adj)
     tree = set()
     ncomp = 0
+    balanced = True
     for root in range(len(adj)):
         if comp[root] >= 0:
             continue
@@ -164,9 +188,9 @@ def _components(black, adj):
                     tree.add(e)
                     queue.append(j)
         if balance:
-            return None
+            balanced = False
         ncomp += 1
-    return comp, ncomp, tree
+    return comp, ncomp, tree, balanced
 
 
 def _rotation(graph: MatchGraph, adj):
@@ -201,17 +225,19 @@ def _rotation(graph: MatchGraph, adj):
     return rot
 
 
-def _kasteleyn_signs(black, adj, ends, graph):
-    """Edge flags `neg` of a Kasteleyn signing, or None if there is no matching.
+def _kasteleyn_signs(adj, ends, graph, parts):
+    """Edge flags `neg` of a Kasteleyn signing, and outer-face flags by vertex.
 
+    `parts` is what `_components` returned.  Each component's outer face
+    walk is its walk of least shoelace area, the one walk of area <= 0 in
+    a plane drawing; every other walk of length 2k gets k + 1 negative
+    edges mod 2, whatever the colour balance.  `outer[i]` is 1 when vertex
+    i lies on the outer walk of its component (an isolated vertex does).
     Raises ValueError unless the rotation system read off the coordinates
     has genus zero on every component, which is the hypothesis of
     Kasteleyn's theorem.
     """
-    parts = _components(black, adj)
-    if parts is None:
-        return None
-    comp, ncomp, tree = parts
+    comp, ncomp, tree, _ = parts
     rot = _rotation(graph, adj)
     # darts: offset[i] + k is the k-th edge end around vertex i
     offset = [0]
@@ -250,17 +276,39 @@ def _kasteleyn_signs(black, adj, ends, graph):
             v = target[d]
             d = r - 1 if r > offset[v] else offset[v + 1] - 1
         faces.append(walk)
-    # V - E + F = 2 - 2g on each component, so the totals reach two per
-    # component only if every component has genus zero
-    if len(adj) - len(ends) + len(faces) != 2 * ncomp:
+    # V - E + F = 2 - 2g on each component, an isolated vertex having
+    # one face and no walk, so the totals reach two per component only if
+    # every component has genus zero
+    isolated = [i for i, pairs in enumerate(adj) if not pairs]
+    if len(adj) - len(ends) + len(faces) + len(isolated) != 2 * ncomp:
         raise ValueError("graph is not plane")
-    # the non-tree edges form a spanning tree of each dual; fix each face
-    # from the leaves up so a walk of length 2k has (k + 1) mod 2 negative
-    # edges; the root face then holds too, since the vertex count is even
-    root_face: dict[int, int] = {}
+    # twice the shoelace area of each walk; bounded faces run
+    # counterclockwise, so the outer walk has the least
+    px = [v[1] for v in graph.vertices]
+    py = [v[2] for v in graph.vertices]
+    root = [-1] * ncomp
+    least = [0] * ncomp
     for f, walk in enumerate(faces):
-        root_face.setdefault(comp[target[walk[0]]], f)
-    order = list(root_face.values())
+        u = target[walk[-1]]
+        area = 0
+        for d in walk:
+            v = target[d]
+            area += px[u] * py[v] - px[v] * py[u]
+            u = v
+        c = comp[u]
+        if root[c] < 0 or area < least[c]:
+            root[c] = f
+            least[c] = area
+    order = [f for f in root if f >= 0]
+    outer = bytearray(len(adj))
+    for i in isolated:
+        outer[i] = 1
+    for f in order:
+        for d in faces[f]:
+            outer[target[d]] = 1
+    # the non-tree edges form a spanning tree of each dual; fix each face
+    # but the outer one from the leaves up so a walk of length 2k has
+    # (k + 1) mod 2 negative edges
     reached = bytearray(len(faces))
     for f in order:
         reached[f] = 1
@@ -285,7 +333,7 @@ def _kasteleyn_signs(black, adj, ends, graph):
         for d in walk:
             odd += neg[edge_of[d]]
         neg[e] = odd % 2
-    return neg
+    return neg, outer
 
 
 def _permutation_sign(perm: list[int]) -> int:
@@ -429,14 +477,13 @@ def _reference_matching(keys, n: int) -> list[int] | None:
     return row_col
 
 
-def _kasteleyn(graph: MatchGraph, weighted: bool):
-    """Signed sum over perfect matchings via one Kasteleyn determinant.
+def _kasteleyn(graph: MatchGraph):
+    """Weighted sum over perfect matchings via one Kasteleyn determinant.
 
-    Unweighted, the count is |det K|, since every matching enters the
-    determinant with the same sign.  Weighted, that common sign is read
-    off one reference matching, so zero and negative weights come out
-    right.  Components need no separate pass: K is block diagonal up to
-    the order of rows and columns, so its determinant is their product.
+    Every matching enters the determinant with the same sign, read off
+    one reference matching, so zero and negative weights come out right.
+    Components need no separate pass: K is block diagonal up to the order
+    of rows and columns, so its determinant is their product.
     """
     if len(graph.vertices) > VERTEX_LIMIT:
         raise SizeLimit(
@@ -445,15 +492,12 @@ def _kasteleyn(graph: MatchGraph, weighted: bool):
     black, adj, ends = _prepare(graph)
     if not adj:
         return 1
-    neg = _kasteleyn_signs(black, adj, ends, graph)
-    if neg is None:
+    parts = _components(black, adj)
+    if not parts[3]:
         return 0
+    neg, _ = _kasteleyn_signs(adj, ends, graph, parts)
     keys, n, _ = _biadjacency(black, ends)
     rows: list[dict] = [{} for _ in range(n)]
-    if not weighted:
-        for (r, c), flip in zip(keys, neg):
-            rows[r][c] = -1 if flip else 1
-        return abs(_determinant(rows))
     matched = _reference_matching(keys, n)
     if matched is None:
         return 0
@@ -476,16 +520,73 @@ def _kasteleyn(graph: MatchGraph, weighted: bool):
     return Fraction(sign * _determinant(rows), scale)
 
 
+def _signed_rows(black, ends, neg, drop):
+    """Signed black x white rows of G - drop, or None if its classes differ.
+
+    Rows and columns are the surviving black and white vertices, each
+    ranked in vertex order.
+    """
+    rank = [-1] * len(black)
+    seen = [0, 0]
+    for i, is_black in enumerate(black):
+        if i not in drop:
+            rank[i] = seen[is_black]
+            seen[is_black] += 1
+    if seen[0] != seen[1]:
+        return None
+    rows: list[dict[int, int]] = [{} for _ in range(seen[1])]
+    for (b, w), flip in zip(ends, neg):
+        r, c = rank[b], rank[w]
+        if r >= 0 and c >= 0:
+            rows[r][c] = -1 if flip else 1
+    return rows
+
+
+def deletion_counts(graph: MatchGraph, deletions) -> list[int]:
+    """Perfect matchings of G - S for each vertex set S in `deletions`.
+
+    G is signed once.  Each G - S keeps G's signed rows less those of S,
+    re-ranked, and gets its own exact determinant.  Every vertex of S
+    must lie on the outer face walk of its component, or OuterFaceError
+    is raised: then the bounded faces of G - S are the bounded faces of G
+    that do not touch S, so G's signing is a Kasteleyn signing of G - S.
+    """
+    if graph.weights is not None and any(w != 1 for w in graph.weights):
+        raise ValueError("matching counts expect unit edge weights")
+    if len(graph.vertices) > VERTEX_LIMIT:
+        raise SizeLimit(
+            f"{len(graph.vertices)} vertices exceed {VERTEX_LIMIT}"
+        )
+    drops = [set(drop) for drop in deletions]
+    black, adj, ends = _prepare(graph)
+    parts = _components(black, adj)
+    balanced = parts[3]
+    # an unbalanced component leaves G itself no matching, but G - S may
+    # have one, so the signing is skipped only when no S is asked for
+    if not balanced and not any(drops):
+        return [0] * len(drops)
+    neg, outer = _kasteleyn_signs(adj, ends, graph, parts)
+    for drop in drops:
+        for v in drop:
+            if not (0 <= v < len(outer) and outer[v]):
+                raise OuterFaceError(
+                    f"vertex {v} is not on the outer face of its component"
+                )
+    counts = []
+    for drop in drops:
+        rows = _signed_rows(black, ends, neg, drop) if drop or balanced else None
+        counts.append(0 if rows is None else abs(_determinant(rows)))
+    return counts
+
+
 def count_matchings(graph: MatchGraph) -> int:
     """Number of perfect matchings of an unweighted plane graph."""
-    if graph.weights is not None and any(w != 1 for w in graph.weights):
-        raise ValueError("count_matchings expects unit edge weights")
-    return _kasteleyn(graph, weighted=False)
+    return deletion_counts(graph, ((),))[0]
 
 
 def matching_generating_function(graph: MatchGraph) -> Fraction:
     """Sum over perfect matchings of the product of edge weights."""
-    return Fraction(_kasteleyn(graph, weighted=True))
+    return Fraction(_kasteleyn(graph))
 
 
 def permanent_oracle(graph: MatchGraph) -> Fraction:

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from douglastile import condensation, regions
+from douglastile import condensation, matching, regions
 from douglastile.cli import main
 from douglastile.regions import Color
 
@@ -250,6 +250,44 @@ def test_trace_kuo_max_zero_disables_counts(capsys):
     assert code == 0
     records = [json.loads(line) for line in out.strip().splitlines()]
     assert all(r["kuo"] is None for r in records)
+
+
+def test_trace_signs_each_kuo_graph_once(capsys, monkeypatch):
+    # the six Kuo counts of a block share one signing of its graph
+    calls = []
+    real = matching._kasteleyn_signs
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(matching, "_kasteleyn_signs", counted)
+    code, out, _ = run_cli(
+        capsys, "trace", "--d", "4,2,5,4,3,6,2,3", "--kuo-max", "16"
+    )
+    assert code == 0
+    blocks = [json.loads(line)["kuo"] for line in out.strip().splitlines()]
+    signed = [block for block in blocks if block is not None]
+    assert len(signed) > 1
+    assert len(calls) == len(signed)
+
+
+def test_corner_off_outer_face(capsys, monkeypatch):
+    # a corner inside the graph: trace drops the kuo block, verify exits 4
+    real = condensation.pick_corners
+
+    def inner_west(graph):
+        quad = real(graph)
+        return condensation.CornerQuad(11, quad.south, quad.east, quad.north)
+
+    monkeypatch.setattr(condensation, "pick_corners", inner_west)
+    code, out, _ = run_cli(capsys, "trace", "--a", "3", "--d", "6")
+    assert code == 0
+    assert json.loads(out.splitlines()[0])["kuo"] is None
+    code, out, err = run_cli(capsys, "verify", "--a", "3", "--d", "6")
+    assert code == 4
+    assert err.startswith("internal error: vertex 11 is not on the outer face")
+    assert err.count("\n") == 1
 
 
 def test_render_ascii(capsys):

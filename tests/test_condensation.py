@@ -281,7 +281,8 @@ def test_kuo_identity_exact_on_duals():
     for spec in valid_specs(6):
         g = dual_graph(build_region(spec.side, spec.distances))
         quad = pick_corners(g)
-        c = kuo_counts(g, quad, brute_count(spec))
+        c = kuo_counts(g, quad)
+        assert c["full"] == brute_count(spec)
         assert set(c) == {
             "full",
             "minus_all",
@@ -297,6 +298,19 @@ def test_kuo_identity_exact_on_duals():
         )
         assert verify_kuo(g)
         assert verify_kuo(g, quad)
+
+
+def test_kuo_off_outer_face_is_corners_not_found():
+    # black cell 11 of the Aztec n = 3 dual is surrounded by cells, so
+    # Kuo's identity does not apply to it and the restricted signing fails
+    g = dual_graph(build_region(3, (6,)))
+    quad = pick_corners(g)
+    inner = CornerQuad(west=11, south=quad.south, east=quad.east, north=quad.north)
+    assert g.vertices[11][0]
+    with pytest.raises(CornersNotFound, match="not on the outer face"):
+        kuo_counts(g, inner)
+    with pytest.raises(CornersNotFound):
+        verify_kuo(g, inner)
 
 
 def test_corner_deletion_reproduces_first_subregion():

@@ -16,10 +16,12 @@ from douglastile.matching import (
     VERTEX_LIMIT,
     MatchGraph,
     SizeLimit,
+    _components,
     _kasteleyn_signs,
     _prepare,
     canonical_embedding,
     count_matchings,
+    deletion_counts,
     dual_graph,
     matching_generating_function,
     perfect_matching,
@@ -337,7 +339,7 @@ def test_kuo_deletion_counts_golden():
     lines = []
     for spec in valid_specs(8):
         g = dual_graph(build_region(spec.side, spec.distances))
-        counts = kuo_counts(g, pick_corners(g), count_matchings(g))
+        counts = kuo_counts(g, pick_corners(g))
         del counts["full"]
         lines.append(json.dumps(counts, sort_keys=True))
     assert sum(len(json.loads(line)) for line in lines) == 635
@@ -345,6 +347,85 @@ def test_kuo_deletion_counts_golden():
     assert digest == (
         "26d74b30590bc33a1a1d57ca6e9248039fe0d7c2828014b46f5baa19760be2d7"
     )
+
+
+def _aztec_dual(n):
+    return dual_graph(build_region(n, (2 * n,)))
+
+
+def _aztec_outer(g):
+    # a square cell lies on the outer face unless all eight cells around
+    # it (positions in sixths, so 6 apart) are in the region
+    pos = {(x, y) for _, x, y in g.vertices}
+    return [
+        i
+        for i, (_, x, y) in enumerate(g.vertices)
+        if any(
+            (x + dx, y + dy) not in pos for dx in (-6, 0, 6) for dy in (-6, 0, 6)
+        )
+    ]
+
+
+def test_deletion_counts_are_fresh_counts():
+    # one signing of G, restricted, counts every G - S on the outer face
+    # as a count of G - S signed afresh
+    for spec in valid_specs(10):
+        g = dual_graph(build_region(spec.side, spec.distances))
+        q = pick_corners(g)
+        x, y, z, t = q.west, q.south, q.east, q.north
+        sets = ((x, y, z, t), (x, y), (z, t), (t, x), (y, z))
+        assert deletion_counts(g, sets) == [
+            count_matchings(g.without(drop)) for drop in sets
+        ], spec
+    for n in range(1, 7):
+        g = _aztec_dual(n)
+        outer = set(_aztec_outer(g))
+        assert len(outer) == 8 * n - 4
+        sets = [(v,) for v in sorted(outer)] + [
+            edge for edge in g.edges if set(edge) <= outer
+        ]
+        counts = deletion_counts(g, sets)
+        assert counts == [count_matchings(g.without(drop)) for drop in sets]
+        assert any(counts)
+
+
+def test_deletion_signs_unbalanced_components():
+    # two ladders of three squares, each with a pendant vertex on its
+    # outer face: one component has a black too many, the other a white;
+    # G has no matching, but without the two pendants each ladder has 5
+    def ladder(dx, extra_black):
+        verts = [
+            ((i + j) % 2 == 0, dx + 6 * i, 6 * j) for i in range(4) for j in range(2)
+        ]
+        edges = [(2 * i, 2 * i + 1) for i in range(4)]
+        edges += [(2 * i + j, 2 * i + j + 2) for i in range(3) for j in range(2)]
+        # the pendant hangs off the first vertex of the other colour
+        anchor = next(k for k, v in enumerate(verts) if v[0] != extra_black)
+        verts.append((extra_black, dx - 6, verts[anchor][2]))
+        edges.append((anchor, len(verts) - 1))
+        return verts, edges
+
+    va, ea = ladder(0, True)
+    vb, eb = ladder(100, False)
+    shift = len(va)
+    g = MatchGraph(
+        tuple(va + vb), tuple(ea + [(u + shift, v + shift) for u, v in eb])
+    )
+    pendants = (shift - 1, len(g.vertices) - 1)
+    assert count_matchings(g) == 0
+    assert deletion_counts(g, ((), pendants)) == [0, 25]
+    assert count_matchings(g.without(pendants)) == 25
+
+
+def test_deletion_off_outer_face_raises():
+    g = _aztec_dual(3)
+    inner = sorted(set(range(len(g.vertices))) - set(_aztec_outer(g)))
+    assert len(inner) == 4
+    for v in inner:
+        with pytest.raises(ValueError, match="not on the outer face"):
+            deletion_counts(g, ((), (v,)))
+    with pytest.raises(ValueError, match="not on the outer face"):
+        deletion_counts(g, ((len(g.vertices),),))
 
 
 def _centroid(cell):
@@ -387,8 +468,11 @@ def test_rational_positions_order_exactly():
             g.edges,
         )
         assert {x.denominator for _, x, _ in scaled.vertices} == {2, 3}
-        signs = [_kasteleyn_signs(*_prepare(h), h) for h in (g, scaled)]
-        assert signs[0] is not None and signs[0] == signs[1]
+        signs = []
+        for h in (g, scaled):
+            black, adj, ends = _prepare(h)
+            signs.append(_kasteleyn_signs(adj, ends, h, _components(black, adj)))
+        assert signs[0] == signs[1]
         assert count_matchings(scaled) == count_matchings(g)
 
 
