@@ -18,7 +18,7 @@ smallest regions and exact integer division.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import regions
 from .matching import MatchGraph, OuterFaceError, deletion_counts
@@ -78,34 +78,30 @@ BASE_TABLE: dict[RegionSpec, int] = {
 }
 
 
-@dataclass(frozen=True)
-class CornerQuad:
+class CornerQuad(namedtuple("CornerQuad", "west south east north")):
     """Vertex positions of the four outer-face corners, by compass role."""
 
-    west: int
-    south: int
-    east: int
-    north: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CaseRecurrence:
-    case_id: str
-    normalized: RegionSpec
-    was_flipped: bool
-    subspecs: tuple[RegionSpec | None, ...]
-    multiplier: int
-    identity: str
-    first_wide_index: int | None = None
-    last_wide_index: int | None = None
+class CaseRecurrence(
+    namedtuple(
+        "CaseRecurrence",
+        "case_id normalized was_flipped subspecs multiplier identity"
+        " first_wide_index last_wide_index",
+        defaults=(None, None),
+    )
+):
+    """A recurrence step: its case, the normalized spec, its sub-specs (None
+    for the empty region), multiplier and identity text."""
+
+    __slots__ = ()
 
 
 def canonical_spec(spec: RegionSpec) -> tuple[RegionSpec, bool]:
     """Lexicographically smaller of the spec and its half-turn companion."""
     other = regions.flipped(spec)
-    mine = (spec.side, spec.distances)
-    theirs = (other.side, other.distances)
-    return (spec, False) if mine <= theirs else (other, True)
+    return (spec, False) if spec <= other else (other, True)
 
 
 def pick_corners(graph: MatchGraph) -> CornerQuad:

@@ -35,7 +35,7 @@ determinant, with no size limit and no plane drawing needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -72,26 +72,26 @@ class OuterFaceError(ValueError):
     """A vertex to delete is not on the outer face walk of its component."""
 
 
-@dataclass(frozen=True)
-class MatchGraph:
+class MatchGraph(namedtuple("MatchGraph", "vertices edges weights")):
     """A bipartite graph drawn in the plane; vertex i is `vertices[i]`.
 
     A vertex is `(is_black, x, y)`, the coordinates ints or any rationals,
     and an edge a pair of vertex positions.  `weights` runs parallel to
     `edges`; None means every weight is 1.  An edge end that is no
     position, or weights unlike the edges in length, raise ValueError.
+    `_make` and `_replace` skip `__new__` and these checks; this package
+    calls neither.
     """
 
-    vertices: tuple[tuple[bool, int | Fraction, int | Fraction], ...]
-    edges: tuple[tuple[int, int], ...]
-    weights: tuple[Fraction, ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        ends = [i for edge in self.edges for i in edge]
-        if ends and not 0 <= min(ends) <= max(ends) < len(self.vertices):
+    def __new__(cls, vertices, edges, weights=None) -> MatchGraph:
+        ends = [i for edge in edges for i in edge]
+        if ends and not 0 <= min(ends) <= max(ends) < len(vertices):
             raise ValueError("edge end is not a vertex position")
-        if self.weights is not None and len(self.weights) != len(self.edges):
+        if weights is not None and len(weights) != len(edges):
             raise ValueError("weights and edges differ in length")
+        return super().__new__(cls, vertices, edges, weights)
 
     def without(self, positions) -> MatchGraph:
         """Induced subgraph after deleting the vertices at `positions`.

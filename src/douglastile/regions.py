@@ -26,9 +26,9 @@ are paired by looking up their anchors.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from enum import Enum
-from typing import Iterator
 
 __all__ = [
     "REASON_POSITIVE",
@@ -102,15 +102,18 @@ class CellKind(str, Enum):
 _SIXTHS = {CellKind.SQUARE: (3, 3), CellKind.UP: (2, 4), CellKind.DOWN: (4, 2)}
 
 
-@dataclass(frozen=True)
-class RegionSpec:
-    """Side length plus layer distances, the full description of a region."""
+class RegionSpec(namedtuple("RegionSpec", "side distances")):
+    """Side length plus layer distances, the full description of a region.
 
-    side: int
-    distances: tuple[int, ...]
+    `distances` is stored as a tuple whatever iterable is given.  `_make`
+    and `_replace` skip `__new__` and this coercion; this package calls
+    neither.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "distances", tuple(self.distances))
+    __slots__ = ()
+
+    def __new__(cls, side: int, distances) -> RegionSpec:
+        return super().__new__(cls, side, tuple(distances))
 
     @property
     def total(self) -> int:
@@ -126,12 +129,10 @@ class RegionSpec:
         return {"a": self.side, "d": list(self.distances)}
 
 
-@dataclass(frozen=True)
-class Cell:
-    kind: CellKind
-    color: Color
-    level: int
-    anchor: tuple[int, int]
+class Cell(namedtuple("Cell", "kind color level anchor")):
+    """A `CellKind` and `Color` on a diagonal level; `anchor` is an int pair."""
+
+    __slots__ = ()
 
     @property
     def center(self) -> tuple[int, int]:
@@ -141,33 +142,28 @@ class Cell:
         return (6 * x + dx, 6 * y + dy)
 
 
-@dataclass(frozen=True)
-class RegionStats:
-    """Line and cell counts that drive the closed-form matching count."""
+class RegionStats(
+    namedtuple(
+        "RegionStats",
+        "black_square_lines up_triangle_lines down_triangle_lines"
+        " black_lines width regular_cells total_size",
+    )
+):
+    """Line and cell counts (ints) that drive the closed-form matching count."""
 
-    black_square_lines: int
-    up_triangle_lines: int
-    down_triangle_lines: int
-    black_lines: int
-    width: int
-    regular_cells: int
-    total_size: int
-
-
-@dataclass(frozen=True)
-class Corners:
-    north: tuple[int, int]
-    east: tuple[int, int]
-    south: tuple[int, int]
-    west: tuple[int, int]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Region:
-    spec: RegionSpec
-    cells: tuple[Cell, ...]
-    corners: Corners
-    drawn_levels: tuple[int, ...]
+class Corners(namedtuple("Corners", "north east south west")):
+    """The four corner points of the boundary, each an int pair."""
+
+    __slots__ = ()
+
+
+class Region(namedtuple("Region", "spec cells corners drawn_levels")):
+    """A spec with its tuple of cells, its corners and its drawn levels."""
+
+    __slots__ = ()
 
 
 def _drawn_levels(distances: tuple[int, ...]) -> tuple[int, ...]:

@@ -19,7 +19,7 @@ matching exponent without ever building a graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import regions
@@ -84,17 +84,18 @@ class FormulaProcedureMismatch(AssertionError):
     """Closed-form exponent disagreed with the step-by-step reduction."""
 
 
-@dataclass(frozen=True)
-class WeightPattern:
-    """Even-by-even matrix of rational weights, tiled periodically."""
+class WeightPattern(namedtuple("WeightPattern", "entries")):
+    """Even-by-even matrix of rational weights, tiled periodically.
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    `entries` is stored as a tuple of rows of Fractions; a ragged matrix
+    or an odd or zero row or column count raises ValueError.  `_make` and
+    `_replace` skip `__new__` and these checks; this package calls neither.
+    """
 
-    def __post_init__(self):
-        rows = tuple(
-            tuple(Fraction(v) for v in row) for row in self.entries
-        )
-        object.__setattr__(self, "entries", rows)
+    __slots__ = ()
+
+    def __new__(cls, entries) -> WeightPattern:
+        rows = tuple(tuple(Fraction(v) for v in row) for row in entries)
         if not rows or len(rows) % 2:
             raise ValueError("pattern needs a positive even number of rows")
         widths = {len(r) for r in rows}
@@ -102,6 +103,7 @@ class WeightPattern:
             raise ValueError("pattern rows differ in length")
         if not rows[0] or len(rows[0]) % 2:
             raise ValueError("pattern needs a positive even number of columns")
+        return super().__new__(cls, rows)
 
     @property
     def rows(self) -> int:
@@ -116,16 +118,19 @@ class WeightPattern:
         return cls(tuple(tuple(Fraction(1) for _ in range(cols)) for _ in range(rows)))
 
 
-@dataclass(frozen=True)
-class AztecDiamond:
-    """Aztec diamond graph of the given order with patterned edge weights."""
+class AztecDiamond(namedtuple("AztecDiamond", "order pattern")):
+    """Aztec diamond graph of the given order with patterned edge weights.
 
-    order: int
-    pattern: WeightPattern
+    A negative order raises ValueError.  `_make` and `_replace` skip
+    `__new__` and this check; this package calls neither.
+    """
 
-    def __post_init__(self):
-        if self.order < 0:
+    __slots__ = ()
+
+    def __new__(cls, order: int, pattern: WeightPattern) -> AztecDiamond:
+        if order < 0:
             raise ValueError("order must be nonnegative")
+        return super().__new__(cls, order, pattern)
 
 
 def weight_matrix(ad: AztecDiamond) -> tuple[tuple[Fraction, ...], ...]:

@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -252,8 +254,8 @@ def test_trace_kuo_max_zero_disables_counts(capsys):
     assert all(r["kuo"] is None for r in records)
 
 
-def test_trace_signs_each_kuo_graph_once(capsys, monkeypatch):
-    # the six Kuo counts of a block share one signing of its graph
+def count_signings(monkeypatch):
+    """A list that grows by one item per Kasteleyn signing from now on."""
     calls = []
     real = matching._kasteleyn_signs
 
@@ -262,6 +264,12 @@ def test_trace_signs_each_kuo_graph_once(capsys, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(matching, "_kasteleyn_signs", counted)
+    return calls
+
+
+def test_trace_signs_each_kuo_graph_once(capsys, monkeypatch):
+    # the six Kuo counts of a block share one signing of its graph
+    calls = count_signings(monkeypatch)
     code, out, _ = run_cli(
         capsys, "trace", "--d", "4,2,5,4,3,6,2,3", "--kuo-max", "16"
     )
@@ -270,6 +278,31 @@ def test_trace_signs_each_kuo_graph_once(capsys, monkeypatch):
     signed = [block for block in blocks if block is not None]
     assert len(signed) > 1
     assert len(calls) == len(signed)
+
+
+def test_verify_signs_each_region_once(capsys, monkeypatch):
+    # with a Kuo check, the brute count is the Kuo block's full count
+    calls = count_signings(monkeypatch)
+    code, out, _ = run_cli(capsys, "verify", "--sweep", "8")
+    assert code == 0
+    assert len(calls) == json.loads(out.splitlines()[-1])["summary"]["valid"]
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # start-up: `dataclasses` costs ~10 ms, most of it the `inspect` it
+    # imports, which the interpreter does not preload; the environment is
+    # the hermetic one of the benchmark's CLI runs
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env.pop("DOUGLASTILE_CACHE_DIR", None)
+    env["PYTHONPATH"] = str(Path(regions.__file__).parents[1])
+    probe = "import sys, douglastile.cli; print(*sorted(sys.modules))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "douglastile.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 def test_corner_off_outer_face(capsys, monkeypatch):

@@ -253,6 +253,10 @@ def test_spec_json_round_trip():
     spec = spec_from_json('{"a": 7, "d": [4, 2, 5, 4]}')
     assert spec == RegionSpec(7, (4, 2, 5, 4))
     assert spec.to_dict() == {"a": 7, "d": [4, 2, 5, 4]}
+    listed = RegionSpec(1, [2])
+    assert listed.distances == (2,)
+    assert listed == RegionSpec(1, (2,))
+    assert hash(listed) == hash(RegionSpec(1, (2,)))
 
 
 def test_region_json_payload():

@@ -82,12 +82,14 @@ def random_pattern(rng, rows, cols):
 
 
 def test_pattern_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="even number of rows"):
         WeightPattern(((Fraction(1),),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="even number of rows"):
         WeightPattern(((Fraction(1), Fraction(1)),))  # one row
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rows differ in length"):
         WeightPattern(((Fraction(1), Fraction(1)), (Fraction(1),)))
+    with pytest.raises(ValueError, match="even number of columns"):
+        WeightPattern(((1,), (1,)))
     pat = WeightPattern(((1, "1/2"), (2, 3)))
     assert pat.entries[0][1] == Fraction(1, 2)
     assert (pat.rows, pat.cols) == (2, 2)
