@@ -154,7 +154,7 @@ def _verify_one(
     total = spec.total
 
     counts: dict[str, str | None] = {}
-    formula = timed("formula", lambda: regions.formula_count(region))
+    formula = timed("formula", lambda: 2 ** regions.formula_exponent(stats))
     counts["formula"] = str(formula)
     exponent = timed("shuffle", lambda: shuffle.shuffle_exponent(spec))
     counts["shuffle"] = str(2 ** exponent)

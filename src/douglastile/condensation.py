@@ -155,6 +155,11 @@ def kuo_identity(counts: dict[str, int]) -> bool:
 
 
 def verify_kuo(graph: MatchGraph, quad: CornerQuad | None = None) -> bool:
+    """Whether Kuo's identity holds on the graph at the four corners.
+
+    `quad` defaults to `pick_corners(graph)`.  Raises CornersNotFound when
+    no four distinct corners are found or one is off the outer face.
+    """
     if quad is None:
         quad = pick_corners(graph)
     return kuo_identity(kuo_counts(graph, quad))

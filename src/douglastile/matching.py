@@ -21,22 +21,26 @@ so G's signing stays a Kasteleyn signing of G - S, components and all;
 that holds even where a component of G has colour classes of unequal
 size, so that G itself has no matching.  Each G - S takes G's signed rows
 less the rows and columns of S, re-ranked, and gets its own exact
-elimination.  `count_matchings` is the case of S empty.
+elimination.  `count_matchings` is the case of S empty.  A weighted
+sum runs through the same signed rows with the weights in them; it takes
+its sign from the unit determinant of those rows, which every matching
+enters with the common Kasteleyn sign and which is 0 only when there is
+no matching.
 
 A Ryser permanent, which needs no plane drawing, serves as an independent
 cross-check on small instances.  All arithmetic is integer or Fraction;
 nothing here touches floats.
 
 A vertex is its position in `MatchGraph.vertices`, and `perfect_matching`
-returns one matching for drawing as position pairs: the iterative
-augmenting-path search that also fixes the sign of the weighted
-determinant, with no size limit and no plane drawing needed.
+returns one matching for drawing as position pairs: an iterative
+augmenting-path search with no size limit and no plane drawing needed.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 
 from .regions import Color, Region, _shared_sides
@@ -416,20 +420,6 @@ def _determinant(rows: list[dict[int, int]]) -> int:
     return _permutation_sign(pivot_row) * det
 
 
-def _biadjacency(black, ends):
-    """Edges as (row, column) keys, with the row and column counts.
-
-    Rows are the black vertices and columns the white ones, each in
-    vertex order.
-    """
-    rank = []
-    seen = [0, 0]
-    for is_black in black:
-        rank.append(seen[is_black])
-        seen[is_black] += 1
-    return [(rank[b], rank[w]) for b, w in ends], seen[1], seen[0]
-
-
 def _reference_matching(keys, n: int) -> list[int] | None:
     """Column matched to each of n rows in one perfect matching, or None.
 
@@ -477,54 +467,13 @@ def _reference_matching(keys, n: int) -> list[int] | None:
     return row_col
 
 
-def _kasteleyn(graph: MatchGraph):
-    """Weighted sum over perfect matchings via one Kasteleyn determinant.
-
-    Every matching enters the determinant with the same sign, read off
-    one reference matching, so zero and negative weights come out right.
-    Components need no separate pass: K is block diagonal up to the order
-    of rows and columns, so its determinant is their product.
-    """
-    if len(graph.vertices) > VERTEX_LIMIT:
-        raise SizeLimit(
-            f"{len(graph.vertices)} vertices exceed {VERTEX_LIMIT}"
-        )
-    black, adj, ends = _prepare(graph)
-    if not adj:
-        return 1
-    parts = _components(black, adj)
-    if not parts[3]:
-        return 0
-    neg, _ = _kasteleyn_signs(adj, ends, graph, parts)
-    keys, n, _ = _biadjacency(black, ends)
-    rows: list[dict] = [{} for _ in range(n)]
-    matched = _reference_matching(keys, n)
-    if matched is None:
-        return 0
-    edge_at = {key: e for e, key in enumerate(keys)}
-    sign = _permutation_sign(matched)
-    for r, c in enumerate(matched):
-        if neg[edge_at[r, c]]:
-            sign = -sign
-    scale = 1
-    for (r, c), flip, weight in zip(keys, neg, _weights(graph)):
-        if weight:
-            rows[r][c] = -weight if flip else weight
-    for r, values in enumerate(rows):
-        common = lcm(*(v.denominator for v in values.values()))
-        scale *= common
-        rows[r] = {
-            c: v.numerator * (common // v.denominator)
-            for c, v in values.items()
-        }
-    return Fraction(sign * _determinant(rows), scale)
-
-
-def _signed_rows(black, ends, neg, drop):
+def _signed_rows(black, ends, neg, drop, weights=None):
     """Signed black x white rows of G - drop, or None if its classes differ.
 
     Rows and columns are the surviving black and white vertices, each
-    ranked in vertex order.
+    ranked in vertex order.  An entry is the edge weight, 1 where
+    `weights` is None, negated on a flagged edge; a zero weight leaves
+    no entry.
     """
     rank = [-1] * len(black)
     seen = [0, 0]
@@ -534,25 +483,25 @@ def _signed_rows(black, ends, neg, drop):
             seen[is_black] += 1
     if seen[0] != seen[1]:
         return None
-    rows: list[dict[int, int]] = [{} for _ in range(seen[1])]
-    for (b, w), flip in zip(ends, neg):
+    rows: list[dict] = [{} for _ in range(seen[1])]
+    for (b, w), flip, weight in zip(ends, neg, weights or repeat(1)):
         r, c = rank[b], rank[w]
-        if r >= 0 and c >= 0:
-            rows[r][c] = -1 if flip else 1
+        if r >= 0 and c >= 0 and weight:
+            rows[r][c] = -weight if flip else weight
     return rows
 
 
-def deletion_counts(graph: MatchGraph, deletions) -> list[int]:
-    """Perfect matchings of G - S for each vertex set S in `deletions`.
+def _deletion_sums(graph: MatchGraph, deletions, weights) -> list:
+    """Weighted sum over the perfect matchings of G - S for each S.
 
-    G is signed once.  Each G - S keeps G's signed rows less those of S,
-    re-ranked, and gets its own exact determinant.  Every vertex of S
-    must lie on the outer face walk of its component, or OuterFaceError
-    is raised: then the bounded faces of G - S are the bounded faces of G
-    that do not touch S, so G's signing is a Kasteleyn signing of G - S.
+    G is signed once; see `deletion_counts` for why the signing carries
+    over to each G - S.  With `weights` None the determinant of the
+    signed rows is plus or minus the count.  Otherwise its sign comes
+    from the unit determinant of the same rows: every matching enters
+    that with the common Kasteleyn sign, and 0 means there is none.
+    Weighted rows are scaled to integers by the lcm of their
+    denominators, undone by one exact division.
     """
-    if graph.weights is not None and any(w != 1 for w in graph.weights):
-        raise ValueError("matching counts expect unit edge weights")
     if len(graph.vertices) > VERTEX_LIMIT:
         raise SizeLimit(
             f"{len(graph.vertices)} vertices exceed {VERTEX_LIMIT}"
@@ -572,11 +521,43 @@ def deletion_counts(graph: MatchGraph, deletions) -> list[int]:
                 raise OuterFaceError(
                     f"vertex {v} is not on the outer face of its component"
                 )
-    counts = []
+    sums = []
     for drop in drops:
-        rows = _signed_rows(black, ends, neg, drop) if drop or balanced else None
-        counts.append(0 if rows is None else abs(_determinant(rows)))
-    return counts
+        rows = None
+        if drop or balanced:
+            rows = _signed_rows(black, ends, neg, drop, weights)
+        if rows is None:
+            sums.append(0)
+        elif weights is None:
+            sums.append(abs(_determinant(rows)))
+        else:
+            # 0 here leaves no matching, so the weighted determinant is 0 too
+            unit = _determinant(_signed_rows(black, ends, neg, drop))
+            scale = 1
+            for r, values in enumerate(rows):
+                common = lcm(*(v.denominator for v in values.values()))
+                scale *= common
+                rows[r] = {
+                    c: v.numerator * (common // v.denominator)
+                    for c, v in values.items()
+                }
+            det = _determinant(rows)
+            sums.append(Fraction(-det if unit < 0 else det, scale))
+    return sums
+
+
+def deletion_counts(graph: MatchGraph, deletions) -> list[int]:
+    """Perfect matchings of G - S for each vertex set S in `deletions`.
+
+    G is signed once.  Each G - S keeps G's signed rows less those of S,
+    re-ranked, and gets its own exact determinant.  Every vertex of S
+    must lie on the outer face walk of its component, or OuterFaceError
+    is raised: then the bounded faces of G - S are the bounded faces of G
+    that do not touch S, so G's signing is a Kasteleyn signing of G - S.
+    """
+    if graph.weights is not None and any(w != 1 for w in graph.weights):
+        raise ValueError("matching counts expect unit edge weights")
+    return _deletion_sums(graph, deletions, None)
 
 
 def count_matchings(graph: MatchGraph) -> int:
@@ -586,7 +567,7 @@ def count_matchings(graph: MatchGraph) -> int:
 
 def matching_generating_function(graph: MatchGraph) -> Fraction:
     """Sum over perfect matchings of the product of edge weights."""
-    return Fraction(_kasteleyn(graph))
+    return Fraction(_deletion_sums(graph, ((),), graph.weights)[0])
 
 
 def permanent_oracle(graph: MatchGraph) -> Fraction:
@@ -681,14 +662,16 @@ def perfect_matching(graph: MatchGraph) -> list[tuple[int, int]] | None:
     positions are cell indices, which is what `render.svg_region` draws.
     """
     black, _, ends = _prepare(graph)
-    keys, n_black, n_white = _biadjacency(black, ends)
-    if n_black != n_white:
-        return None
-    matched = _reference_matching(keys, n_black)
-    if matched is None:
-        return None
     blacks = [i for i, is_black in enumerate(black) if is_black]
     whites = [i for i, is_black in enumerate(black) if not is_black]
+    if len(blacks) != len(whites):
+        return None
+    rank = {i: r for part in (blacks, whites) for r, i in enumerate(part)}
+    matched = _reference_matching(
+        [(rank[b], rank[w]) for b, w in ends], len(blacks)
+    )
+    if matched is None:
+        return None
     return sorted(
         tuple(sorted((blacks[r], whites[c]))) for r, c in enumerate(matched)
     )

@@ -73,7 +73,11 @@ class NotBinaryBlock(ValueError):
 
 
 class SingularBlock(ArithmeticError):
-    """A 2 x 2 block has xz + yw = 0, so urban renewal cannot divide."""
+    """A 2 x 2 block has xz + yw = 0, so urban renewal cannot divide.
+
+    `block` is always the (row, column) of a block of the pattern, never
+    of the tiled 2n x 2n array: `reduction_step` renews the pattern.
+    """
 
     def __init__(self, block: tuple[int, int]):
         super().__init__(f"singular block at {block}")
@@ -173,8 +177,6 @@ def aztec_match_graph(ad: AztecDiamond) -> MatchGraph:
 
 
 def aztec_mgf(ad: AztecDiamond) -> Fraction:
-    if ad.order == 0:
-        return Fraction(1)
     return matching_generating_function(aztec_match_graph(ad))
 
 
@@ -198,7 +200,7 @@ def urban_renewal(
             w = e[2 * bi][2 * bj + 1]
             y = e[2 * bi + 1][2 * bj]
             z = e[2 * bi + 1][2 * bj + 1]
-            delta = x * z + y * w
+            delta = cell_factor((x, y, z, w))
             if delta == 0:
                 raise SingularBlock((bi, bj))
             deltas.append(delta)
@@ -214,23 +216,21 @@ def urban_renewal(
 
 
 def reduction_step(ad: AztecDiamond) -> tuple[AztecDiamond, Fraction]:
-    """Shrink the diamond by one order; MGF(old) = factor * MGF(new)."""
+    """Shrink the diamond by one order; MGF(old) = factor * MGF(new).
+
+    The factor is the product of the n x n block factors of the tiled
+    array; block (i, j) is pattern block (i mod rows/2, j mod cols/2).
+    """
     n = ad.order
     if n < 1:
         raise ValueError("nothing to reduce at order 0")
-    mat = weight_matrix(ad)
+    new_pattern, deltas = urban_renewal(ad.pattern)
+    # urban_renewal lists the pattern's block factors row by row
+    brows, bcols = ad.pattern.rows // 2, ad.pattern.cols // 2
     factor = Fraction(1)
     for i in range(n):
         for j in range(n):
-            tl = mat[2 * i][2 * j]
-            tr = mat[2 * i][2 * j + 1]
-            bl = mat[2 * i + 1][2 * j]
-            br = mat[2 * i + 1][2 * j + 1]
-            delta = tl * br + tr * bl
-            if delta == 0:
-                raise SingularBlock((i, j))
-            factor *= delta
-    new_pattern, _ = urban_renewal(ad.pattern)
+            factor *= deltas[(i % brows) * bcols + j % bcols]
     return AztecDiamond(n - 1, new_pattern), factor
 
 
@@ -336,26 +336,24 @@ def binary_reduction_step(pattern: WeightPattern) -> tuple[WeightPattern, int]:
     one block.
     """
     code = encode(pattern)
-    zeros = sum(1 for s in code if s == ZERO)
+    zeros = code.count(ZERO)
     return pattern_of_code(shift_code(code)), zeros
+
+
+def _rounds(code: tuple[str, ...]):
+    """Each code of the symbol reduction, from `code` down to one symbol."""
+    while code:
+        yield code
+        code = shift_code(code)[:-1]
 
 
 def code_trace(spec: RegionSpec) -> list[dict]:
     """The full symbol reduction of a region, one record per round."""
-    cur = region_code(regions.check_spec(spec.side, spec.distances))
-    out = []
-    step = 0
-    while cur:
-        out.append(
-            {
-                "step": step,
-                "code": "".join(cur),
-                "zeros": sum(1 for s in cur if s == ZERO),
-            }
-        )
-        cur = shift_code(cur)[:-1]
-        step += 1
-    return out
+    code = region_code(regions.check_spec(spec.side, spec.distances))
+    return [
+        {"step": step, "code": "".join(cur), "zeros": cur.count(ZERO)}
+        for step, cur in enumerate(_rounds(code))
+    ]
 
 
 def _closed_form_exponent(code: tuple[str, ...]) -> int:
@@ -377,11 +375,7 @@ def shuffle_exponent(spec: RegionSpec) -> int:
     raised loudly instead of picking a side.
     """
     code = region_code(regions.check_spec(spec.side, spec.distances))
-    procedural = 0
-    cur = code
-    while cur:
-        procedural += sum(1 for s in cur if s == ZERO)
-        cur = shift_code(cur)[:-1]
+    procedural = sum(cur.count(ZERO) for cur in _rounds(code))
     closed = _closed_form_exponent(code)
     if procedural != closed:
         raise FormulaProcedureMismatch(

@@ -17,8 +17,10 @@ from douglastile.matching import (
     MatchGraph,
     SizeLimit,
     _components,
+    _determinant,
     _kasteleyn_signs,
     _prepare,
+    _signed_rows,
     canonical_embedding,
     count_matchings,
     deletion_counts,
@@ -190,6 +192,18 @@ def test_zero_weight_edges_count_as_zero_not_absent():
     # degrees are all 2, so nothing is forced and nothing is deleted
     assert mult == 1
     assert len(reduced.edges) == 4
+
+
+def test_weighted_sign_comes_from_the_unit_determinant():
+    # this signing gives the 4-cycle a unit determinant of -2, so a
+    # weighted sum that dropped that sign, or took abs, would come out 2
+    verts = ((True, 0, 0), (False, 1, 0), (True, 1, 1), (False, 0, 1))
+    edges = ((0, 1), (1, 2), (2, 3), (3, 0))
+    g = MatchGraph(verts, edges, tuple(map(Fraction, (1, -3, 1, 1))))
+    black, adj, ends = _prepare(g)
+    neg, _ = _kasteleyn_signs(adj, ends, g, _components(black, adj))
+    assert _determinant(_signed_rows(black, ends, neg, ())) == -2
+    assert matching_generating_function(g) == -2 == permanent_oracle(g)
 
 
 def test_count_matchings_requires_unit_weights():

@@ -157,6 +157,12 @@ def test_singular_block_refused():
     assert err.value.block == (0, 0)
     with pytest.raises(SingularBlock):
         reduction_step(AztecDiamond(1, pat))
+    # the order-1 array holds only block (0, 0), but the whole pattern is
+    # renewed, so a singular pattern block (1, 0) is still refused
+    tall = WeightPattern(((1, 2), (3, 5), (1, 1), (0, 0)))
+    with pytest.raises(SingularBlock) as err:
+        reduction_step(AztecDiamond(1, tall))
+    assert err.value.block == (1, 0)
 
 
 def test_reduction_theorem_random_patterns():
