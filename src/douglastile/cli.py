@@ -1,9 +1,10 @@
 """Command line front end: count, verify, trace, render.
 
 Exit codes: 0 success, 1 at least one verification check failed, 2 the
-spec is malformed or does not describe a region, 3 an exact computation
-was refused for size, 4 an internal consistency check failed (a bug, not
-a property of the input).
+spec is malformed or does not describe a region, a `--spec` file cannot
+be read, an `--out` file cannot be written or `--matching` lacks
+`--format svg`, 3 an exact computation was refused for size, 4 an
+internal consistency check failed (a bug, not a property of the input).
 """
 
 from __future__ import annotations
@@ -296,8 +297,12 @@ def cmd_render(args) -> int:
             matching = perfect_matching(dual_graph(region))
         text = svg_region(region, matching)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"cannot write output: {exc}", file=sys.stderr)
+            return 2
     else:
         print(text)
     return 0

@@ -87,13 +87,13 @@ class CornerQuad(namedtuple("CornerQuad", "west south east north")):
 class CaseRecurrence(
     namedtuple(
         "CaseRecurrence",
-        "case_id normalized was_flipped subspecs multiplier identity"
-        " first_wide_index last_wide_index",
-        defaults=(None, None),
+        "case_id normalized was_flipped subspecs multiplier identity",
     )
 ):
-    """A recurrence step: its case, the normalized spec, its sub-specs (None
-    for the empty region), multiplier and identity text."""
+    """One row of the case table applied to `normalized` (the spec's
+    half-turn companion when `was_flipped`): the sub-specs (None for the
+    empty region), the multiplier and the identity text that solves for
+    the parent count."""
 
     __slots__ = ()
 
@@ -199,12 +199,12 @@ def _case_one(case_id: str, a: int, d: tuple[int, ...]):
     if case_id == "I.1":
         if k == 1:
             g1 = _subspec(a - 1, (d[0] - 2,))
-            return (g1, g1, _subspec(a - 2, (d[0] - 4,))), m, q
+            return g1, g1, _subspec(a - 2, (d[0] - 4,))
         return (
             _subspec(a - 1, (d[0] - 2,) + d[1:]),
             _subspec(a - 1, d[:-1] + (d[-1] - 2,)),
             _subspec(a - 2, (d[0] - 2,) + d[1:-1] + (d[-1] - 2,)),
-        ), m, q
+        )
     if case_id == "I.2":
         if m is None:
             raise CaseUnreachable("no second wide layer")
@@ -214,13 +214,13 @@ def _case_one(case_id: str, a: int, d: tuple[int, ...]):
             g3 = _subspec(a - m - 1, (d[m - 1] - 3,))
         else:
             g3 = _subspec(a - m - 1, (d[m - 1] - 1,) + d[m:-1] + (d[-1] - 2,))
-        return (g1, g2, g3), m, q
+        return g1, g2, g3
     if case_id == "I.3":
         return (
             _subspec(a, d[1:]),
             _subspec(a - 1, d[:-1] + (d[-1] - 2,)),
             _subspec(a - 1, d[1:-1] + (d[-1] - 2,)),
-        ), m, q
+        )
     if case_id == "I.4":
         if m is None or q is None or m > q:
             raise CaseUnreachable("wide layers out of order")
@@ -232,13 +232,13 @@ def _case_one(case_id: str, a: int, d: tuple[int, ...]):
             g3 = _subspec(
                 a - m - 1, (d[m - 1] - 1,) + d[m : q - 1] + (d[q - 1] - 1,)
             )
-        return (g1, g2, g3), m, q
+        return g1, g2, g3
     if case_id == "I.5":
         return (
             _subspec(a, d[1:]),
             _subspec(a - 1, d[:-1]),
             _subspec(a - 1, d[1:-1]),
-        ), m, q
+        )
     if case_id == "I.6":
         if q is None:
             raise CaseUnreachable("no interior wide layer")
@@ -246,7 +246,7 @@ def _case_one(case_id: str, a: int, d: tuple[int, ...]):
             _subspec(a, d[1:]),
             _subspec(a - 1, d[: q - 1] + (d[q - 1] - 1,)),
             _subspec(a - 1, d[1 : q - 1] + (d[q - 1] - 1,)),
-        ), m, q
+        )
     raise CaseUnreachable(case_id)
 
 
@@ -268,15 +268,9 @@ def _dispatch(spec: RegionSpec) -> CaseRecurrence:
     a = spec.side
     w = spec.width
     d = spec.distances
-    k = len(d)
 
-    if k == 1:
-        if a < 3:
-            raise BaseCase(spec, BASE_TABLE[spec])
-        subs, m, q = _case_one("I.1", a, d)
-        return CaseRecurrence(
-            "I.1", spec, False, subs, 2, _THREE_TERM, m, q
-        )
+    if len(d) == 1 and a < 3:
+        raise BaseCase(spec, BASE_TABLE[spec])
 
     if a >= 3 and w >= 3:
         flip = d[0] > d[-1]
@@ -297,9 +291,8 @@ def _dispatch(spec: RegionSpec) -> CaseRecurrence:
             case_id = "I.6"
         else:
             raise CaseUnreachable(f"unordered layer pair {first},{last}")
-        subs, m, q = _case_one(case_id, a, d)
         return CaseRecurrence(
-            case_id, norm, flip, subs, 2, _THREE_TERM, m, q
+            case_id, norm, flip, _case_one(case_id, a, d), 2, _THREE_TERM
         )
 
     # narrow side or narrow width: flip so the side is the narrow one
@@ -323,9 +316,7 @@ def _dispatch(spec: RegionSpec) -> CaseRecurrence:
                 _subspec(1, d[:-1]),
                 _subspec(1, d[1:-1]),
             )
-            return CaseRecurrence(
-                "II.2a", norm, flip, subs, 2, _THREE_TERM
-            )
+            return CaseRecurrence("II.2a", norm, flip, subs, 2, _THREE_TERM)
         if d == (1,) * (k - 1) + (4,):
             subs = (
                 _subspec(2, d[1:]),
@@ -354,8 +345,7 @@ def _dispatch(spec: RegionSpec) -> CaseRecurrence:
                 _subspec(1, d[1 : i - 1] + (2,)),
             )
             return CaseRecurrence(
-                "II.2b(ii)", norm, flip, subs, 2, _THREE_TERM,
-                last_wide_index=i,
+                "II.2b(ii)", norm, flip, subs, 2, _THREE_TERM
             )
         raise CaseUnreachable("narrow spec outside the classified forms")
 
@@ -457,13 +447,12 @@ def stats_deltas(
 ) -> dict:
     """Measured vs predicted width and cell-count drops of the sub-regions.
 
-    The predictions for the first deletion pair are unambiguous; the ones
-    for the other two pairs of the mixed boundary cases (I.4, I.6) depend
-    on how a summation bound is read, so both readings are reported: one
-    takes the bound from the number of lower-triangle lines, the other
-    from the number of layers.  The balance identity at the end restates
-    the exponent bookkeeping of the recurrence purely in measured
-    quantities and must always hold.
+    In the mixed boundary cases (I.4, I.6) the last two predictions sum
+    over the layers from the last wide one to the end of the tuple.
+    Reading that bound as the number of down-triangle lines instead fails
+    on every I.4 and I.6 spec, so only the layer-count reading is kept.
+    The balance identity at the end restates the exponent bookkeeping of
+    the recurrence purely in measured quantities and must always hold.
 
     Pass the same `memo` dict to several calls to build each region's
     cells once; it maps a spec to its `structural_stats`.
@@ -475,85 +464,43 @@ def stats_deltas(
         memo = {}
     parent = rec.normalized
     pstats = _region_stats(parent, memo)
-    a = parent.side
-    w = pstats.width
-    cells = pstats.regular_cells
-    k = len(parent.distances)
-    down_lines = pstats.down_triangle_lines
+    a, w, cells = parent.side, pstats.width, pstats.regular_cells
 
-    measured: list[dict | None] = []
+    # (width, regular cells) of each sub-region, (0, 0) for the empty one
+    got = []
     for g in rec.subspecs:
-        if g is None:
-            measured.append(None)
-            continue
-        gs = _region_stats(g, memo)
-        measured.append(
-            {"width": gs.width, "regular_cells": gs.regular_cells}
-        )
+        gs = None if g is None else _region_stats(g, memo)
+        got.append((0, 0) if gs is None else (gs.width, gs.regular_cells))
 
-    sub1 = {"width": w - 1, "regular_cells": cells - a - w}
+    # the second sub-region's width and the last two cell counts
+    if rec.case_id in ("I.4", "I.6"):
+        d = parent.distances
+        span = len(d) - _last_wide(d) + 1
+        pw = w - span
+        pc2 = cells - w - sum(w - i for i in range(span))
+        pc3 = cells - (a - 1) - 2 * w - sum(w - i - 1 for i in range(span))
+    elif rec.case_id == "I.5":
+        pw, pc2, pc3 = w, cells - w, cells - (a - 1) - 2 * w
+    else:
+        pw, pc2, pc3 = w - 1, cells - 2 * w, cells - (a - 1) - (w - 1) - 2 * w
+    predicted = [(w - 1, cells - a - w), (pw, pc2), (pw - 1, pc3)]
 
-    def tail_predictions(bound: int):
-        if rec.case_id in ("I.1", "I.2", "I.3"):
-            return (
-                {"width": w - 1, "regular_cells": cells - 2 * w},
-                {
-                    "width": w - 2,
-                    "regular_cells": cells - (a - 1) - (w - 1) - 2 * w,
-                },
-            )
-        if rec.case_id == "I.5":
-            return (
-                {"width": w, "regular_cells": cells - w},
-                {"width": w - 1, "regular_cells": cells - (a - 1) - 2 * w},
-            )
-        # I.4 and I.6: the bound argument feeds the summation
-        span = bound - rec.last_wide_index + 1
-        drop2 = sum(w - i for i in range(max(span, 0)))
-        drop3 = sum(w - i - 1 for i in range(max(span, 0)))
-        return (
-            {"width": w - span, "regular_cells": cells - w - drop2},
-            {
-                "width": w - span - 1,
-                "regular_cells": cells - (a - 1) - 2 * w - drop3,
-            },
-        )
-
-    predictions = {}
-    for name, bound in (("by_down_lines", down_lines), ("by_layer_count", k)):
-        p2, p3 = tail_predictions(bound)
-        predictions[name] = [sub1, p2, p3]
-
-    def matches(pred: dict, got: dict | None) -> bool:
-        if got is None:
-            got = {"width": 0, "regular_cells": 0}
-        return pred == got
-
-    agreement = {
-        name: [matches(p, m) for p, m in zip(preds, measured)]
-        for name, preds in predictions.items()
-    }
-
-    def cell_width(entry: dict | None) -> tuple[int, int]:
-        if entry is None:
-            return 0, 0
-        return entry["regular_cells"], entry["width"]
-
-    c1, w1 = cell_width(measured[0])
-    c2, w2 = cell_width(measured[1])
-    c3, w3 = cell_width(measured[2])
+    (w1, c1), (w2, c2), (w3, c3) = got
     balance_ok = (
         1 + c1 + c2 - _triangle(w1) - _triangle(w2)
         == cells + c3 - _triangle(w) - _triangle(w3)
     )
-
+    keys = ("width", "regular_cells")
     return {
         "case": rec.case_id,
         "flipped": rec.was_flipped,
         "normalized": parent.to_dict(),
-        "parent": {"width": w, "regular_cells": cells},
-        "measured": measured,
-        "predicted": predictions,
-        "agreement": agreement,
+        "parent": dict(zip(keys, (w, cells))),
+        "measured": [
+            None if g is None else dict(zip(keys, size))
+            for g, size in zip(rec.subspecs, got)
+        ],
+        "predicted": [dict(zip(keys, size)) for size in predicted],
+        "agreement": [p == size for p, size in zip(predicted, got)],
         "balance_ok": balance_ok,
     }

@@ -205,6 +205,19 @@ def test_verify_and_trace_golden_bytes(capsys):
     assert sha256(out) == (
         "accd951ebf4b504410e8336574ababc643c75712780ffcffa228ce3388d5eade"
     )
+    code, out, _ = run_cli(capsys, "verify", "--sweep", "10")
+    assert code == 0
+    assert sha256("\n".join(strip_timings(out)) + "\n") == (
+        "4125a3064bac4382ff506c4e2df749be86b674e281c6d0f4f74dbcf7ece5c72a"
+    )
+    code, out, _ = run_cli(
+        capsys, "trace", "--a", "24", "--d", "3,1,4,1,5,9,2,6,5,3,5",
+        "--kuo-max", "16",
+    )
+    assert code == 0
+    assert sha256(out) == (
+        "28e3befdc066209e5826e6a74a4be779b79b143234e7264f10f47b809446f9a5"
+    )
 
 
 def test_trace_small_spec(capsys):
@@ -378,6 +391,22 @@ def test_render_matching_needs_svg(capsys):
     )
     assert code == 2
     assert "svg" in err
+
+
+def test_render_unwritable_out_exits_two(tmp_path):
+    # a fresh process, so a traceback on stderr would show
+    proc = subprocess.run(
+        [sys.executable, "-m", "douglastile", "render", "--a", "3", "--d", "6",
+         "--format", "svg", "--out", str(tmp_path / "missing" / "x.svg")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("cannot write output: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_version_flag(capsys):

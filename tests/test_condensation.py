@@ -337,6 +337,7 @@ def test_corner_deletion_reproduces_first_subregion():
 
 def test_stats_deltas_layer_reading_and_balance():
     checked = 0
+    cases = set()
     for spec in valid_specs(10):
         try:
             rec = case_recurrence(spec)
@@ -346,9 +347,11 @@ def test_stats_deltas_layer_reading_and_balance():
             continue
         deltas = stats_deltas(spec)
         assert deltas["balance_ok"]
-        assert all(deltas["agreement"]["by_layer_count"])
+        assert deltas["agreement"] == [True, True, True]
+        cases.add(rec.case_id)
         checked += 1
     assert checked > 400
+    assert cases == {"I.1", "I.2", "I.3", "I.4", "I.5", "I.6"}
 
 
 def test_stats_deltas_memo_builds_each_region_once(monkeypatch):
