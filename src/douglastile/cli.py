@@ -197,7 +197,7 @@ def _verify_one(
     try:
         deltas = stats_deltas(spec, stats_memo)
         checks["case_deltas_balance"] = deltas["balance_ok"]
-    except (condensation.BaseCase, ValueError):
+    except (condensation.BaseCase, condensation.NotCaseOne):
         checks["case_deltas_balance"] = None
 
     stats_record = stats._asdict()
@@ -284,11 +284,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_render(args) -> int:
-    spec = _resolve_spec(args)
-    region = regions.build_region(spec.side, spec.distances)
     if args.matching and args.format != "svg":
         print("--matching needs --format svg", file=sys.stderr)
         return 2
+    spec = _resolve_spec(args)
+    region = regions.build_region(spec.side, spec.distances)
     if args.format == "ascii":
         text = ascii_region(region)
     else:

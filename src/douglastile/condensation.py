@@ -27,6 +27,7 @@ from .regions import RegionSpec
 __all__ = [
     "BaseCase",
     "CaseUnreachable",
+    "NotCaseOne",
     "DivisionInexact",
     "CornersNotFound",
     "BASE_TABLE",
@@ -55,6 +56,10 @@ class BaseCase(Exception):
 
 class CaseUnreachable(Exception):
     """No recurrence case matches; valid specs never land here."""
+
+
+class NotCaseOne(ValueError):
+    """`stats_deltas` predicts Case I sub-regions only; this spec is Case II."""
 
 
 class DivisionInexact(ArithmeticError):
@@ -455,11 +460,12 @@ def stats_deltas(
     the recurrence purely in measured quantities and must always hold.
 
     Pass the same `memo` dict to several calls to build each region's
-    cells once; it maps a spec to its `structural_stats`.
+    cells once; it maps a spec to its `structural_stats`.  A Case II spec
+    raises NotCaseOne, a base spec BaseCase.
     """
     rec = case_recurrence(spec)
     if not rec.case_id.startswith("I."):
-        raise ValueError("delta predictions cover Case I specs only")
+        raise NotCaseOne("delta predictions cover Case I specs only")
     if memo is None:
         memo = {}
     parent = rec.normalized

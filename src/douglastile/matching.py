@@ -3,16 +3,24 @@
 The main entry points count matchings (or sum matching weights) with one
 Kasteleyn determinant (Kasteleyn, "The statistics of dimers on a
 lattice", 1961; Kuperberg, "An exploration of the permanent-determinant
-method", 1998).  The cyclic order of neighbours read off the vertex
-coordinates gives the faces; each component must come out plane
-(V - E + F = 2), or the graph is refused with ValueError.  Coordinates
-are ints (region duals sit in sixths of a lattice unit, Aztec graphs on
-the integer lattice) or any rationals, and the order is exact on both
-with no rescaling.  The edges are signed so that every face walk of
-length 2k but each component's outer walk (the one walk of shoelace
-area <= 0) has k + 1 negative edges mod 2; then every perfect matching
-enters the determinant of the signed black x white matrix with the same
-sign, and the determinant is one sparse exact elimination.
+method", 1998).  The edges are signed so that every face walk of length
+2k but each component's outer walk has k + 1 negative edges mod 2; then
+every perfect matching enters the determinant of the signed black x
+white matrix with the same sign, and the determinant is one sparse exact
+elimination.
+
+A region dual from `dual_graph` carries its signing: the square-lattice
+parity rule on cell anchors, and which cells lie on the outer face, both
+read off the cells when the graph is made.  Any other graph, `without`'s
+subgraphs included, is signed from its drawing.  The cyclic order of
+neighbours read off the vertex coordinates gives the face walks; each
+component must come out plane (V - E + F = 2), or the graph is refused
+with ValueError.  A component's outer walk is its one walk of shoelace
+area <= 0, and the signs are fixed face by face along a spanning tree
+of the dual.
+Coordinates are ints (region duals sit in sixths of a lattice unit,
+Aztec graphs on the integer lattice) or any rationals, and the order is
+exact on both with no rescaling.
 
 `deletion_counts` counts several subgraphs G - S from one signing of G.
 When every vertex of S lies on the outer walk of its component, the
@@ -43,7 +51,7 @@ from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
 
-from .regions import Color, Region, _shared_sides
+from .regions import CellKind, Color, Region, _shared_sides
 
 __all__ = [
     "RYSER_LIMIT",
@@ -76,32 +84,41 @@ class OuterFaceError(ValueError):
     """A vertex to delete is not on the outer face walk of its component."""
 
 
-class MatchGraph(namedtuple("MatchGraph", "vertices edges weights")):
+class MatchGraph(namedtuple("MatchGraph", "vertices edges weights signing")):
     """A bipartite graph drawn in the plane; vertex i is `vertices[i]`.
 
     A vertex is `(is_black, x, y)`, the coordinates ints or any rationals,
     and an edge a pair of vertex positions.  `weights` runs parallel to
-    `edges`; None means every weight is 1.  An edge end that is no
-    position, or weights unlike the edges in length, raise ValueError.
-    `_make` and `_replace` skip `__new__` and these checks; this package
-    calls neither.
+    `edges`; None means every weight is 1.  `signing` is None or a pair
+    `(negated, outer)` of flag sequences: `negated[e]` marks edge e of a
+    Kasteleyn signing and `outer[i]` marks vertex i as on the outer face
+    walk of its component.  The counts trust a given signing; without one
+    they sign the graph from its drawing.  An edge end that is no position,
+    or weights or signing flags unlike the edges or vertices in length,
+    raise ValueError.  `_make` and `_replace` skip `__new__` and these
+    checks; this package calls neither.
     """
 
     __slots__ = ()
 
-    def __new__(cls, vertices, edges, weights=None) -> MatchGraph:
+    def __new__(cls, vertices, edges, weights=None, signing=None) -> MatchGraph:
         ends = [i for edge in edges for i in edge]
         if ends and not 0 <= min(ends) <= max(ends) < len(vertices):
             raise ValueError("edge end is not a vertex position")
         if weights is not None and len(weights) != len(edges):
             raise ValueError("weights and edges differ in length")
-        return super().__new__(cls, vertices, edges, weights)
+        if signing is not None:
+            negated, outer = signing
+            if len(negated) != len(edges) or len(outer) != len(vertices):
+                raise ValueError("signing flags unlike the edges or vertices")
+        return super().__new__(cls, vertices, edges, weights, signing)
 
     def without(self, positions) -> MatchGraph:
         """Induced subgraph after deleting the vertices at `positions`.
 
         The survivors keep their order and are renumbered from 0; each
-        surviving edge keeps its weight.
+        surviving edge keeps its weight.  The signing is dropped, since
+        deleting vertices can move others onto the outer face.
         """
         drop = set(positions)
         # new[i] is the position of survivor i, -1 for a deleted vertex
@@ -129,6 +146,14 @@ def _weights(graph: MatchGraph):
     return graph.weights or (1,) * len(graph.edges)
 
 
+# the lattice corners of a cell, as offsets from its anchor
+_CORNERS = {
+    CellKind.SQUARE: ((0, 0), (1, 0), (0, 1), (1, 1)),
+    CellKind.UP: ((0, 0), (0, 1), (1, 1)),
+    CellKind.DOWN: ((0, 0), (1, 0), (1, 1)),
+}
+
+
 def dual_graph(region: Region) -> MatchGraph:
     """One vertex per cell, one edge per shared cell side, unit weights.
 
@@ -136,36 +161,64 @@ def dual_graph(region: Region) -> MatchGraph:
     east, which keeps the elimination front of the determinant to roughly
     one line of cells.  Each vertex sits at its cell's centroid, in
     integer sixths of a lattice unit.
+
+    The graph carries a lattice Kasteleyn signing, the parity rule that
+    Kasteleyn (1961) gave the square grid.  Two cells with the same anchor
+    x, across a square's south side or a cut diagonal, have their edge
+    negated when that x is odd; cells across an east side never do.  A
+    bounded face is an interior lattice point.  With four cells around it
+    the face gets one negated edge; with six (the drawn diagonal through
+    it cuts its NE and SW squares) it gets two, so a face of length 2k
+    has k + 1 mod 2.  A cell lies on the outer face when one of its
+    corners lacks one of the four lattice squares around it.
     """
-    verts = tuple(
-        (cell.color is Color.BLACK, *cell.center) for cell in region.cells
-    )
-    return MatchGraph(verts, tuple(sorted(_shared_sides(region.cells))))
+    cells = region.cells
+    edges = tuple(sorted(_shared_sides(cells)))
+    xs = [cell.anchor[0] for cell in cells]
+    negated = bytes([xs[i] == xs[j] and xs[i] & 1 for i, j in edges])
+    # region squares around each lattice point; four make it interior
+    around: dict[tuple[int, int], int] = {}
+    for x, y in {cell.anchor for cell in cells}:
+        for p in ((x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1)):
+            around[p] = around.get(p, 0) + 1
+    outer = bytearray(len(cells))
+    for i, cell in enumerate(cells):
+        x, y = cell.anchor
+        for dx, dy in _CORNERS[cell.kind]:
+            if around[x + dx, y + dy] < 4:
+                outer[i] = 1
+                break
+    verts = tuple((cell.color is Color.BLACK, *cell.center) for cell in cells)
+    return MatchGraph(verts, edges, None, (negated, bytes(outer)))
 
 
-def _prepare(graph: MatchGraph):
-    """Colour flags, adjacency and edge ends by vertex position, validated.
+def _ends(graph: MatchGraph):
+    """Colour flags and the (black, white) ends of each edge, validated.
 
-    `black[i]` tells the colour class, `adj[i]` lists (neighbour, edge
-    index) pairs and `ends[e]` is the (black, white) pair of edge e.
+    Refuses a self-loop, a parallel edge and an edge inside one colour
+    class with ValueError.
     """
     black = [v[0] for v in graph.vertices]
-    adj: list[list[tuple[int, int]]] = [[] for _ in graph.vertices]
     ends: list[tuple[int, int]] = []
-    seen = set()
     for i, j in graph.edges:
         if i == j:
             raise ValueError("self-loops are not allowed")
-        key = (i, j) if i < j else (j, i)
-        if key in seen:
-            raise ValueError("parallel edges are not allowed")
-        seen.add(key)
         if black[i] == black[j]:
             raise ValueError("edge inside one part of the bipartition")
-        adj[i].append((j, len(ends)))
-        adj[j].append((i, len(ends)))
         ends.append((i, j) if black[i] else (j, i))
-    return black, adj, ends
+    # two edges on one vertex pair have the same (black, white) ends
+    if len(set(ends)) != len(ends):
+        raise ValueError("parallel edges are not allowed")
+    return black, ends
+
+
+def _adjacency(graph: MatchGraph):
+    """(neighbour, edge index) pairs of each vertex, in edge order."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in graph.vertices]
+    for e, (i, j) in enumerate(graph.edges):
+        adj[i].append((j, e))
+        adj[j].append((i, e))
+    return adj
 
 
 def _components(black, adj):
@@ -229,19 +282,15 @@ def _rotation(graph: MatchGraph, adj):
     return rot
 
 
-def _kasteleyn_signs(adj, ends, graph, parts):
-    """Edge flags `neg` of a Kasteleyn signing, and outer-face flags by vertex.
+def _face_walks(graph: MatchGraph, adj, n_edges: int):
+    """The face walks of the rotation system read off the coordinates.
 
-    `parts` is what `_components` returned.  Each component's outer face
-    walk is its walk of least shoelace area, the one walk of area <= 0 in
-    a plane drawing; every other walk of length 2k gets k + 1 negative
-    edges mod 2, whatever the colour balance.  `outer[i]` is 1 when vertex
-    i lies on the outer walk of its component (an isolated vertex does).
-    Raises ValueError unless the rotation system read off the coordinates
-    has genus zero on every component, which is the hypothesis of
-    Kasteleyn's theorem.
+    A dart is one end of an edge: the k-th dart around vertex i runs
+    from i along its k-th edge counterclockwise.  Returns `(faces, target,
+    edge_of, rev, face_of)`: `faces` lists each walk's darts in order,
+    dart d runs along edge `edge_of[d]` to vertex `target[d]`, `rev[d]`
+    is the same edge run the other way and `face_of[d]` the walk of d.
     """
-    comp, ncomp, tree, _ = parts
     rot = _rotation(graph, adj)
     # darts: offset[i] + k is the k-th edge end around vertex i
     offset = [0]
@@ -251,7 +300,7 @@ def _kasteleyn_signs(adj, ends, graph, parts):
     target = [0] * ndarts
     edge_of = [0] * ndarts
     rev = [0] * ndarts
-    first_dart = [-1] * len(ends)
+    first_dart = [-1] * n_edges
     d = 0
     for pairs in rot:
         for j, e in pairs:
@@ -280,6 +329,23 @@ def _kasteleyn_signs(adj, ends, graph, parts):
             v = target[d]
             d = r - 1 if r > offset[v] else offset[v + 1] - 1
         faces.append(walk)
+    return faces, target, edge_of, rev, face_of
+
+
+def _kasteleyn_signs(adj, ends, graph, parts):
+    """Edge flags `neg` of a Kasteleyn signing, and outer-face flags by vertex.
+
+    `parts` is what `_components` returned.  Each component's outer face
+    walk is its walk of least shoelace area, the one walk of area <= 0 in
+    a plane drawing; every other walk of length 2k gets k + 1 negative
+    edges mod 2, whatever the colour balance.  `outer[i]` is 1 when vertex
+    i lies on the outer walk of its component (an isolated vertex does).
+    Raises ValueError unless the rotation system read off the coordinates
+    has genus zero on every component, which is the hypothesis of
+    Kasteleyn's theorem.
+    """
+    comp, ncomp, tree, _ = parts
+    faces, target, edge_of, rev, face_of = _face_walks(graph, adj, len(ends))
     # V - E + F = 2 - 2g on each component, an isolated vertex having
     # one face and no walk, so the totals reach two per component only if
     # every component has genus zero
@@ -507,14 +573,21 @@ def _deletion_sums(graph: MatchGraph, deletions, weights) -> list:
             f"{len(graph.vertices)} vertices exceed {VERTEX_LIMIT}"
         )
     drops = [set(drop) for drop in deletions]
-    black, adj, ends = _prepare(graph)
-    parts = _components(black, adj)
-    balanced = parts[3]
-    # an unbalanced component leaves G itself no matching, but G - S may
-    # have one, so the signing is skipped only when no S is asked for
-    if not balanced and not any(drops):
-        return [0] * len(drops)
-    neg, outer = _kasteleyn_signs(adj, ends, graph, parts)
+    black, ends = _ends(graph)
+    if graph.signing is None:
+        adj = _adjacency(graph)
+        parts = _components(black, adj)
+        balanced = parts[3]
+        # an unbalanced component leaves G itself no matching, but G - S
+        # may have one, so the signing is skipped only when no S is asked
+        if not balanced and not any(drops):
+            return [0] * len(drops)
+        neg, outer = _kasteleyn_signs(adj, ends, graph, parts)
+    else:
+        # a given signing holds on every component, so one with unequal
+        # colour classes shows up as a zero determinant
+        neg, outer = graph.signing
+        balanced = True
     for drop in drops:
         for v in drop:
             if not (0 <= v < len(outer) and outer[v]):
@@ -549,7 +622,8 @@ def _deletion_sums(graph: MatchGraph, deletions, weights) -> list:
 def deletion_counts(graph: MatchGraph, deletions) -> list[int]:
     """Perfect matchings of G - S for each vertex set S in `deletions`.
 
-    G is signed once.  Each G - S keeps G's signed rows less those of S,
+    G is signed once, or carries its signing (a graph from `dual_graph`
+    does).  Each G - S keeps G's signed rows less those of S,
     re-ranked, and gets its own exact determinant.  Every vertex of S
     must lie on the outer face walk of its component, or OuterFaceError
     is raised: then the bounded faces of G - S are the bounded faces of G
@@ -661,7 +735,7 @@ def perfect_matching(graph: MatchGraph) -> list[tuple[int, int]] | None:
     Each pair and the list are in ascending order.  For a dual graph the
     positions are cell indices, which is what `render.svg_region` draws.
     """
-    black, _, ends = _prepare(graph)
+    black, ends = _ends(graph)
     blacks = [i for i, is_black in enumerate(black) if is_black]
     whites = [i for i, is_black in enumerate(black) if not is_black]
     if len(blacks) != len(whites):

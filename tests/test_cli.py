@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from douglastile import condensation, matching, regions
+from douglastile import cli, condensation, matching, regions
 from douglastile.cli import main
 from douglastile.regions import Color
 
@@ -192,6 +192,34 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     assert json.loads(lines[-1]) == {"summary": {"passed": 0, "failed": 1}}
 
 
+def test_verify_surfaces_a_fault_inside_stats_deltas(capsys, monkeypatch):
+    # only a base or Case II spec leaves `case_deltas_balance` null; any
+    # other ValueError raised while the deltas are measured is a fault and
+    # must not end in an `ok` report
+    real_deltas, real_stats = cli.stats_deltas, regions.structural_stats
+    inside = []
+
+    def deltas(*args):
+        inside.append(1)
+        try:
+            return real_deltas(*args)
+        finally:
+            inside.pop()
+
+    def stats(region):
+        if inside:
+            raise ValueError("injected")
+        return real_stats(region)
+
+    code, out, _ = run_cli(capsys, "verify", *DEEP)
+    assert code == 0
+    assert json.loads(out.splitlines()[0])["checks"]["case_deltas_balance"]
+    monkeypatch.setattr(cli, "stats_deltas", deltas)
+    monkeypatch.setattr(regions, "structural_stats", stats)
+    with pytest.raises(ValueError, match="injected"):
+        run_cli(capsys, "verify", *DEEP)
+
+
 def test_verify_and_trace_golden_bytes(capsys):
     # digests of the verify and trace output frozen from a reference run;
     # any change to a report byte (timings aside) must be deliberate
@@ -267,38 +295,55 @@ def test_trace_kuo_max_zero_disables_counts(capsys):
     assert all(r["kuo"] is None for r in records)
 
 
-def count_signings(monkeypatch):
-    """A list that grows by one item per Kasteleyn signing from now on."""
+def count_calls(monkeypatch, owner, name):
+    """A list that grows by one item per call of `owner.name` from now on."""
     calls = []
-    real = matching._kasteleyn_signs
+    real = getattr(owner, name)
 
     def counted(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(matching, "_kasteleyn_signs", counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
+def count_graphs_and_signings(monkeypatch):
+    """Call lists of the CLI's `dual_graph` and of the face-walk signer."""
+    return (
+        count_calls(monkeypatch, cli, "dual_graph"),
+        count_calls(monkeypatch, matching, "_kasteleyn_signs"),
+    )
+
+
 def test_trace_signs_each_kuo_graph_once(capsys, monkeypatch):
-    # the six Kuo counts of a block share one signing of its graph
-    calls = count_signings(monkeypatch)
+    # each Kuo block is signed once, when its one dual graph is built:
+    # the six counts use that lattice signing, never the face-walk signer
+    graphs, signings = count_graphs_and_signings(monkeypatch)
     code, out, _ = run_cli(
         capsys, "trace", "--d", "4,2,5,4,3,6,2,3", "--kuo-max", "16"
     )
     assert code == 0
     blocks = [json.loads(line)["kuo"] for line in out.strip().splitlines()]
-    signed = [block for block in blocks if block is not None]
-    assert len(signed) > 1
-    assert len(calls) == len(signed)
+    counted = [block for block in blocks if block is not None]
+    assert len(counted) > 1
+    assert len(graphs) == len(counted)
+    assert signings == []
 
 
 def test_verify_signs_each_region_once(capsys, monkeypatch):
-    # with a Kuo check, the brute count is the Kuo block's full count
-    calls = count_signings(monkeypatch)
+    # each region is signed once, when its one dual graph is built, and
+    # counted with that lattice signing (with a Kuo check, the brute count
+    # is the Kuo block's full count); `count --engine brute` likewise
+    graphs, signings = count_graphs_and_signings(monkeypatch)
     code, out, _ = run_cli(capsys, "verify", "--sweep", "8")
     assert code == 0
-    assert len(calls) == json.loads(out.splitlines()[-1])["summary"]["valid"]
+    assert len(graphs) == json.loads(out.splitlines()[-1])["summary"]["valid"]
+    graphs.clear()
+    code, out, _ = run_cli(capsys, "count", "--engine", "brute", *DEEP)
+    assert code == 0 and out == "536870912\n"
+    assert len(graphs) == 1
+    assert signings == []
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
@@ -378,19 +423,16 @@ def test_render_matching_on_aztec_32():
     assert proc.stdout.count("<line") == 1056
 
 
-def test_render_matching_needs_svg(capsys):
-    code, _, err = run_cli(
-        capsys,
-        "render",
-        "--a",
-        "2",
-        "--d",
-        "4",
-        "--matching",
-        "sample-by-forced-order",
-    )
-    assert code == 2
-    assert "svg" in err
+def test_render_matching_needs_svg(capsys, monkeypatch):
+    # the usage error is found before any cell is built
+    built = []
+    monkeypatch.setattr(regions, "build_region", lambda *args: built.append(args))
+    for spec in (["--a", "2", "--d", "4"], ["--d", "4,2,5,4"]):
+        code, out, err = run_cli(
+            capsys, "render", *spec, "--matching", "sample-by-forced-order"
+        )
+        assert (code, out, err) == (2, "", "--matching needs --format svg\n")
+    assert built == []
 
 
 def test_render_unwritable_out_exits_two(tmp_path):

@@ -11,6 +11,7 @@ from douglastile.condensation import (
     CornerQuad,
     CornersNotFound,
     DivisionInexact,
+    NotCaseOne,
     canonical_spec,
     case_recurrence,
     condensation_count,
@@ -377,7 +378,7 @@ def test_stats_deltas_memo_builds_each_region_once(monkeypatch):
 
 
 def test_stats_deltas_rejects_case_two():
-    with pytest.raises(ValueError):
+    with pytest.raises(NotCaseOne):
         stats_deltas(RegionSpec(1, (1, 1, 1, 2)))
 
 

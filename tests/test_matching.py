@@ -16,10 +16,12 @@ from douglastile.matching import (
     VERTEX_LIMIT,
     MatchGraph,
     SizeLimit,
+    _adjacency,
     _components,
     _determinant,
+    _ends,
+    _face_walks,
     _kasteleyn_signs,
-    _prepare,
     _signed_rows,
     canonical_embedding,
     count_matchings,
@@ -51,6 +53,13 @@ def bipartite(n_black, n_white, mask, weights=None):
     return MatchGraph(
         tuple(verts), tuple(edges), None if weights is None else tuple(picked)
     )
+
+
+def general_signing(g):
+    """(negated, outer) flags of the face-walk signer, ignoring `g.signing`."""
+    black, ends = _ends(g)
+    adj = _adjacency(g)
+    return _kasteleyn_signs(adj, ends, g, _components(black, adj))
 
 
 def path(n):
@@ -147,7 +156,10 @@ def test_non_plane_graph_is_refused():
 def test_sweep_order_insensitive_to_positions():
     # counting must not depend on where the vertices of a plane drawing
     # sit: turned, sheared apart, mirrored, or scaled from int sixths to
-    # lattice units (Fraction halves and thirds), the count stays
+    # lattice units (Fraction halves and thirds), the count stays.  The
+    # region duals are counted with their lattice signing, the moved
+    # graphs (built without one) with the face-walk signer, so this also
+    # compares the two paths
     for g in (
         dual_graph(build_region(7, (4, 2, 5, 4))),
         dual_graph(build_region(15, (4, 2, 5, 4, 3, 6, 2, 3))),
@@ -200,8 +212,8 @@ def test_weighted_sign_comes_from_the_unit_determinant():
     verts = ((True, 0, 0), (False, 1, 0), (True, 1, 1), (False, 0, 1))
     edges = ((0, 1), (1, 2), (2, 3), (3, 0))
     g = MatchGraph(verts, edges, tuple(map(Fraction, (1, -3, 1, 1))))
-    black, adj, ends = _prepare(g)
-    neg, _ = _kasteleyn_signs(adj, ends, g, _components(black, adj))
+    black, ends = _ends(g)
+    neg, _ = general_signing(g)
     assert _determinant(_signed_rows(black, ends, neg, ())) == -2
     assert matching_generating_function(g) == -2 == permanent_oracle(g)
 
@@ -442,6 +454,53 @@ def test_deletion_off_outer_face_raises():
         deletion_counts(g, ((len(g.vertices),),))
 
 
+def _area(pos, target, walk):
+    # twice the shoelace area of a face walk; only the outer walk is <= 0
+    u = target[walk[-1]]
+    area = 0
+    for d in walk:
+        v = target[d]
+        area += pos[u][0] * pos[v][1] - pos[v][0] * pos[u][1]
+        u = v
+    return area
+
+
+def test_lattice_signing_is_kasteleyn_face_by_face():
+    # `dual_graph`'s parity rule, checked on the face walks of the
+    # face-walk signer: every bounded walk of length 2k has k + 1 negated
+    # edges mod 2, and the outer-face flags are that signer's, on every
+    # region with total <= 12 and on the Aztec duals (n; 2n), n <= 20
+    graphs = [
+        dual_graph(build_region(s.side, s.distances)) for s in valid_specs(12)
+    ]
+    assert len(graphs) == 2047
+    graphs += [_aztec_dual(n) for n in range(1, 21)]
+    for g in graphs:
+        negated, outer = g.signing
+        faces, target, edge_of, _, _ = _face_walks(g, _adjacency(g), len(g.edges))
+        pos = [v[1:] for v in g.vertices]
+        bounded = [walk for walk in faces if _area(pos, target, walk) > 0]
+        # a region dual is connected, so Euler leaves one outer walk
+        assert len(bounded) == len(faces) - 1 == len(g.edges) - len(g.vertices) + 1
+        for walk in bounded:
+            odd = sum(negated[edge_of[d]] for d in walk)
+            assert odd % 2 == (len(walk) // 2 + 1) % 2
+        assert outer == general_signing(g)[1]
+
+
+def test_signing_flags_are_checked_and_dropped_by_without():
+    g = dual_graph(build_region(7, (4, 2, 5, 4)))
+    negated, outer = g.signing
+    assert len(negated) == len(g.edges) and len(outer) == len(g.vertices)
+    for bad in ((negated[1:], outer), (negated, outer + b"\0"), (b"", b"")):
+        with pytest.raises(ValueError, match="signing flags"):
+            MatchGraph(g.vertices, g.edges, None, bad)
+    # deleting vertices can move others onto the outer face
+    assert g.without(()).signing is None
+    assert g.without([0, 1]).signing is None
+    assert MatchGraph(g.vertices, g.edges).signing is None
+
+
 def _centroid(cell):
     # the mean of the cell's corners, as exact fractions of a lattice unit
     x, y = cell.anchor
@@ -482,11 +541,7 @@ def test_rational_positions_order_exactly():
             g.edges,
         )
         assert {x.denominator for _, x, _ in scaled.vertices} == {2, 3}
-        signs = []
-        for h in (g, scaled):
-            black, adj, ends = _prepare(h)
-            signs.append(_kasteleyn_signs(adj, ends, h, _components(black, adj)))
-        assert signs[0] == signs[1]
+        assert general_signing(g) == general_signing(scaled)
         assert count_matchings(scaled) == count_matchings(g)
 
 
