@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 at least one verification check failed, 2 the
 spec is malformed or does not describe a region, a `--spec` file cannot
 be read, an `--out` file cannot be written or `--matching` lacks
 `--format svg`, 3 an exact computation was refused for size, 4 an
-internal consistency check failed (a bug, not a property of the input).
+internal consistency check failed or any other exception escaped (a bug,
+not a property of the input), with one `internal error:` line.
 """
 
 from __future__ import annotations
@@ -323,5 +324,11 @@ def main(argv=None) -> int:
         return 3
     except _INTERNAL as exc:
         reason = getattr(exc, "reason", str(exc))
+        print(f"internal error: {reason}", file=sys.stderr)
+        return 4
+    except Exception as exc:
+        # anything else escaping an engine is a bug as well, the
+        # elimination's ArithmeticError on an inexact division included
+        reason = " ".join(f"{type(exc).__name__}: {exc}".split())
         print(f"internal error: {reason}", file=sys.stderr)
         return 4

@@ -113,11 +113,24 @@ def test_count_prints_past_the_int_digit_limit(capsys):
 
 
 def test_brute_size_limit_exits_three(capsys):
+    # an Aztec dual of order n has 2n(n + 1) vertices: 160 is the last
+    # order under the limit and 161 the first refused
+    assert 2 * 160 * 161 <= matching.VERTEX_LIMIT < 2 * 161 * 162
     code, _, err = run_cli(
-        capsys, "count", "--a", "53", "--d", "106", "--engine", "brute"
+        capsys, "count", "--a", "161", "--d", "322", "--engine", "brute"
     )
     assert code == 3
-    assert err.startswith("size limit:")
+    assert err == "size limit: 52164 vertices exceed 52000\n"
+
+
+@pytest.mark.parametrize(
+    "spec", [("--a", "64", "--d", "128"), ("--d", "30,30,30,31")]
+)
+def test_brute_counts_large_duals(capsys, spec):
+    # 8,320 and 7,624 vertices: unit pivots keep each elimination short
+    code, brute, _ = run_cli(capsys, "count", *spec, "--engine", "brute")
+    assert code == 0
+    assert brute == run_cli(capsys, "count", *spec)[1]
 
 
 def test_recurrence_failure_exits_four(capsys, monkeypatch):
@@ -216,8 +229,25 @@ def test_verify_surfaces_a_fault_inside_stats_deltas(capsys, monkeypatch):
     assert json.loads(out.splitlines()[0])["checks"]["case_deltas_balance"]
     monkeypatch.setattr(cli, "stats_deltas", deltas)
     monkeypatch.setattr(regions, "structural_stats", stats)
-    with pytest.raises(ValueError, match="injected"):
-        run_cli(capsys, "verify", *DEEP)
+    code, out, err = run_cli(capsys, "verify", *DEEP)
+    assert code == 4
+    assert out == ""
+    assert err == "internal error: ValueError: injected\n"
+
+
+def test_inexact_elimination_exits_four(capsys, monkeypatch):
+    # the exact-division guard of the determinant is no input's fault
+    def inexact(rows):
+        raise ArithmeticError("fraction-free elimination did not divide")
+
+    monkeypatch.setattr(matching, "_determinant", inexact)
+    code, out, err = run_cli(capsys, "count", *DEEP, "--engine", "brute")
+    assert code == 4
+    assert out == ""
+    assert err == (
+        "internal error: ArithmeticError: "
+        "fraction-free elimination did not divide\n"
+    )
 
 
 def test_verify_and_trace_golden_bytes(capsys):

@@ -6,7 +6,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_count, valid_specs
@@ -216,6 +216,51 @@ def test_weighted_sign_comes_from_the_unit_determinant():
     neg, _ = general_signing(g)
     assert _determinant(_signed_rows(black, ends, neg, ())) == -2
     assert matching_generating_function(g) == -2 == permanent_oracle(g)
+
+
+def fraction_determinant(matrix):
+    """Determinant by Gaussian elimination over Fraction, rows swapped."""
+    a = [[Fraction(v) for v in row] for row in matrix]
+    det = Fraction(1)
+    for c in range(len(a)):
+        p = next((r for r in range(c, len(a)) if a[r][c]), None)
+        if p is None:
+            return 0
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, len(a)):
+            f = a[r][c] / a[c][c]
+            for k in range(c, len(a)):
+                a[r][k] -= f * a[c][k]
+    return det
+
+
+@given(
+    matrix=st.integers(0, 7).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    ),
+    repeat=st.booleans(),
+)
+@example(matrix=[], repeat=False)
+@example(matrix=[[2, 1], [1, 1]], repeat=False)
+@example(matrix=[[0, 1, 0], [2, 0, 0], [0, 0, -3]], repeat=False)
+@example(matrix=[[2, 3], [3, 2]], repeat=False)
+@settings(max_examples=500, deadline=None)
+def test_determinant_matches_fraction_elimination(matrix, repeat):
+    # entries of +-2 and +-3 leave some columns without a unit entry, and
+    # a unit below the first candidate row moves the pivot off the
+    # diagonal, so the fallback and the permutation sign are both reached;
+    # `repeat` makes the last row a copy of the first, a singular matrix
+    if repeat and len(matrix) > 1:
+        matrix[-1] = list(matrix[0])
+    rows = [{c: v for c, v in enumerate(row) if v} for row in matrix]
+    assert _determinant(rows) == fraction_determinant(matrix)
 
 
 def test_count_matchings_requires_unit_weights():
