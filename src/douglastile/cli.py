@@ -5,13 +5,16 @@ spec is malformed or does not describe a region, a `--spec` file cannot
 be read, an `--out` file cannot be written or `--matching` lacks
 `--format svg`, 3 an exact computation was refused for size, 4 an
 internal consistency check failed or any other exception escaped (a bug,
-not a property of the input), with one `internal error:` line.
+not a property of the input), with one `internal error:` line, 141 the
+reader closed stdout early (128 + SIGPIPE, as a shell reports a writer
+killed by that signal), silently.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -105,34 +108,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_spec(args) -> RegionSpec:
+def _resolve(args) -> tuple[RegionSpec, regions.Region | None]:
+    """The command line's spec, and its region if deriving the side built it."""
     if args.spec:
         try:
             with open(args.spec, encoding="utf-8") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise SpecInvalid(f"cannot read spec file: {exc}") from None
-        return regions.spec_from_json(text)
+        return regions.spec_from_json(text), None
     if args.d is None:
         raise SpecInvalid(regions.REASON_POSITIVE)
     if args.a is None:
         # the side is determined by the distances; borrow it
-        return regions.find_region(args.d).spec
-    return RegionSpec(args.a, args.d)
+        region = regions.find_region(args.d)
+        return region.spec, region
+    return RegionSpec(args.a, args.d), None
+
+
+def _resolve_region(args) -> regions.Region:
+    spec, region = _resolve(args)
+    return region or regions.build_region(spec.side, spec.distances)
 
 
 def cmd_count(args) -> int:
-    spec = _resolve_spec(args)
     if args.engine == "brute":
-        result = count_matchings(dual_graph(regions.build_region(spec.side, spec.distances)))
+        result = count_matchings(dual_graph(_resolve_region(args)))
+    elif args.engine == "formula":
+        result = regions.formula_count(_resolve_region(args))
     elif args.engine == "condense":
-        result = condensation_count(spec)
-    elif args.engine == "shuffle":
-        result = shuffle.shuffle_count(spec)
+        result = condensation_count(_resolve(args)[0])
     else:
-        result = regions.formula_count(
-            regions.build_region(spec.side, spec.distances)
-        )
+        result = shuffle.shuffle_count(_resolve(args)[0])
     print(result)
     return 0
 
@@ -202,7 +209,6 @@ def _verify_one(
         checks["case_deltas_balance"] = None
 
     stats_record = stats._asdict()
-    del stats_record["total_size"]
     stats_record["total"] = total
     report = {
         "tool": f"douglastile {__version__}",
@@ -231,7 +237,7 @@ def _kuo_block(spec: RegionSpec, kuo_max: int) -> dict | None:
 
 
 def cmd_trace(args) -> int:
-    spec = _resolve_spec(args)
+    spec, _ = _resolve(args)
     for record in condensation.trace_recurrence(spec):
         node = dict(record)
         node_spec = RegionSpec(node["spec"]["a"], tuple(node["spec"]["d"]))
@@ -273,10 +279,7 @@ def cmd_verify(args) -> int:
             }
         }
     else:
-        spec = _resolve_spec(args)
-        report = _verify_one(
-            regions.build_region(spec.side, spec.distances), memo, stats_memo
-        )
+        report = _verify_one(_resolve_region(args), memo, stats_memo)
         print(json.dumps(report, sort_keys=True))
         passed, failed = (1, 0) if report["ok"] else (0, 1)
         summary = {"summary": {"passed": passed, "failed": failed}}
@@ -288,8 +291,7 @@ def cmd_render(args) -> int:
     if args.matching and args.format != "svg":
         print("--matching needs --format svg", file=sys.stderr)
         return 2
-    spec = _resolve_spec(args)
-    region = regions.build_region(spec.side, spec.distances)
+    region = _resolve_region(args)
     if args.format == "ascii":
         text = ascii_region(region)
     else:
@@ -315,7 +317,10 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a closed stdout must surface here, not in the interpreter's last flush
+        sys.stdout.flush()
+        return code
     except SpecInvalid as exc:
         print(f"invalid spec: {exc.reason}", file=sys.stderr)
         return 2
@@ -326,6 +331,10 @@ def main(argv=None) -> int:
         reason = getattr(exc, "reason", str(exc))
         print(f"internal error: {reason}", file=sys.stderr)
         return 4
+    except BrokenPipeError:
+        # the reader left; devnull takes what the exit flush still holds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except Exception as exc:
         # anything else escaping an engine is a bug as well, the
         # elimination's ArithmeticError on an inexact division included

@@ -11,10 +11,16 @@ remaining sides are plain zigzags, so the whole region is determined by
 the spec.
 
 Cells are checkerboard coloured by diagonal line, starting white on ell.
+One walk down the distance tuple names the black line of each level 0,
+-1, ..., -total: ``ZERO`` ("0") a black square line, ``PLUS`` ("+") or
+``MINUS`` ("-") a cut line whose upper or lower triangles are black, and
+"" a white square line.  The staircase, the cells, the line counts, the
+derived side and `shuffle.region_code` are all read off these symbols.
+
 A spec describes a region only if the forced staircase misses its point
 reflection, returns to the height of the western corner, and the bottom
 line of cells comes out white.  ``check_spec`` decides all of this from
-the distance tuple alone, without building a cell.
+the symbols alone, without building a cell.
 
 ``build_region`` makes the cells one diagonal level at a time: each level
 meets the region in a single run of cells from the SW staircase to the NE
@@ -43,7 +49,6 @@ __all__ = [
     "Cell",
     "RegionSpec",
     "RegionStats",
-    "Corners",
     "Region",
     "check_spec",
     "build_region",
@@ -87,8 +92,13 @@ class Color(str, Enum):
     WHITE = "white"
 
 
-# colour of a cell line by the parity of its tier
+# colour of a cell line, indexed by whether it is black
 _COLORS = (Color.WHITE, Color.BLACK)
+
+# the symbol of a level's black line; a white square line has "" instead
+ZERO = "0"
+PLUS = "+"
+MINUS = "-"
 
 
 class CellKind(str, Enum):
@@ -146,7 +156,7 @@ class RegionStats(
     namedtuple(
         "RegionStats",
         "black_square_lines up_triangle_lines down_triangle_lines"
-        " black_lines width regular_cells total_size",
+        " black_lines width regular_cells",
     )
 ):
     """Line and cell counts (ints) that drive the closed-form matching count."""
@@ -154,59 +164,46 @@ class RegionStats(
     __slots__ = ()
 
 
-class Corners(namedtuple("Corners", "north east south west")):
-    """The four corner points of the boundary, each an int pair."""
+class Region(namedtuple("Region", "spec cells")):
+    """A spec with its tuple of cells."""
 
     __slots__ = ()
 
 
-class Region(namedtuple("Region", "spec cells corners drawn_levels")):
-    """A spec with its tuple of cells, its corners and its drawn levels."""
+def _line_symbols(distances: tuple[int, ...]) -> list[str]:
+    """The symbol of each level 0, -1, ..., -total, top to bottom.
 
-    __slots__ = ()
-
-
-def _drawn_levels(distances: tuple[int, ...]) -> tuple[int, ...]:
-    run = 0
-    out = []
-    for d in distances[:-1]:
-        run += d
-        out.append(-run)
-    return tuple(out)
-
-
-def _tiers_above(distances: tuple[int, ...]) -> dict[int, int]:
-    """Number of cell lines strictly above each diagonal level.
-
-    Tier 0 is the top line of cells; a drawn level contributes two lines
-    (upper triangles, then lower triangles), every other level one.
+    Every layer but the last ends on a drawn level, whose two lines (upper
+    triangles, then lower) give the next line the colour of the first.
     """
-    drawn = set(_drawn_levels(distances))
-    total = sum(distances)
-    tiers = {0: 0}
-    for level in range(0, -total, -1):
-        tiers[level - 1] = tiers[level] + (2 if level in drawn else 1)
-    return tiers
+    symbols = [""]
+    black = True  # colour of the next line down
+    for d in distances:
+        for _ in range(d - 1):
+            symbols.append(ZERO if black else "")
+            black = not black
+        symbols.append(PLUS if black else MINUS)
+    # the last layer ends on ell-prime, a line of squares
+    symbols[-1] = ZERO if black else ""
+    return symbols
 
 
-def _forced_path(tiers: dict[int, int], total: int) -> list[tuple[int, int]]:
-    # step j goes east when the line at depth j is black, south when white
+def _forced_path(symbols: list[str]) -> list[tuple[int, int]]:
+    # step j goes east when the first line at depth j is black, south when white
     pts = [(0, 0)]
-    for j in range(1, total + 1):
+    for symbol in symbols[1:]:
         x, y = pts[-1]
-        pts.append((x + 1, y) if tiers[-j] % 2 else (x, y - 1))
+        pts.append((x + 1, y) if symbol in (ZERO, PLUS) else (x, y - 1))
     return pts
 
 
-def check_spec(side: int, distances) -> RegionSpec:
-    """The spec, or SpecInvalid naming the first region condition it fails."""
+def _validated(side: int, distances):
+    """The spec, its line symbols and its NE staircase, or SpecInvalid."""
     distances = tuple(distances)
     if side < 1 or not distances or any(d < 1 for d in distances):
         raise SpecInvalid(REASON_POSITIVE)
-    spec = RegionSpec(side, distances)
-    total = spec.total
-    tiers = _tiers_above(distances)
-    ne = _forced_path(tiers, total)
+    symbols = _line_symbols(distances)
+    ne = _forced_path(symbols)
     sw = [(-side - y, -side - x) for x, y in ne]
     shared = set(ne) & set(sw)
     if ne[-1] == sw[-1]:
@@ -217,49 +214,41 @@ def check_spec(side: int, distances) -> RegionSpec:
         raise SpecInvalid(REASON_CROSSING)
     if ne[-1][1] != -side:
         raise SpecInvalid(REASON_CORNERS)
-    if tiers[-total] % 2:
+    if symbols[-1] == ZERO:
         raise SpecInvalid(REASON_PARITY)
-    return spec
+    return RegionSpec(side, distances), symbols, ne
+
+
+def check_spec(side: int, distances) -> RegionSpec:
+    """The spec, or SpecInvalid naming the first region condition it fails."""
+    return _validated(side, distances)[0]
 
 
 def build_region(side: int, distances) -> Region:
-    spec = check_spec(side, distances)
+    spec, symbols, ne = _validated(side, distances)
     total = spec.total
-    drawn = _drawn_levels(spec.distances)
-    drawn_set = set(drawn)
-    tiers = _tiers_above(spec.distances)
-    ne = _forced_path(tiers, total)
 
     # level -j meets the region in one run of anchors (x, x - j): from the
     # SW staircase, the point reflection (-side - y, -side - x) of ne[j],
     # up to ne[j] itself.  A drawn level gives a line of upper halves, then
     # a line of lower halves; any other level one line of squares.
     cells: list[Cell] = []
-    for j, (east_x, east_y) in enumerate(ne):
+    for j, (symbol, (east_x, east_y)) in enumerate(zip(symbols, ne)):
         level = -j
-        tier = tiers[level]
         anchors = [(x, x + level) for x in range(-side - east_y, east_x)]
-        if level in drawn_set:
-            up, down = _COLORS[tier % 2], _COLORS[(tier + 1) % 2]
+        if symbol in (PLUS, MINUS):
+            up, down = _COLORS[symbol == PLUS], _COLORS[symbol == MINUS]
             cells += [Cell(CellKind.UP, up, level, a) for a in anchors]
             cells += [Cell(CellKind.DOWN, down, level, a) for a in anchors]
         else:
-            color = _COLORS[tier % 2]
+            color = _COLORS[symbol == ZERO]
             cells += [Cell(CellKind.SQUARE, color, level, a) for a in anchors]
     cells = tuple(cells)
 
     _check_cell_structure(cells)
     if any(c.color is Color.BLACK for c in cells if c.level == -total):
         raise InternalError("bottom line not white")
-
-    return Region(
-        spec=spec,
-        cells=cells,
-        corners=Corners(
-            north=(0, 0), east=ne[-1], south=(0, -total), west=(-side, -side)
-        ),
-        drawn_levels=drawn,
-    )
+    return Region(spec, cells)
 
 
 def _shared_sides(cells) -> list[tuple[int, int]]:
@@ -327,11 +316,10 @@ def find_region(distances) -> Region:
     distances = tuple(distances)
     if not distances or any(d < 1 for d in distances):
         raise SpecInvalid(REASON_POSITIVE)
-    tiers = _tiers_above(distances)
-    total = sum(distances)
-    if tiers[-total] % 2:
+    symbols = _line_symbols(distances)
+    if symbols[-1] == ZERO:
         raise SpecInvalid(REASON_PARITY)
-    side = sum(1 for j in range(1, total + 1) if tiers[-j] % 2 == 0)
+    side = sum(1 for symbol in symbols[1:] if symbol in ("", MINUS))
     return build_region(side, distances)
 
 
@@ -341,16 +329,10 @@ def flipped(spec: RegionSpec) -> RegionSpec:
 
 
 def structural_stats(region: Region) -> RegionStats:
+    """Black lines by kind from the symbols; width and regular cells from the cells."""
+    symbols = _line_symbols(region.spec.distances)
+    sq, up, down = symbols.count(ZERO), symbols.count(PLUS), symbols.count(MINUS)
     total = region.spec.total
-    drawn = set(region.drawn_levels)
-    tiers = _tiers_above(region.spec.distances)
-    sq = up = down = 0
-    for level in range(0, -total - 1, -1):
-        if level in drawn:
-            up += tiers[level] % 2
-            down += (tiers[level] + 1) % 2
-        else:
-            sq += tiers[level] % 2
     width = sum(1 for c in region.cells if c.level == -total)
     regular = sum(
         1
@@ -364,7 +346,6 @@ def structural_stats(region: Region) -> RegionStats:
         black_lines=sq + up + down,
         width=width,
         regular_cells=regular,
-        total_size=len(region.cells),
     )
 
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from . import regions
 from .matching import MatchGraph, matching_generating_function
-from .regions import RegionSpec, _drawn_levels, _tiers_above
+from .regions import MINUS, PLUS, ZERO, RegionSpec, _line_symbols
 
 __all__ = [
     "ZERO",
@@ -54,9 +54,6 @@ __all__ = [
     "shuffle_count",
 ]
 
-ZERO = "0"
-PLUS = "+"
-MINUS = "-"
 BOTH = "±"
 
 _BLOCKS: dict[str, tuple[tuple[int, int], tuple[int, int]]] = {
@@ -260,21 +257,8 @@ def scale_row_part(
 
 
 def region_code(spec: RegionSpec) -> tuple[str, ...]:
-    """Symbols of the black lines, top to bottom.
-
-    A black square line is "0"; a cut line is "+" when its black half is
-    the upper triangles and "-" when it is the lower triangles.
-    """
-    drawn = set(_drawn_levels(spec.distances))
-    tiers = _tiers_above(spec.distances)
-    out = []
-    for level in range(0, -spec.total - 1, -1):
-        t = tiers[level]
-        if level in drawn:
-            out.append(PLUS if t % 2 else MINUS)
-        elif t % 2:
-            out.append(ZERO)
-    return tuple(out)
+    """Symbols of the black lines, top to bottom: the non-white line symbols."""
+    return tuple(symbol for symbol in _line_symbols(spec.distances) if symbol)
 
 
 def pattern_of_code(code: tuple[str, ...]) -> WeightPattern:

@@ -5,14 +5,7 @@ with `regions.build_region` cell for cell.  It shares only `check_spec`
 with the package and derives the tiers and the forced staircase itself.
 """
 
-from douglastile.regions import (
-    Cell,
-    CellKind,
-    Color,
-    Corners,
-    Region,
-    check_spec,
-)
+from douglastile.regions import Cell, CellKind, Color, Region, check_spec
 
 
 def _tiers_and_drawn(distances):
@@ -81,9 +74,4 @@ def reference_region(side: int, distances) -> Region:
         return tiers[cell.level] + (cell.kind is CellKind.DOWN)
 
     cells.sort(key=lambda c: (tier_of(c), c.anchor[0]))
-    return Region(
-        spec=spec,
-        cells=tuple(cells),
-        corners=Corners(north=(0, 0), east=east, south=(0, -total), west=west),
-        drawn_levels=drawn,
-    )
+    return Region(spec, tuple(cells))

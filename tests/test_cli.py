@@ -523,3 +523,46 @@ def test_side_is_derived_through_find_region(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "verify", "--sweep", "4")
     assert code == 0
     assert len(calls) == len(set(calls)) == 15
+
+
+def test_derived_side_builds_the_cells_once(capsys, monkeypatch):
+    # a command that needs cells takes the region `find_region` built;
+    # verify also builds the sub-regions whose stats `stats_deltas` reads
+    calls = []
+    real = regions.build_region
+
+    def counted(side, distances):
+        calls.append((side, tuple(distances)))
+        return real(side, distances)
+
+    monkeypatch.setattr(regions, "build_region", counted)
+    for argv in (
+        ["count", "--d", "4,2,5,4", "--engine", "formula"],
+        ["count", "--d", "4,2,5,4", "--engine", "brute"],
+        ["render", "--d", "4,2,5,4"],
+        ["verify", "--d", "4,2,5,4"],
+    ):
+        calls.clear()
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert calls.count((7, (4, 2, 5, 4))) == 1, argv
+
+
+def test_closed_stdout_exits_quietly():
+    # a reader that stops early is no internal error: exit as a writer
+    # killed by SIGPIPE would, and leave stderr empty; the report of
+    # `--sweep 8` is larger than a pipe buffer, so the writer hits the
+    # closed end
+    env = dict(os.environ, PYTHONPATH=str(Path(regions.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "douglastile", "verify", "--sweep", "8"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert err == b""
