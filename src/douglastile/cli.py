@@ -108,38 +108,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve(args) -> tuple[RegionSpec, regions.Region | None]:
-    """The command line's spec, and its region if deriving the side built it."""
+def _resolve(args) -> RegionSpec:
+    """The command line's spec; a missing side is derived from `--d`."""
     if args.spec:
         try:
             with open(args.spec, encoding="utf-8") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise SpecInvalid(f"cannot read spec file: {exc}") from None
-        return regions.spec_from_json(text), None
+        return regions.spec_from_json(text)
     if args.d is None:
         raise SpecInvalid(regions.REASON_POSITIVE)
     if args.a is None:
-        # the side is determined by the distances; borrow it
-        region = regions.find_region(args.d)
-        return region.spec, region
-    return RegionSpec(args.a, args.d), None
-
-
-def _resolve_region(args) -> regions.Region:
-    spec, region = _resolve(args)
-    return region or regions.build_region(spec.side, spec.distances)
+        return regions.find_region(args.d)
+    return RegionSpec(args.a, args.d)
 
 
 def cmd_count(args) -> int:
+    spec = _resolve(args)
     if args.engine == "brute":
-        result = count_matchings(dual_graph(_resolve_region(args)))
+        result = count_matchings(dual_graph(regions.build_region(*spec)))
     elif args.engine == "formula":
-        result = regions.formula_count(_resolve_region(args))
+        result = regions.formula_count(regions.build_region(*spec))
     elif args.engine == "condense":
-        result = condensation_count(_resolve(args)[0])
+        result = condensation_count(spec)
     else:
-        result = shuffle.shuffle_count(_resolve(args)[0])
+        result = shuffle.shuffle_count(spec)
     print(result)
     return 0
 
@@ -182,7 +176,6 @@ def _verify_one(
             counts["brute"] = str(timed("brute", lambda: count_matchings(graph)))
         except SizeLimit:
             counts["brute"] = None
-            timings.pop("brute", None)
 
     checks: dict[str, bool | None] = {
         "line_counts": (
@@ -237,7 +230,7 @@ def _kuo_block(spec: RegionSpec, kuo_max: int) -> dict | None:
 
 
 def cmd_trace(args) -> int:
-    spec, _ = _resolve(args)
+    spec = _resolve(args)
     for record in condensation.trace_recurrence(spec):
         node = dict(record)
         node_spec = RegionSpec(node["spec"]["a"], tuple(node["spec"]["d"]))
@@ -259,11 +252,11 @@ def cmd_verify(args) -> int:
             for distances in regions.compositions(total):
                 compositions += 1
                 try:
-                    region = regions.find_region(distances)
+                    spec = regions.find_region(distances)
                 except SpecInvalid:
                     continue
                 valid += 1
-                report = _verify_one(region, memo, stats_memo)
+                report = _verify_one(regions.build_region(*spec), memo, stats_memo)
                 print(json.dumps(report, sort_keys=True))
                 if report["ok"]:
                     passed += 1
@@ -279,7 +272,8 @@ def cmd_verify(args) -> int:
             }
         }
     else:
-        report = _verify_one(_resolve_region(args), memo, stats_memo)
+        region = regions.build_region(*_resolve(args))
+        report = _verify_one(region, memo, stats_memo)
         print(json.dumps(report, sort_keys=True))
         passed, failed = (1, 0) if report["ok"] else (0, 1)
         summary = {"summary": {"passed": passed, "failed": failed}}
@@ -291,7 +285,7 @@ def cmd_render(args) -> int:
     if args.matching and args.format != "svg":
         print("--matching needs --format svg", file=sys.stderr)
         return 2
-    region = _resolve_region(args)
+    region = regions.build_region(*_resolve(args))
     if args.format == "ascii":
         text = ascii_region(region)
     else:

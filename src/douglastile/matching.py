@@ -55,7 +55,7 @@ from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
 
-from .regions import CellKind, Color, Region, _shared_sides
+from .regions import _CORNERS, Color, Region, _shared_sides
 
 __all__ = [
     "RYSER_LIMIT",
@@ -149,14 +149,6 @@ class MatchGraph(namedtuple("MatchGraph", "vertices edges weights signing")):
 def _weights(graph: MatchGraph):
     """Edge weights parallel to `graph.edges`, 1 where `weights` is None."""
     return graph.weights or (1,) * len(graph.edges)
-
-
-# the lattice corners of a cell, as offsets from its anchor
-_CORNERS = {
-    CellKind.SQUARE: ((0, 0), (1, 0), (0, 1), (1, 1)),
-    CellKind.UP: ((0, 0), (0, 1), (1, 1)),
-    CellKind.DOWN: ((0, 0), (1, 0), (1, 1)),
-}
 
 
 def dual_graph(region: Region) -> MatchGraph:

@@ -20,13 +20,15 @@ derived side and `shuffle.region_code` are all read off these symbols.
 A spec describes a region only if the forced staircase misses its point
 reflection, returns to the height of the western corner, and the bottom
 line of cells comes out white.  ``check_spec`` decides all of this from
-the symbols alone, without building a cell.
+the symbols alone, without building a cell, and ``find_region`` derives
+the one side a distance tuple allows and returns the checked spec.
 
-``build_region`` makes the cells one diagonal level at a time: each level
-meets the region in a single run of cells from the SW staircase to the NE
-staircase, so the cells come out line by line from the top, west to east,
-with no contour to trace and nothing to sort.  Cells that share a side
-are paired by looking up their anchors.
+``build_region`` is the only producer of cells.  It makes them one
+diagonal level at a time: each level meets the region in a single run of
+cells from the SW staircase to the NE staircase, so the cells come out
+line by line from the top, west to east, with no contour to trace and
+nothing to sort.  Cells that share a side are paired by looking up their
+anchors.
 """
 
 from __future__ import annotations
@@ -110,6 +112,14 @@ class CellKind(str, Enum):
 # a cell's centroid minus six times its anchor: every centroid of a unit
 # square or of a half-square triangle is a whole number of sixths
 _SIXTHS = {CellKind.SQUARE: (3, 3), CellKind.UP: (2, 4), CellKind.DOWN: (4, 2)}
+
+# the lattice corners of a cell as offsets from its anchor, from the SW
+# corner round the polygon that `render.svg_region` draws
+_CORNERS = {
+    CellKind.SQUARE: ((0, 0), (1, 0), (1, 1), (0, 1)),
+    CellKind.UP: ((0, 0), (0, 1), (1, 1)),
+    CellKind.DOWN: ((0, 0), (1, 0), (1, 1)),
+}
 
 
 class RegionSpec(namedtuple("RegionSpec", "side distances")):
@@ -305,8 +315,8 @@ def _check_cell_structure(cells: tuple[Cell, ...]) -> None:
         raise InternalError("region is disconnected")
 
 
-def find_region(distances) -> Region:
-    """Build the region for a distance tuple, deriving the unique side.
+def find_region(distances) -> RegionSpec:
+    """The spec for a distance tuple, deriving the unique side; no cells.
 
     The forced staircase shape depends only on the distances, so the side
     has to equal its number of south steps; anything else fails the corner
@@ -320,7 +330,7 @@ def find_region(distances) -> Region:
     if symbols[-1] == ZERO:
         raise SpecInvalid(REASON_PARITY)
     side = sum(1 for symbol in symbols[1:] if symbol in ("", MINUS))
-    return build_region(side, distances)
+    return check_spec(side, distances)
 
 
 def flipped(spec: RegionSpec) -> RegionSpec:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .regions import CellKind, Color, Region
+from .regions import _CORNERS, CellKind, Color, Region
 
 __all__ = ["ascii_region", "svg_region"]
 
@@ -74,13 +74,9 @@ def svg_region(
     ]
     for cell in region.cells:
         x, y = cell.anchor
-        if cell.kind is CellKind.UP:
-            corners = [(x, y), (x, y + 1), (x + 1, y + 1)]
-        elif cell.kind is CellKind.DOWN:
-            corners = [(x, y), (x + 1, y), (x + 1, y + 1)]
-        else:
-            corners = [(x, y), (x + 1, y), (x + 1, y + 1), (x, y + 1)]
-        points = " ".join(f"{px * unit},{-py * unit}" for px, py in corners)
+        points = " ".join(
+            f"{(x + dx) * unit},{-(y + dy) * unit}" for dx, dy in _CORNERS[cell.kind]
+        )
         parts.append(
             f'<polygon points="{points}" fill="{_FILL[cell.color]}" '
             'stroke="#888888" stroke-width="1"/>'

@@ -38,7 +38,7 @@ def enumerate_valid_regions(max_total: int) -> Iterator[Region]:
     for total in range(1, max_total + 1):
         for distances in compositions(total):
             try:
-                yield find_region(distances)
+                yield build_region(*find_region(distances))
             except SpecInvalid:
                 continue
 

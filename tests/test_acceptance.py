@@ -153,7 +153,7 @@ def test_criterion_1_small_region_table():
         seen = {}
         for d in tuples:
             try:
-                region = find_region(d)
+                region = build_region(*find_region(d))
             except SpecInvalid:
                 continue
             assert brute_count(region.spec) == formula_count(region)
@@ -292,7 +292,7 @@ def test_criterion_9_exponent_identity_and_merges():
             if sum(d) > 12:
                 continue
             try:
-                spec = find_region(d).spec
+                spec = find_region(d)
             except SpecInvalid:
                 continue
             s_here = shuffle_exponent(spec)

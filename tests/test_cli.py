@@ -169,6 +169,23 @@ def test_verify_single_report(capsys):
     assert json.loads(lines[1]) == {"summary": {"passed": 1, "failed": 0}}
 
 
+def test_verify_reports_a_refused_brute_count_as_null(capsys, monkeypatch):
+    # the Aztec dual of order 5 has 60 vertices: past a limit of 20 the
+    # brute count is refused, and the other engines still agree
+    monkeypatch.setattr(matching, "VERTEX_LIMIT", 20)
+    code, out, _ = run_cli(capsys, "verify", "--a", "5", "--d", "10")
+    assert code == 0
+    report = json.loads(out.splitlines()[0])
+    assert report["counts"] == {
+        "brute": None,
+        "condense": "32768",
+        "formula": "32768",
+        "shuffle": "32768",
+    }
+    assert report["checks"]["engines_agree"] is True
+    assert "brute" not in report["timings"]
+
+
 def test_verify_output_is_deterministic(capsys):
     _, first, _ = run_cli(capsys, "verify", *DEEP)
     _, second, _ = run_cli(capsys, "verify", *DEEP)
@@ -488,6 +505,15 @@ def test_version_flag(capsys):
     assert capsys.readouterr().out.startswith("douglastile ")
 
 
+def test_non_integer_distances_exit_two(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["count", "--d", "1,x"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected comma-separated integers, got '1,x'" in captured.err
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "douglastile", "count", "--a", "1", "--d", "3"],
@@ -526,8 +552,10 @@ def test_side_is_derived_through_find_region(capsys, monkeypatch):
 
 
 def test_derived_side_builds_the_cells_once(capsys, monkeypatch):
-    # a command that needs cells takes the region `find_region` built;
-    # verify also builds the sub-regions whose stats `stats_deltas` reads
+    # deriving the side builds nothing: the engines on the distance tuple
+    # build no cells, a command that needs cells builds its region once,
+    # and verify also builds the sub-regions whose stats `stats_deltas`
+    # reads; a sweep builds each valid region once
     calls = []
     real = regions.build_region
 
@@ -536,6 +564,15 @@ def test_derived_side_builds_the_cells_once(capsys, monkeypatch):
         return real(side, distances)
 
     monkeypatch.setattr(regions, "build_region", counted)
+    for argv in (
+        ["count", "--d", "4,2,5,4", "--engine", "condense"],
+        ["count", "--d", "4,2,5,4", "--engine", "shuffle"],
+        ["trace", "--d", "4,2,5,4", "--kuo-max", "0"],
+    ):
+        calls.clear()
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert calls == [], argv
     for argv in (
         ["count", "--d", "4,2,5,4", "--engine", "formula"],
         ["count", "--d", "4,2,5,4", "--engine", "brute"],
@@ -546,6 +583,10 @@ def test_derived_side_builds_the_cells_once(capsys, monkeypatch):
         code, _, _ = run_cli(capsys, *argv)
         assert code == 0
         assert calls.count((7, (4, 2, 5, 4))) == 1, argv
+    calls.clear()
+    code, _, _ = run_cli(capsys, "verify", "--sweep", "10")
+    assert code == 0
+    assert len(calls) == len(set(calls)) == 511
 
 
 def test_closed_stdout_exits_quietly():

@@ -383,6 +383,16 @@ def test_perfect_matching_none_when_impossible():
     assert perfect_matching(MatchGraph((), ())) == []
 
 
+def test_perfect_matching_augments_past_the_greedy_start():
+    # greedy gives black 0 the white 2, leaving black 1 nothing; the
+    # augmenting path moves black 0 over to white 3
+    g = MatchGraph(
+        ((True, 0, 0), (True, 2, 0), (False, 0, 1), (False, 2, 1)),
+        ((0, 2), (0, 3), (1, 2)),
+    )
+    assert perfect_matching(g) == [(0, 3), (1, 2)]
+
+
 def test_canonical_embedding_ignores_translation_and_ids():
     # the vertices translated and renumbered in reverse order
     g = dual_graph(build_region(2, (2, 1)))

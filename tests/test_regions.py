@@ -91,7 +91,7 @@ def test_validity_matches_derived_side():
     for total in range(1, 8):
         for d in compositions(total):
             try:
-                derived = find_region(d).spec.side
+                derived = find_region(d).side
             except SpecInvalid:
                 derived = None
             for side in range(1, total + 1):
@@ -145,7 +145,7 @@ def _verdict_digests():
                     got = err.reason
                 spec_lines.append(json.dumps([side, d, got]))
             try:
-                got = find_region(d).spec.side
+                got = find_region(d).side
             except SpecInvalid as err:
                 got = err.reason
             side_lines.append(json.dumps([d, got]))
@@ -197,7 +197,7 @@ def test_build_accepts_or_rejects_cleanly(side, distances):
         )
         return
     # accepted: the derived side agrees and the stats are consistent
-    assert find_region(d).spec.side == side
+    assert find_region(d).side == side
     stats = structural_stats(region)
     assert stats.width == region.spec.width
     assert formula_exponent(stats) >= 0
