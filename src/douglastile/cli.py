@@ -3,11 +3,12 @@
 Exit codes: 0 success, 1 at least one verification check failed, 2 the
 spec is malformed or does not describe a region, a `--spec` file cannot
 be read, an `--out` file cannot be written or `--matching` lacks
-`--format svg`, 3 an exact computation was refused for size, 4 an
-internal consistency check failed or any other exception escaped (a bug,
-not a property of the input), with one `internal error:` line, 141 the
-reader closed stdout early (128 + SIGPIPE, as a shell reports a writer
-killed by that signal), silently.
+`--format svg`, 3 an exact computation, or a `--sweep` total past
+`SWEEP_LIMIT`, was refused for size, 4 an internal consistency check
+failed or any other exception escaped (a bug, not a property of the
+input), with one `internal error:` line, 141 the reader closed stdout
+early (128 + SIGPIPE, as a shell reports a writer killed by that
+signal), silently.
 """
 
 from __future__ import annotations
@@ -18,15 +19,28 @@ import os
 import sys
 import time
 
-from . import __version__, condensation, regions, shuffle
+from . import __version__, condensation, matching, regions, shuffle
 from .condensation import condensation_count, stats_deltas
 from .matching import SizeLimit, count_matchings, dual_graph, perfect_matching
 from .regions import InternalError, RegionSpec, SpecInvalid
 from .render import ascii_region, svg_region
 
-__all__ = ["main", "cmd_count", "cmd_verify", "cmd_trace", "cmd_render"]
+__all__ = [
+    "SWEEP_LIMIT",
+    "main",
+    "cmd_count",
+    "cmd_verify",
+    "cmd_trace",
+    "cmd_render",
+]
 
 _ENGINES = ("brute", "condense", "shuffle", "formula")
+
+# the largest total `verify --sweep` walks: each step doubles the
+# compositions and about doubles the time (totals 11, 12 and 13 take
+# 1.4-1.9, 3.5-4.5 and 8-11 s wall on one Intel Xeon core), so 16 takes
+# one to two minutes
+SWEEP_LIMIT = 16
 
 # failures that no input should cause: each one is a bug in an engine
 _INTERNAL = (
@@ -78,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--sweep",
         type=int,
         metavar="MAXT",
-        help="verify every composition with total at most MAXT",
+        help=f"verify every composition with total at most MAXT <= {SWEEP_LIMIT}",
     )
     verify.set_defaults(func=cmd_verify)
 
@@ -124,10 +138,16 @@ def _resolve(args) -> RegionSpec:
     return RegionSpec(args.a, args.d)
 
 
+def _brute_count(region: regions.Region) -> int:
+    """The dual graph's matching count; SizeLimit before the graph is built."""
+    matching.check_size(len(region.cells))
+    return count_matchings(dual_graph(region))
+
+
 def cmd_count(args) -> int:
     spec = _resolve(args)
     if args.engine == "brute":
-        result = count_matchings(dual_graph(regions.build_region(*spec)))
+        result = _brute_count(regions.build_region(*spec))
     elif args.engine == "formula":
         result = regions.formula_count(regions.build_region(*spec))
     elif args.engine == "condense":
@@ -164,16 +184,16 @@ def _verify_one(
     counts["condense"] = str(
         timed("condense", lambda: condensation_count(spec, memo))
     )
-    graph = dual_graph(region)
     kuo = None
     if total <= 8:
         # the Kuo block's "full" count is the brute count of this graph
+        graph = dual_graph(region)
         quad = condensation.pick_corners(graph)
         kuo = timed("kuo", lambda: condensation.kuo_counts(graph, quad))
         counts["brute"] = str(kuo["full"])
     else:
         try:
-            counts["brute"] = str(timed("brute", lambda: count_matchings(graph)))
+            counts["brute"] = str(timed("brute", lambda: _brute_count(region)))
         except SizeLimit:
             counts["brute"] = None
 
@@ -247,6 +267,8 @@ def cmd_verify(args) -> int:
     stats_memo: dict[RegionSpec, regions.RegionStats] = {}
     failed = passed = 0
     if args.sweep is not None:
+        if args.sweep > SWEEP_LIMIT:
+            raise SizeLimit(f"sweep total {args.sweep} exceeds {SWEEP_LIMIT}")
         compositions = valid = 0
         for total in range(1, args.sweep + 1):
             for distances in regions.compositions(total):

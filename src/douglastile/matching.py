@@ -3,28 +3,23 @@
 The main entry points count matchings (or sum matching weights) with one
 Kasteleyn determinant (Kasteleyn, "The statistics of dimers on a
 lattice", 1961; Kuperberg, "An exploration of the permanent-determinant
-method", 1998).  The edges are signed so that every face walk of length
-2k but each component's outer walk has k + 1 negative edges mod 2; then
-every perfect matching enters the determinant of the signed black x
-white matrix with the same sign, and the determinant is one sparse exact
-elimination.  Each column's pivot is the first row with a unit entry
-(+1 or -1) there, if any row has one, else the first row with any
-entry.  A unit pivot scales no row, so the entries of a signed matrix,
-which start at +1 and -1, and its fill stay small, and an Aztec diamond
-dual of order 160 (51,520 vertices) counts in seconds.
+method", 1998).  The edges carry a signing under which every face walk
+of length 2k but each component's outer walk has k + 1 negative edges
+mod 2; then every perfect matching enters the determinant of the signed
+black x white matrix with the same sign, and the determinant is one
+sparse exact elimination.  Each column's pivot is the first row with a
+unit entry (+1 or -1) there, if any row has one, else the first row with
+any entry.  A unit pivot scales no row, so the entries of a signed
+matrix, which start at +1 and -1, and its fill stay small, and an Aztec
+diamond dual of order 160 (51,520 vertices) counts in seconds.
 
-A region dual from `dual_graph` carries its signing: the square-lattice
-parity rule on cell anchors, and which cells lie on the outer face, both
-read off the cells when the graph is made.  Any other graph, `without`'s
-subgraphs included, is signed from its drawing.  The cyclic order of
-neighbours read off the vertex coordinates gives the face walks; each
-component must come out plane (V - E + F = 2), or the graph is refused
-with ValueError.  A component's outer walk is its one walk of shoelace
-area <= 0, and the signs are fixed face by face along a spanning tree
-of the dual.
-Coordinates are ints (region duals sit in sixths of a lattice unit,
-Aztec graphs on the integer lattice) or any rationals, and the order is
-exact on both with no rescaling.
+A graph hands its signing over in `MatchGraph.signing`, read off lattice
+coordinates when the graph is made: `dual_graph` and
+`shuffle.aztec_match_graph` each carry the square-lattice parity rule of
+their family and the vertices on the outer face.  The counts trust that
+signing and refuse a graph without one, `without`'s subgraphs included,
+with ValueError.  The tests sign the graphs they build by hand with a
+face-walk reference signer, `tests/reference_kasteleyn.py`.
 
 `deletion_counts` counts several subgraphs G - S from one signing of G.
 When every vertex of S lies on the outer walk of its component, the
@@ -61,6 +56,7 @@ __all__ = [
     "RYSER_LIMIT",
     "VERTEX_LIMIT",
     "SizeLimit",
+    "check_size",
     "OuterFaceError",
     "MatchGraph",
     "dual_graph",
@@ -85,6 +81,12 @@ class SizeLimit(RuntimeError):
     """The instance is too large for the requested exact computation."""
 
 
+def check_size(vertices: int) -> None:
+    """Raise SizeLimit when a graph of this many vertices is too large to count."""
+    if vertices > VERTEX_LIMIT:
+        raise SizeLimit(f"{vertices} vertices exceed {VERTEX_LIMIT}")
+
+
 class OuterFaceError(ValueError):
     """A vertex to delete is not on the outer face walk of its component."""
 
@@ -97,11 +99,11 @@ class MatchGraph(namedtuple("MatchGraph", "vertices edges weights signing")):
     `edges`; None means every weight is 1.  `signing` is None or a pair
     `(negated, outer)` of flag sequences: `negated[e]` marks edge e of a
     Kasteleyn signing and `outer[i]` marks vertex i as on the outer face
-    walk of its component.  The counts trust a given signing; without one
-    they sign the graph from its drawing.  An edge end that is no position,
-    or weights or signing flags unlike the edges or vertices in length,
-    raise ValueError.  `_make` and `_replace` skip `__new__` and these
-    checks; this package calls neither.
+    walk of its component.  The counts trust a given signing and refuse
+    a graph without one.  An edge end that is no position, or weights or
+    signing flags unlike the edges or vertices in length, raise
+    ValueError.  `_make` and `_replace` skip `__new__` and these checks;
+    this package calls neither.
     """
 
     __slots__ = ()
@@ -207,200 +209,6 @@ def _ends(graph: MatchGraph):
     if len(set(ends)) != len(ends):
         raise ValueError("parallel edges are not allowed")
     return black, ends
-
-
-def _adjacency(graph: MatchGraph):
-    """(neighbour, edge index) pairs of each vertex, in edge order."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in graph.vertices]
-    for e, (i, j) in enumerate(graph.edges):
-        adj[i].append((j, e))
-        adj[j].append((i, e))
-    return adj
-
-
-def _components(black, adj):
-    """Component of each vertex, spanning-forest edge flags and balance.
-
-    `balanced` is False when some component has unequal colour classes,
-    since then no perfect matching exists.
-    """
-    comp = [-1] * len(adj)
-    tree = set()
-    ncomp = 0
-    balanced = True
-    for root in range(len(adj)):
-        if comp[root] >= 0:
-            continue
-        comp[root] = ncomp
-        queue = [root]
-        balance = 0
-        for i in queue:
-            balance += 1 if black[i] else -1
-            for j, e in adj[i]:
-                if comp[j] < 0:
-                    comp[j] = ncomp
-                    tree.add(e)
-                    queue.append(j)
-        if balance:
-            balanced = False
-        ncomp += 1
-    return comp, ncomp, tree, balanced
-
-
-def _rotation(graph: MatchGraph, adj):
-    """Each vertex's (neighbour, edge) pairs in counterclockwise order.
-
-    Neighbours are ordered by half-plane and cross products of the
-    coordinates as given, which are exact on ints and on Fractions alike.
-    Only the cyclic order matters, so up to two neighbours need no sorting.
-    """
-    px = [v[1] for v in graph.vertices]
-    py = [v[2] for v in graph.vertices]
-    rot = []
-    for i, pairs in enumerate(adj):
-        if len(pairs) < 3:
-            rot.append(pairs)
-            continue
-        x0, y0 = px[i], py[i]
-        out: list[tuple[int, int, bool, tuple[int, int]]] = []
-        for pair in pairs:
-            dx, dy = px[pair[0]] - x0, py[pair[0]] - y0
-            lower = dy < 0 or (dy == 0 and dx < 0)
-            k = len(out)
-            while k:
-                ox, oy, olower, _ = out[k - 1]
-                if olower < lower or (
-                    olower == lower and ox * dy - oy * dx > 0
-                ):
-                    break
-                k -= 1
-            out.insert(k, (dx, dy, lower, pair))
-        rot.append([item[3] for item in out])
-    return rot
-
-
-def _face_walks(graph: MatchGraph, adj, n_edges: int):
-    """The face walks of the rotation system read off the coordinates.
-
-    A dart is one end of an edge: the k-th dart around vertex i runs
-    from i along its k-th edge counterclockwise.  Returns `(faces, target,
-    edge_of, rev, face_of)`: `faces` lists each walk's darts in order,
-    dart d runs along edge `edge_of[d]` to vertex `target[d]`, `rev[d]`
-    is the same edge run the other way and `face_of[d]` the walk of d.
-    """
-    rot = _rotation(graph, adj)
-    # darts: offset[i] + k is the k-th edge end around vertex i
-    offset = [0]
-    for pairs in rot:
-        offset.append(offset[-1] + len(pairs))
-    ndarts = offset[-1]
-    target = [0] * ndarts
-    edge_of = [0] * ndarts
-    rev = [0] * ndarts
-    first_dart = [-1] * n_edges
-    d = 0
-    for pairs in rot:
-        for j, e in pairs:
-            target[d] = j
-            edge_of[d] = e
-            other = first_dart[e]
-            if other < 0:
-                first_dart[e] = d
-            else:
-                rev[d] = other
-                rev[other] = d
-            d += 1
-    # face walks: after arriving at v along u->v, leave along the edge
-    # just clockwise of v->u
-    face_of = [-1] * ndarts
-    faces: list[list[int]] = []
-    for start in range(ndarts):
-        if face_of[start] >= 0:
-            continue
-        walk = []
-        d = start
-        while face_of[d] < 0:
-            face_of[d] = len(faces)
-            walk.append(d)
-            r = rev[d]
-            v = target[d]
-            d = r - 1 if r > offset[v] else offset[v + 1] - 1
-        faces.append(walk)
-    return faces, target, edge_of, rev, face_of
-
-
-def _kasteleyn_signs(adj, ends, graph, parts):
-    """Edge flags `neg` of a Kasteleyn signing, and outer-face flags by vertex.
-
-    `parts` is what `_components` returned.  Each component's outer face
-    walk is its walk of least shoelace area, the one walk of area <= 0 in
-    a plane drawing; every other walk of length 2k gets k + 1 negative
-    edges mod 2, whatever the colour balance.  `outer[i]` is 1 when vertex
-    i lies on the outer walk of its component (an isolated vertex does).
-    Raises ValueError unless the rotation system read off the coordinates
-    has genus zero on every component, which is the hypothesis of
-    Kasteleyn's theorem.
-    """
-    comp, ncomp, tree, _ = parts
-    faces, target, edge_of, rev, face_of = _face_walks(graph, adj, len(ends))
-    # V - E + F = 2 - 2g on each component, an isolated vertex having
-    # one face and no walk, so the totals reach two per component only if
-    # every component has genus zero
-    isolated = [i for i, pairs in enumerate(adj) if not pairs]
-    if len(adj) - len(ends) + len(faces) + len(isolated) != 2 * ncomp:
-        raise ValueError("graph is not plane")
-    # twice the shoelace area of each walk; bounded faces run
-    # counterclockwise, so the outer walk has the least
-    px = [v[1] for v in graph.vertices]
-    py = [v[2] for v in graph.vertices]
-    root = [-1] * ncomp
-    least = [0] * ncomp
-    for f, walk in enumerate(faces):
-        u = target[walk[-1]]
-        area = 0
-        for d in walk:
-            v = target[d]
-            area += px[u] * py[v] - px[v] * py[u]
-            u = v
-        c = comp[u]
-        if root[c] < 0 or area < least[c]:
-            root[c] = f
-            least[c] = area
-    order = [f for f in root if f >= 0]
-    outer = bytearray(len(adj))
-    for i in isolated:
-        outer[i] = 1
-    for f in order:
-        for d in faces[f]:
-            outer[target[d]] = 1
-    # the non-tree edges form a spanning tree of each dual; fix each face
-    # but the outer one from the leaves up so a walk of length 2k has
-    # (k + 1) mod 2 negative edges
-    reached = bytearray(len(faces))
-    for f in order:
-        reached[f] = 1
-    neg = bytearray(len(ends))
-    parent_edge = [-1] * len(faces)
-    for f in order:
-        for d in faces[f]:
-            e = edge_of[d]
-            if e in tree:
-                continue
-            g = face_of[rev[d]]
-            if not reached[g]:
-                reached[g] = 1
-                parent_edge[g] = e
-                order.append(g)
-    for f in reversed(order):
-        e = parent_edge[f]
-        if e < 0:
-            continue
-        walk = faces[f]
-        odd = len(walk) // 2 + 1
-        for d in walk:
-            odd += neg[edge_of[d]]
-        neg[e] = odd % 2
-    return neg, outer
 
 
 def _permutation_sign(perm: list[int]) -> int:
@@ -569,34 +377,21 @@ def _signed_rows(black, ends, neg, drop, weights=None):
 def _deletion_sums(graph: MatchGraph, deletions, weights) -> list:
     """Weighted sum over the perfect matchings of G - S for each S.
 
-    G is signed once; see `deletion_counts` for why the signing carries
-    over to each G - S.  With `weights` None the determinant of the
-    signed rows is plus or minus the count.  Otherwise its sign comes
-    from the unit determinant of the same rows: every matching enters
-    that with the common Kasteleyn sign, and 0 means there is none.
-    Weighted rows are scaled to integers by the lcm of their
-    denominators, undone by one exact division.
+    G carries its signing; see `deletion_counts` for why it carries over
+    to each G - S.  The signing holds on every component, so one with
+    unequal colour classes shows up as a zero determinant.  With
+    `weights` None the determinant of the signed rows is plus or minus
+    the count.  Otherwise its sign comes from the unit determinant of the
+    same rows: every matching enters that with the common Kasteleyn sign,
+    and 0 means there is none.  Weighted rows are scaled to integers by
+    the lcm of their denominators, undone by one exact division.
     """
-    if len(graph.vertices) > VERTEX_LIMIT:
-        raise SizeLimit(
-            f"{len(graph.vertices)} vertices exceed {VERTEX_LIMIT}"
-        )
-    drops = [set(drop) for drop in deletions]
+    check_size(len(graph.vertices))
     black, ends = _ends(graph)
     if graph.signing is None:
-        adj = _adjacency(graph)
-        parts = _components(black, adj)
-        balanced = parts[3]
-        # an unbalanced component leaves G itself no matching, but G - S
-        # may have one, so the signing is skipped only when no S is asked
-        if not balanced and not any(drops):
-            return [0] * len(drops)
-        neg, outer = _kasteleyn_signs(adj, ends, graph, parts)
-    else:
-        # a given signing holds on every component, so one with unequal
-        # colour classes shows up as a zero determinant
-        neg, outer = graph.signing
-        balanced = True
+        raise ValueError("graph carries no Kasteleyn signing")
+    neg, outer = graph.signing
+    drops = [set(drop) for drop in deletions]
     for drop in drops:
         for v in drop:
             if not (0 <= v < len(outer) and outer[v]):
@@ -605,9 +400,7 @@ def _deletion_sums(graph: MatchGraph, deletions, weights) -> list:
                 )
     sums = []
     for drop in drops:
-        rows = None
-        if drop or balanced:
-            rows = _signed_rows(black, ends, neg, drop, weights)
+        rows = _signed_rows(black, ends, neg, drop, weights)
         if rows is None:
             sums.append(0)
         elif weights is None:
@@ -631,12 +424,13 @@ def _deletion_sums(graph: MatchGraph, deletions, weights) -> list:
 def deletion_counts(graph: MatchGraph, deletions) -> list[int]:
     """Perfect matchings of G - S for each vertex set S in `deletions`.
 
-    G is signed once, or carries its signing (a graph from `dual_graph`
-    does).  Each G - S keeps G's signed rows less those of S,
-    re-ranked, and gets its own exact determinant.  Every vertex of S
-    must lie on the outer face walk of its component, or OuterFaceError
-    is raised: then the bounded faces of G - S are the bounded faces of G
-    that do not touch S, so G's signing is a Kasteleyn signing of G - S.
+    G carries its signing (graphs from `dual_graph` and
+    `shuffle.aztec_match_graph` do; any other raises ValueError).  Each
+    G - S keeps G's signed rows less those of S, re-ranked, and gets its
+    own exact determinant.  Every vertex of S must lie on the outer face
+    walk of its component, or OuterFaceError is raised: then the bounded
+    faces of G - S are the bounded faces of G that do not touch S, so G's
+    signing is a Kasteleyn signing of G - S.
     """
     if graph.weights is not None and any(w != 1 for w in graph.weights):
         raise ValueError("matching counts expect unit edge weights")

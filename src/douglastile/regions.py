@@ -207,12 +207,16 @@ def _forced_path(symbols: list[str]) -> list[tuple[int, int]]:
     return pts
 
 
-def _validated(side: int, distances):
-    """The spec, its line symbols and its NE staircase, or SpecInvalid."""
+def _validated(side: int, distances, symbols=None):
+    """The spec, its line symbols and its NE staircase, or SpecInvalid.
+
+    `symbols` are the distances' line symbols when the caller has them.
+    """
     distances = tuple(distances)
     if side < 1 or not distances or any(d < 1 for d in distances):
         raise SpecInvalid(REASON_POSITIVE)
-    symbols = _line_symbols(distances)
+    if symbols is None:
+        symbols = _line_symbols(distances)
     ne = _forced_path(symbols)
     sw = [(-side - y, -side - x) for x, y in ne]
     shared = set(ne) & set(sw)
@@ -330,7 +334,7 @@ def find_region(distances) -> RegionSpec:
     if symbols[-1] == ZERO:
         raise SpecInvalid(REASON_PARITY)
     side = sum(1 for symbol in symbols[1:] if symbol in ("", MINUS))
-    return check_spec(side, distances)
+    return _validated(side, distances, symbols)[0]
 
 
 def flipped(spec: RegionSpec) -> RegionSpec:

@@ -150,17 +150,27 @@ def aztec_match_graph(ad: AztecDiamond) -> MatchGraph:
     The edge in the cell with lower-left corner (s, t) runs along the main
     diagonal when s + t is odd and along the anti-diagonal otherwise; its
     weight sits at matrix row n - t, column s + n + 1.
+
+    The graph carries a lattice Kasteleyn signing.  The edge in a cell
+    whose lower-left corner has both coordinates even is negated.  A
+    bounded face is an even-sum point (s, t) with |s|, |t| < n; of the
+    four cells around it exactly one has an even corner there, so the
+    face, of length 4, gets one negated edge.  A vertex (s, t) lies on
+    the outer face when max(|s|, |t|) >= n - 1.
     """
     n = ad.order
     mat = weight_matrix(ad)
     index: dict[tuple[int, int], int] = {}
     verts = []
+    outer = bytearray()
     for t in range(n, -n - 1, -1):
         for s in range(-n, n + 1):
             if (s + t) % 2:
                 index[(s, t)] = len(verts)
                 verts.append((s % 2 == 1, s, t))
+                outer.append(max(abs(s), abs(t)) >= n - 1)
     weight: dict[tuple[int, int], Fraction] = {}
+    negated: dict[tuple[int, int], bool] = {}
     for t0 in range(-n, n):
         for s0 in range(-n, n):
             if (s0 + t0) % 2:
@@ -169,8 +179,10 @@ def aztec_match_graph(ad: AztecDiamond) -> MatchGraph:
                 ends = ((s0 + 1, t0), (s0, t0 + 1))
             edge = tuple(sorted(index[p] for p in ends))
             weight[edge] = mat[n - t0 - 1][s0 + n]
+            negated[edge] = s0 % 2 == 0 and t0 % 2 == 0
     edges = tuple(sorted(weight))
-    return MatchGraph(tuple(verts), edges, tuple(map(weight.get, edges)))
+    signing = (bytes(map(negated.get, edges)), bytes(outer))
+    return MatchGraph(tuple(verts), edges, tuple(map(weight.get, edges)), signing)
 
 
 def aztec_mgf(ad: AztecDiamond) -> Fraction:

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import conftest
 from conftest import brute_count, valid_specs
+from reference_kasteleyn import signed
 from douglastile.condensation import condensation_count, verify_kuo
 from douglastile.matching import (
     MatchGraph,
@@ -108,7 +109,7 @@ def grid_graph(m, n):
                 edges.append((i * n + j, i * n + j + 1))
             if i + 1 < m:
                 edges.append((i * n + j, (i + 1) * n + j))
-    return MatchGraph(tuple(verts), tuple(edges))
+    return signed(MatchGraph(tuple(verts), tuple(edges)))
 
 
 def grid_boundary(m, n):

@@ -112,15 +112,29 @@ def test_count_prints_past_the_int_digit_limit(capsys):
     assert out.strip() == str(2**14535)
 
 
-def test_brute_size_limit_exits_three(capsys):
+def test_brute_size_limit_exits_three(capsys, monkeypatch):
     # an Aztec dual of order n has 2n(n + 1) vertices: 160 is the last
-    # order under the limit and 161 the first refused
+    # order under the limit and 161 the first refused, before its dual
+    # graph is built
     assert 2 * 160 * 161 <= matching.VERTEX_LIMIT < 2 * 161 * 162
+    graphs = count_calls(monkeypatch, cli, "dual_graph")
     code, _, err = run_cli(
         capsys, "count", "--a", "161", "--d", "322", "--engine", "brute"
     )
     assert code == 3
     assert err == "size limit: 52164 vertices exceed 52000\n"
+    assert graphs == []
+
+
+def test_sweep_past_the_limit_exits_three(capsys, monkeypatch):
+    # refused before any composition is walked
+    assert cli.SWEEP_LIMIT == 16
+    walked = count_calls(monkeypatch, regions, "compositions")
+    code, out, err = run_cli(capsys, "verify", "--sweep", "17")
+    assert code == 3
+    assert out == ""
+    assert err == "size limit: sweep total 17 exceeds 16\n"
+    assert walked == []
 
 
 @pytest.mark.parametrize(
@@ -171,10 +185,13 @@ def test_verify_single_report(capsys):
 
 def test_verify_reports_a_refused_brute_count_as_null(capsys, monkeypatch):
     # the Aztec dual of order 5 has 60 vertices: past a limit of 20 the
-    # brute count is refused, and the other engines still agree
+    # brute count is refused before its dual graph is built, and the
+    # other engines still agree
     monkeypatch.setattr(matching, "VERTEX_LIMIT", 20)
+    graphs = count_calls(monkeypatch, cli, "dual_graph")
     code, out, _ = run_cli(capsys, "verify", "--a", "5", "--d", "10")
     assert code == 0
+    assert graphs == []
     report = json.loads(out.splitlines()[0])
     assert report["counts"] == {
         "brute": None,
@@ -355,18 +372,10 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
-def count_graphs_and_signings(monkeypatch):
-    """Call lists of the CLI's `dual_graph` and of the face-walk signer."""
-    return (
-        count_calls(monkeypatch, cli, "dual_graph"),
-        count_calls(monkeypatch, matching, "_kasteleyn_signs"),
-    )
-
-
 def test_trace_signs_each_kuo_graph_once(capsys, monkeypatch):
-    # each Kuo block is signed once, when its one dual graph is built:
-    # the six counts use that lattice signing, never the face-walk signer
-    graphs, signings = count_graphs_and_signings(monkeypatch)
+    # each Kuo block is signed once, when its one dual graph is built,
+    # and the six counts use that lattice signing
+    graphs = count_calls(monkeypatch, cli, "dual_graph")
     code, out, _ = run_cli(
         capsys, "trace", "--d", "4,2,5,4,3,6,2,3", "--kuo-max", "16"
     )
@@ -375,14 +384,13 @@ def test_trace_signs_each_kuo_graph_once(capsys, monkeypatch):
     counted = [block for block in blocks if block is not None]
     assert len(counted) > 1
     assert len(graphs) == len(counted)
-    assert signings == []
 
 
 def test_verify_signs_each_region_once(capsys, monkeypatch):
     # each region is signed once, when its one dual graph is built, and
     # counted with that lattice signing (with a Kuo check, the brute count
     # is the Kuo block's full count); `count --engine brute` likewise
-    graphs, signings = count_graphs_and_signings(monkeypatch)
+    graphs = count_calls(monkeypatch, cli, "dual_graph")
     code, out, _ = run_cli(capsys, "verify", "--sweep", "8")
     assert code == 0
     assert len(graphs) == json.loads(out.splitlines()[-1])["summary"]["valid"]
@@ -390,7 +398,6 @@ def test_verify_signs_each_region_once(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "count", "--engine", "brute", *DEEP)
     assert code == 0 and out == "536870912\n"
     assert len(graphs) == 1
-    assert signings == []
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():

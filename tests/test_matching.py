@@ -10,18 +10,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_count, valid_specs
+from reference_kasteleyn import adjacency, face_walks, kasteleyn_signing, signed
 from douglastile.condensation import kuo_counts, pick_corners
 from douglastile.matching import (
     RYSER_LIMIT,
     VERTEX_LIMIT,
     MatchGraph,
     SizeLimit,
-    _adjacency,
-    _components,
     _determinant,
     _ends,
-    _face_walks,
-    _kasteleyn_signs,
     _signed_rows,
     canonical_embedding,
     count_matchings,
@@ -37,7 +34,11 @@ from douglastile.shuffle import AztecDiamond, WeightPattern, aztec_match_graph
 
 
 def bipartite(n_black, n_white, mask, weights=None):
-    """Graph from an edge bitmask over the black x white product."""
+    """Graph from an edge bitmask over the black x white product, unsigned.
+
+    Dense masks draw graphs that are not plane, so only the tests that
+    count one sign it, with `signed`.
+    """
     verts = [(True, Fraction(i), Fraction(0)) for i in range(n_black)]
     verts += [(False, Fraction(j), Fraction(1)) for j in range(n_white)]
     edges = []
@@ -55,15 +56,8 @@ def bipartite(n_black, n_white, mask, weights=None):
     )
 
 
-def general_signing(g):
-    """(negated, outer) flags of the face-walk signer, ignoring `g.signing`."""
-    black, ends = _ends(g)
-    adj = _adjacency(g)
-    return _kasteleyn_signs(adj, ends, g, _components(black, adj))
-
-
 def path(n):
-    """Path on n vertices along the x axis, colours alternating."""
+    """Path on n vertices along the x axis, colours alternating, unsigned."""
     verts = tuple((i % 2 == 0, i, 0) for i in range(n))
     return MatchGraph(verts, tuple((i, i + 1) for i in range(n - 1)))
 
@@ -82,7 +76,7 @@ WEIGHT_PICKS = [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(0), Fraction(
 
 @st.composite
 def plane_graphs(draw, weights=(Fraction(1),)):
-    """A base plane graph with a few vertices and edges deleted.
+    """A base plane graph with a few vertices and edges deleted, signed.
 
     Edge k gets weight `picks[k % len(picks)]`, picks drawn from `weights`.
     """
@@ -94,10 +88,12 @@ def plane_graphs(draw, weights=(Fraction(1),)):
     edges = tuple(
         e for k, e in enumerate(g.edges) if k % max(len(g.edges), 1) not in cut
     )
-    return MatchGraph(
-        g.vertices,
-        edges,
-        tuple(picks[k % len(picks)] for k in range(len(edges))),
+    return signed(
+        MatchGraph(
+            g.vertices,
+            edges,
+            tuple(picks[k % len(picks)] for k in range(len(edges))),
+        )
     )
 
 
@@ -119,15 +115,15 @@ def test_dual_graph_shape():
 
 
 def test_tiny_graphs():
-    single = bipartite(1, 1, 0b1)
+    single = signed(bipartite(1, 1, 0b1))
     assert count_matchings(single) == 1
-    empty = MatchGraph((), ())
+    empty = signed(MatchGraph((), ()))
     assert count_matchings(empty) == 1
-    odd = MatchGraph(((True, 0, 0),), ())
+    odd = signed(MatchGraph(((True, 0, 0),), ()))
     assert count_matchings(odd) == 0
-    square = bipartite(2, 2, 0b1111)
+    square = signed(bipartite(2, 2, 0b1111))
     assert count_matchings(square) == 2
-    no_match = bipartite(2, 2, 0b0011)  # second black vertex is isolated
+    no_match = signed(bipartite(2, 2, 0b0011))  # second black vertex is isolated
     assert count_matchings(no_match) == 0
 
 
@@ -144,11 +140,12 @@ def test_weighted_mgf_agrees_with_permanent(g):
 
 
 def test_non_plane_graph_is_refused():
+    # the reference signer refuses it, so no count gets a signing
     k33 = bipartite(3, 3, (1 << 9) - 1)
     with pytest.raises(ValueError, match="graph is not plane"):
-        count_matchings(k33)
+        count_matchings(signed(k33))
     with pytest.raises(ValueError, match="graph is not plane"):
-        matching_generating_function(k33)
+        matching_generating_function(signed(k33))
     # the permanent needs no drawing
     assert permanent_oracle(k33) == 6
 
@@ -157,9 +154,9 @@ def test_sweep_order_insensitive_to_positions():
     # counting must not depend on where the vertices of a plane drawing
     # sit: turned, sheared apart, mirrored, or scaled from int sixths to
     # lattice units (Fraction halves and thirds), the count stays.  The
-    # region duals are counted with their lattice signing, the moved
-    # graphs (built without one) with the face-walk signer, so this also
-    # compares the two paths
+    # region duals and the Aztec graph are counted with their lattice
+    # signing, the moved graphs with the reference signer, so this also
+    # compares the two signings
     for g in (
         dual_graph(build_region(7, (4, 2, 5, 4))),
         dual_graph(build_region(15, (4, 2, 5, 4, 3, 6, 2, 3))),
@@ -171,10 +168,12 @@ def test_sweep_order_insensitive_to_positions():
             lambda x, y: (-x, y),
             lambda x, y: (Fraction(x, 6), Fraction(y, 6)),
         ):
-            moved = MatchGraph(
-                tuple((b, *move(x, y)) for b, x, y in g.vertices),
-                g.edges,
-                g.weights,
+            moved = signed(
+                MatchGraph(
+                    tuple((b, *move(x, y)) for b, x, y in g.vertices),
+                    g.edges,
+                    g.weights,
+                )
             )
             assert count_matchings(moved) == want
 
@@ -188,8 +187,9 @@ def test_mgf_multiplicative_over_components():
         a.edges + tuple((u + shift, v + shift) for u, v in b.edges),
         a.weights + b.weights,
     )
-    assert matching_generating_function(both) == (
-        matching_generating_function(a) * matching_generating_function(b)
+    assert matching_generating_function(signed(both)) == (
+        matching_generating_function(signed(a))
+        * matching_generating_function(signed(b))
     )
 
 
@@ -198,7 +198,7 @@ def test_zero_weight_edges_count_as_zero_not_absent():
     verts = tuple((i % 2 == 0, i, 0) for i in range(4))
     edges = ((0, 1), (1, 2), (2, 3), (3, 0))
     weights = (Fraction(1), Fraction(1), Fraction(0), Fraction(1))
-    g = MatchGraph(verts, edges, weights)
+    g = signed(MatchGraph(verts, edges, weights))
     assert matching_generating_function(g) == 1
     reduced, mult = reduce_forced(g)
     # degrees are all 2, so nothing is forced and nothing is deleted
@@ -211,9 +211,9 @@ def test_weighted_sign_comes_from_the_unit_determinant():
     # weighted sum that dropped that sign, or took abs, would come out 2
     verts = ((True, 0, 0), (False, 1, 0), (True, 1, 1), (False, 0, 1))
     edges = ((0, 1), (1, 2), (2, 3), (3, 0))
-    g = MatchGraph(verts, edges, tuple(map(Fraction, (1, -3, 1, 1))))
+    g = signed(MatchGraph(verts, edges, tuple(map(Fraction, (1, -3, 1, 1)))))
     black, ends = _ends(g)
-    neg, _ = general_signing(g)
+    neg, _ = g.signing
     assert _determinant(_signed_rows(black, ends, neg, ())) == -2
     assert matching_generating_function(g) == -2 == permanent_oracle(g)
 
@@ -264,8 +264,8 @@ def test_determinant_matches_fraction_elimination(matrix, repeat):
 
 
 def test_count_matchings_requires_unit_weights():
-    g = bipartite(1, 1, 0b1, weights=[Fraction(2)])
-    with pytest.raises(ValueError):
+    g = signed(bipartite(1, 1, 0b1, weights=[Fraction(2)]))
+    with pytest.raises(ValueError, match="unit edge weights"):
         count_matchings(g)
 
 
@@ -299,7 +299,8 @@ def test_rejects_weights_unlike_edges():
 
 
 def test_size_limits():
-    assert count_matchings(path(VERTEX_LIMIT)) == 1 - VERTEX_LIMIT % 2
+    assert count_matchings(signed(path(VERTEX_LIMIT))) == 1 - VERTEX_LIMIT % 2
+    # the size is refused before the missing signing
     with pytest.raises(SizeLimit):
         count_matchings(path(VERTEX_LIMIT + 1))
     with pytest.raises(SizeLimit):
@@ -336,7 +337,7 @@ def test_reduce_forced_preserves_mgf(n, m, mask, picks):
 @settings(max_examples=200, deadline=None)
 def test_reduce_forced_preserves_mgf_on_plane_graphs(g):
     reduced, mult = reduce_forced(g)
-    assert mult * matching_generating_function(reduced) == (
+    assert mult * matching_generating_function(signed(reduced)) == (
         matching_generating_function(g)
     )
 
@@ -378,7 +379,7 @@ def test_perfect_matching_none_when_impossible():
     assert perfect_matching(odd) is None
     # balanced, but both blacks see only the first white
     blocked = bipartite(2, 2, 0b0101)
-    assert count_matchings(blocked) == 0
+    assert count_matchings(signed(blocked)) == 0
     assert perfect_matching(blocked) is None
     assert perfect_matching(MatchGraph((), ())) == []
 
@@ -456,7 +457,7 @@ def test_deletion_counts_are_fresh_counts():
         x, y, z, t = q.west, q.south, q.east, q.north
         sets = ((x, y, z, t), (x, y), (z, t), (t, x), (y, z))
         assert deletion_counts(g, sets) == [
-            count_matchings(g.without(drop)) for drop in sets
+            count_matchings(signed(g.without(drop))) for drop in sets
         ], spec
     for n in range(1, 7):
         g = _aztec_dual(n)
@@ -466,7 +467,9 @@ def test_deletion_counts_are_fresh_counts():
             edge for edge in g.edges if set(edge) <= outer
         ]
         counts = deletion_counts(g, sets)
-        assert counts == [count_matchings(g.without(drop)) for drop in sets]
+        assert counts == [
+            count_matchings(signed(g.without(drop))) for drop in sets
+        ]
         assert any(counts)
 
 
@@ -489,13 +492,15 @@ def test_deletion_signs_unbalanced_components():
     va, ea = ladder(0, True)
     vb, eb = ladder(100, False)
     shift = len(va)
-    g = MatchGraph(
-        tuple(va + vb), tuple(ea + [(u + shift, v + shift) for u, v in eb])
+    g = signed(
+        MatchGraph(
+            tuple(va + vb), tuple(ea + [(u + shift, v + shift) for u, v in eb])
+        )
     )
     pendants = (shift - 1, len(g.vertices) - 1)
     assert count_matchings(g) == 0
     assert deletion_counts(g, ((), pendants)) == [0, 25]
-    assert count_matchings(g.without(pendants)) == 25
+    assert count_matchings(signed(g.without(pendants))) == 25
 
 
 def test_deletion_off_outer_face_raises():
@@ -521,26 +526,31 @@ def _area(pos, target, walk):
 
 
 def test_lattice_signing_is_kasteleyn_face_by_face():
-    # `dual_graph`'s parity rule, checked on the face walks of the
-    # face-walk signer: every bounded walk of length 2k has k + 1 negated
-    # edges mod 2, and the outer-face flags are that signer's, on every
-    # region with total <= 12 and on the Aztec duals (n; 2n), n <= 20
+    # the lattice parity rules of `dual_graph` and `aztec_match_graph`,
+    # checked on the reference signer's face walks: every bounded walk of
+    # length 2k has k + 1 negated edges mod 2, and the outer-face flags
+    # are that signer's, on every region with total <= 12, on the Aztec
+    # duals (n; 2n) and on the Aztec graphs of order n, n <= 20
     graphs = [
         dual_graph(build_region(s.side, s.distances)) for s in valid_specs(12)
     ]
     assert len(graphs) == 2047
     graphs += [_aztec_dual(n) for n in range(1, 21)]
+    graphs += [
+        aztec_match_graph(AztecDiamond(n, WeightPattern.ones(2, 2)))
+        for n in range(1, 21)
+    ]
     for g in graphs:
         negated, outer = g.signing
-        faces, target, edge_of, _, _ = _face_walks(g, _adjacency(g), len(g.edges))
+        faces, target, edge_of, _, _ = face_walks(g, adjacency(g))
         pos = [v[1:] for v in g.vertices]
         bounded = [walk for walk in faces if _area(pos, target, walk) > 0]
-        # a region dual is connected, so Euler leaves one outer walk
+        # each graph is connected, so Euler leaves one outer walk
         assert len(bounded) == len(faces) - 1 == len(g.edges) - len(g.vertices) + 1
         for walk in bounded:
             odd = sum(negated[edge_of[d]] for d in walk)
             assert odd % 2 == (len(walk) // 2 + 1) % 2
-        assert outer == general_signing(g)[1]
+        assert outer == kasteleyn_signing(g)[1]
 
 
 def test_signing_flags_are_checked_and_dropped_by_without():
@@ -554,6 +564,40 @@ def test_signing_flags_are_checked_and_dropped_by_without():
     assert g.without(()).signing is None
     assert g.without([0, 1]).signing is None
     assert MatchGraph(g.vertices, g.edges).signing is None
+
+
+@given(
+    n=st.integers(1, 5),
+    shape=st.sampled_from([(2, 2), (2, 4), (4, 2), (4, 4)]),
+    picks=st.lists(st.sampled_from(WEIGHT_PICKS), min_size=16, max_size=16),
+)
+@settings(max_examples=200, deadline=None)
+def test_aztec_signing_sums_like_the_reference(n, shape, picks):
+    # the weighted sum under `aztec_match_graph`'s own signing equals the
+    # sum under the reference signing, zero and negative weights included
+    rows, cols = shape
+    pattern = WeightPattern(
+        tuple(tuple(picks[r * cols + c] for c in range(cols)) for r in range(rows))
+    )
+    g = aztec_match_graph(AztecDiamond(n, pattern))
+    assert matching_generating_function(g) == matching_generating_function(
+        signed(g)
+    )
+
+
+def test_counts_refuse_a_graph_without_signing():
+    aztec = aztec_match_graph(AztecDiamond(2, WeightPattern(((1, 2), (3, 4)))))
+    dual = dual_graph(build_region(7, (4, 2, 5, 4)))
+    bare = MatchGraph(dual.vertices, dual.edges)
+    for count in (
+        lambda: count_matchings(bare),
+        lambda: deletion_counts(bare, ((),)),
+        lambda: matching_generating_function(
+            MatchGraph(aztec.vertices, aztec.edges, aztec.weights)
+        ),
+    ):
+        with pytest.raises(ValueError, match="no Kasteleyn signing"):
+            count()
 
 
 def _centroid(cell):
@@ -596,8 +640,8 @@ def test_rational_positions_order_exactly():
             g.edges,
         )
         assert {x.denominator for _, x, _ in scaled.vertices} == {2, 3}
-        assert general_signing(g) == general_signing(scaled)
-        assert count_matchings(scaled) == count_matchings(g)
+        assert kasteleyn_signing(g) == kasteleyn_signing(scaled)
+        assert count_matchings(signed(scaled)) == count_matchings(g)
 
 
 def _check_without(g, drop):
