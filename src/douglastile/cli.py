@@ -2,13 +2,13 @@
 
 Exit codes: 0 success, 1 at least one verification check failed, 2 the
 spec is malformed or does not describe a region, a `--spec` file cannot
-be read, an `--out` file cannot be written or `--matching` lacks
-`--format svg`, 3 an exact computation, or a `--sweep` total past
-`SWEEP_LIMIT`, was refused for size, 4 an internal consistency check
-failed or any other exception escaped (a bug, not a property of the
-input), with one `internal error:` line, 141 the reader closed stdout
-early (128 + SIGPIPE, as a shell reports a writer killed by that
-signal), silently.
+be read or parsed or comes with `--a` or `--d`, an `--out` file cannot
+be written or `--matching` lacks `--format svg`, 3 an exact
+computation, or a `--sweep` total past `SWEEP_LIMIT`, was refused for
+size, 4 an internal consistency check failed or any other exception
+escaped (a bug, not a property of the input), with one `internal
+error:` line, 141 the reader closed stdout early (128 + SIGPIPE, as a
+shell reports a writer killed by that signal), silently.
 """
 
 from __future__ import annotations
@@ -124,7 +124,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve(args) -> RegionSpec:
     """The command line's spec; a missing side is derived from `--d`."""
-    if args.spec:
+    if args.spec is not None:
+        if args.a is not None or args.d is not None:
+            raise SpecInvalid("--spec cannot be combined with --a or --d")
         try:
             with open(args.spec, encoding="utf-8") as fh:
                 text = fh.read()

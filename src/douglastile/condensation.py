@@ -10,10 +10,13 @@ x, y, z, t, Kuo's identity reads
 Applied to the dual graph of a layered region with the four corner cells
 deleted in pairs, every term is again (after stripping forced edges) the
 dual of a smaller region, which turns the identity into a two-to-one
-recurrence on specs.  The case analysis below picks the smaller specs
-directly from the distance tuple, so counting by condensation never
-builds a matching; the only inputs are the base table of the seven
-smallest regions and exact integer division.
+recurrence on specs.  The case table below reads the smaller specs off
+the distance tuple by two cut rules: the head cut, chosen by the first
+layer, and the tail cut, chosen by the last.  A three-term case takes
+the head cut, the tail cut and both (the head rule applied to the tail
+cut); a one-term case takes the head cut alone.  So counting by
+condensation never builds a matching; the only inputs are the base
+table of the seven smallest regions and exact integer division.
 """
 
 from __future__ import annotations
@@ -186,9 +189,8 @@ def _last_wide(d: tuple[int, ...]) -> int | None:
     return None
 
 
-def _subspec(side: int, entries) -> RegionSpec | None:
+def _subspec(side: int, entries: tuple[int, ...]) -> RegionSpec | None:
     """Normalise a candidate sub-spec; None stands for the empty region."""
-    entries = tuple(entries)
     if side == 0 and entries and all(e == 0 for e in entries):
         return None
     if side < 1 or not entries or min(entries) < 1:
@@ -196,64 +198,49 @@ def _subspec(side: int, entries) -> RegionSpec | None:
     return RegionSpec(side, entries)
 
 
-def _case_one(case_id: str, a: int, d: tuple[int, ...]):
-    """Sub-specs for the three deletion pairs of a Case I spec."""
-    k = len(d)
-    m = _first_wide(d)
-    q = _last_wide(d)
-    if case_id == "I.1":
-        if k == 1:
-            g1 = _subspec(a - 1, (d[0] - 2,))
-            return g1, g1, _subspec(a - 2, (d[0] - 4,))
-        return (
-            _subspec(a - 1, (d[0] - 2,) + d[1:]),
-            _subspec(a - 1, d[:-1] + (d[-1] - 2,)),
-            _subspec(a - 2, (d[0] - 2,) + d[1:-1] + (d[-1] - 2,)),
-        )
-    if case_id == "I.2":
-        if m is None:
-            raise CaseUnreachable("no second wide layer")
-        g1 = _subspec(a - m, (d[m - 1] - 1,) + d[m:])
-        g2 = _subspec(a - 1, d[:-1] + (d[-1] - 2,))
-        if m == k:
-            g3 = _subspec(a - m - 1, (d[m - 1] - 3,))
-        else:
-            g3 = _subspec(a - m - 1, (d[m - 1] - 1,) + d[m:-1] + (d[-1] - 2,))
-        return g1, g2, g3
-    if case_id == "I.3":
-        return (
-            _subspec(a, d[1:]),
-            _subspec(a - 1, d[:-1] + (d[-1] - 2,)),
-            _subspec(a - 1, d[1:-1] + (d[-1] - 2,)),
-        )
-    if case_id == "I.4":
-        if m is None or q is None or m > q:
-            raise CaseUnreachable("wide layers out of order")
-        g1 = _subspec(a - m, (d[m - 1] - 1,) + d[m:])
-        g2 = _subspec(a - 1, d[: q - 1] + (d[q - 1] - 1,))
-        if m == q:
-            g3 = _subspec(a - m - 1, (d[m - 1] - 2,))
-        else:
-            g3 = _subspec(
-                a - m - 1, (d[m - 1] - 1,) + d[m : q - 1] + (d[q - 1] - 1,)
-            )
-        return g1, g2, g3
-    if case_id == "I.5":
-        return (
-            _subspec(a, d[1:]),
-            _subspec(a - 1, d[:-1]),
-            _subspec(a - 1, d[1:-1]),
-        )
-    if case_id == "I.6":
-        if q is None:
-            raise CaseUnreachable("no interior wide layer")
-        return (
-            _subspec(a, d[1:]),
-            _subspec(a - 1, d[: q - 1] + (d[q - 1] - 1,)),
-            _subspec(a - 1, d[1 : q - 1] + (d[q - 1] - 1,)),
-        )
-    raise CaseUnreachable(case_id)
+def _head_cut(
+    d: tuple[int, ...], a: int, e: tuple[int, ...]
+) -> RegionSpec | None:
+    """Cut the head of `e` on side `a` by the rule that `d[0]` picks.
 
+    `e` is `d` itself or its tail cut, so the head cut of the tail cut
+    is both cuts.
+    """
+    if d[0] >= 3:
+        return _subspec(a - 1, (e[0] - 2,) + e[1:])
+    if d[0] == 1:
+        return _subspec(a, e[1:])
+    m = _first_wide(d)
+    if m is None or m > len(e):
+        raise CaseUnreachable("no wide layer for the head cut")
+    return _subspec(a - m, (e[m - 1] - 1,) + e[m:])
+
+
+def _tail_cut(a: int, d: tuple[int, ...]) -> RegionSpec | None:
+    """Cut the tail of `d` on side `a` by the rule that `d[-1]` picks."""
+    if d[-1] >= 3:
+        return _subspec(a - 1, d[:-1] + (d[-1] - 2,))
+    if d[-1] == 1:
+        return _subspec(a - 1, d[:-1])
+    q = _last_wide(d)
+    if q is None:
+        raise CaseUnreachable("no wide layer for the tail cut")
+    return _subspec(a - 1, d[: q - 1] + (d[q - 1] - 1,))
+
+
+# Case I by the first and last layer of the normalized tuple, each capped
+# at 3; the flip puts the shorter end layer first, so no other pair occurs
+_CASE_ONE = {
+    (3, 3): "I.1",
+    (2, 3): "I.2",
+    (1, 3): "I.3",
+    (2, 2): "I.4",
+    (1, 1): "I.5",
+    (1, 2): "I.6",
+}
+
+# the cases whose one sub-spec is the head cut, with their multipliers
+_ONE_TERM = {"II.1": 2, "II.2b(iii)": 4}
 
 _THREE_TERM = "M * M3 = 2 * M1 * M2"
 
@@ -269,92 +256,51 @@ def case_recurrence(spec: RegionSpec) -> CaseRecurrence:
 
 
 def _dispatch(spec: RegionSpec) -> CaseRecurrence:
-    """`case_recurrence` for a spec already known to describe a region."""
-    a = spec.side
-    w = spec.width
-    d = spec.distances
+    """`case_recurrence` for a spec already known to describe a region.
 
+    Every case deletes corners at the head or the tail of the distance
+    tuple: a three-term case has the head cut, the tail cut and both as
+    its sub-specs, and a one-term case the head cut alone.
+    """
+    a, w, d = spec.side, spec.width, spec.distances
     if len(d) == 1 and a < 3:
         raise BaseCase(spec, BASE_TABLE[spec])
 
-    if a >= 3 and w >= 3:
-        flip = d[0] > d[-1]
-        norm = regions.flipped(spec) if flip else spec
-        a, d = norm.side, norm.distances
-        first, last = d[0], d[-1]
-        if first >= 3 and last >= 3:
-            case_id = "I.1"
-        elif first == 2 and last >= 3:
-            case_id = "I.2"
-        elif first == 1 and last >= 3:
-            case_id = "I.3"
-        elif first == 2 and last == 2:
-            case_id = "I.4"
-        elif first == 1 and last == 1:
-            case_id = "I.5"
-        elif first == 1 and last == 2:
-            case_id = "I.6"
-        else:
-            raise CaseUnreachable(f"unordered layer pair {first},{last}")
-        return CaseRecurrence(
-            case_id, norm, flip, _case_one(case_id, a, d), 2, _THREE_TERM
-        )
-
-    # narrow side or narrow width: flip so the side is the narrow one
-    flip = a > w
+    # Case I puts the shorter end layer first, Case II the narrow side
+    case_one = a >= 3 and w >= 3
+    flip = d[0] > d[-1] if case_one else a > w
     norm = regions.flipped(spec) if flip else spec
     a, d = norm.side, norm.distances
     k = len(d)
-
-    if a == 1:
+    if case_one:
+        case_id = _CASE_ONE[min(d[0], 3), min(d[-1], 3)]
+    elif a == 1:
         if d != (1,) * (k - 1) + (2,):
             raise CaseUnreachable("side-1 spec not of the staircase form")
-        sub = _subspec(1, (1,) * (k - 2) + (2,))
-        return CaseRecurrence("II.1", norm, flip, (sub,), 2, "M = 2 * M1")
-
-    if a == 2:
+        case_id = "II.1"
+    elif a == 2:
         if norm.total <= 4:
             raise BaseCase(norm, BASE_TABLE[norm])
         if d == (1,) * (k - 2) + (2, 1):
-            subs = (
-                _subspec(2, d[1:]),
-                _subspec(1, d[:-1]),
-                _subspec(1, d[1:-1]),
-            )
-            return CaseRecurrence("II.2a", norm, flip, subs, 2, _THREE_TERM)
-        if d == (1,) * (k - 1) + (4,):
-            subs = (
-                _subspec(2, d[1:]),
-                _subspec(1, d[:-1] + (2,)),
-                _subspec(1, d[1:-1] + (2,)),
-            )
-            return CaseRecurrence(
-                "II.2b(i)", norm, flip, subs, 2, _THREE_TERM
-            )
-        wide = [i for i, v in enumerate(d, 1) if v != 1]
-        if (
-            len(wide) == 2
-            and d[wide[0] - 1] == 3
-            and wide[1] == k
-            and d[k - 1] == 2
-        ):
-            i = wide[0]
-            if i == 1:
-                sub = _subspec(1, (1,) * (k - 1) + (2,))
-                return CaseRecurrence(
-                    "II.2b(iii)", norm, flip, (sub,), 4, "M = 4 * M1"
-                )
-            subs = (
-                _subspec(2, d[1:]),
-                _subspec(1, d[: i - 1] + (2,)),
-                _subspec(1, d[1 : i - 1] + (2,)),
-            )
-            return CaseRecurrence(
-                "II.2b(ii)", norm, flip, subs, 2, _THREE_TERM
-            )
-        raise CaseUnreachable("narrow spec outside the classified forms")
+            case_id = "II.2a"
+        elif d == (1,) * (k - 1) + (4,):
+            case_id = "II.2b(i)"
+        elif d[-1] == 2 and d[:-1].count(1) == k - 2 and 3 in d:
+            # all ones but one 3, and a last layer of 2
+            case_id = "II.2b(iii)" if d[0] == 3 else "II.2b(ii)"
+        else:
+            raise CaseUnreachable("narrow spec outside the classified forms")
+    else:
+        raise CaseUnreachable(f"side {a} with width {w} not classified")
 
-    raise CaseUnreachable(f"side {a} with width {w} not classified")
+    head = _head_cut(d, a, d)
+    multiplier = _ONE_TERM.get(case_id)
+    if multiplier is not None:
+        identity = f"M = {multiplier} * M1"
+        return CaseRecurrence(case_id, norm, flip, (head,), multiplier, identity)
+    tail = _tail_cut(a, d)
+    subs = (head, tail, _head_cut(d, tail.side, tail.distances))
+    return CaseRecurrence(case_id, norm, flip, subs, 2, _THREE_TERM)
 
 
 def _resolve(
@@ -478,18 +424,16 @@ def stats_deltas(
         gs = None if g is None else _region_stats(g, memo)
         got.append((0, 0) if gs is None else (gs.width, gs.regular_cells))
 
-    # the second sub-region's width and the last two cell counts
-    if rec.case_id in ("I.4", "I.6"):
-        d = parent.distances
-        span = len(d) - _last_wide(d) + 1
-        pw = w - span
-        pc2 = cells - w - sum(w - i for i in range(span))
-        pc3 = cells - (a - 1) - 2 * w - sum(w - i - 1 for i in range(span))
-    elif rec.case_id == "I.5":
-        pw, pc2, pc3 = w, cells - w, cells - (a - 1) - 2 * w
-    else:
-        pw, pc2, pc3 = w - 1, cells - 2 * w, cells - (a - 1) - (w - 1) - 2 * w
-    predicted = [(w - 1, cells - a - w), (pw, pc2), (pw - 1, pc3)]
+    def head(side, width, count):
+        # the head cut narrows by one and takes side + width regular cells
+        return width - 1, count - side - width
+
+    # the tail cut takes `span` layers, by the last one: one layer for 3 or
+    # more, none for 1, and from the last wide layer on for 2
+    d = parent.distances
+    span = 1 if d[-1] >= 3 else 0 if d[-1] == 1 else len(d) - _last_wide(d) + 1
+    tail = (w - span, cells - w - sum(w - i for i in range(span)))
+    predicted = [head(a, w, cells), tail, head(a - 1, *tail)]
 
     (w1, c1), (w2, c2), (w3, c3) = got
     balance_ok = (

@@ -399,5 +399,6 @@ def spec_from_json(text: str) -> RegionSpec:
         return RegionSpec(
             _json_int(data["a"]), tuple(_json_int(d) for d in data["d"])
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    # RecursionError: nested deeper than the decoder goes
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise SpecInvalid(f"malformed spec JSON: {exc!r}") from None

@@ -84,6 +84,7 @@ def test_missing_spec_exits_two(capsys):
         None,
         '{"a": 2.7, "d": [4.9]}',
         '{"a": true, "d": [2]}',
+        "[" * 100000,
     ],
     ids=[
         "empty",
@@ -92,6 +93,7 @@ def test_missing_spec_exits_two(capsys):
         "missing-file",
         "non-integer-number",
         "bool",
+        "nested-past-the-decoder",
     ],
 )
 def test_malformed_spec_file_exits_two(tmp_path, capsys, content):
@@ -102,6 +104,28 @@ def test_malformed_spec_file_exits_two(tmp_path, capsys, content):
     assert code == 2
     assert out == ""
     assert err.startswith("invalid spec: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "extra", [("--a", "2"), ("--d", "4"), ("--a", "2", "--d", "4")]
+)
+def test_spec_file_with_side_or_distances_exits_two(tmp_path, capsys, extra):
+    # the file would win unnoticed, so the combination is refused
+    path = tmp_path / "spec.json"
+    path.write_text('{"a": 3, "d": [6]}')
+    code, out, err = run_cli(capsys, "count", "--spec", str(path), *extra)
+    assert code == 2
+    assert out == ""
+    assert err == "invalid spec: --spec cannot be combined with --a or --d\n"
+
+
+def test_empty_spec_path_is_not_ignored(capsys):
+    code, out, err = run_cli(capsys, "count", "--spec", "", "--d", "4")
+    assert code == 2 and out == ""
+    assert err.startswith("invalid spec: ") and err.count("\n") == 1
+    code, out, err = run_cli(capsys, "count", "--spec", "")
+    assert code == 2 and out == ""
+    assert err.startswith("invalid spec: cannot read spec file")
 
 
 def test_count_prints_past_the_int_digit_limit(capsys):

@@ -1,7 +1,12 @@
 """Kuo's four-point identity, the case dispatch, and the condensation
 counting engine."""
 
+import hashlib
+import json
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_count, valid_specs
 from douglastile import condensation, regions
@@ -24,6 +29,7 @@ from douglastile.condensation import (
 from douglastile.matching import (
     MatchGraph,
     canonical_embedding,
+    count_matchings,
     dual_graph,
     reduce_forced,
 )
@@ -32,10 +38,17 @@ from douglastile.regions import (
     SpecInvalid,
     build_region,
     check_spec,
+    compositions,
+    find_region,
     flipped,
     formula_count,
 )
-from douglastile.shuffle import characteristic_matrix, code_trace, shuffle_exponent
+from douglastile.shuffle import (
+    characteristic_matrix,
+    code_trace,
+    shuffle_count,
+    shuffle_exponent,
+)
 
 # dispatch fixtures: spec -> (case, normalized, flipped, sub-specs, multiplier)
 # sub-spec counts were confirmed against brute force when frozen
@@ -207,6 +220,79 @@ def test_every_valid_spec_is_classified():
             assert check_spec(sub.side, sub.distances) == sub
             produced += 1
     assert produced == 6032
+
+
+def _case_table_lines(max_total):
+    # case_recurrence's whole record, or "base", for the spec of every
+    # composition with total <= max_total that describes a region
+    lines = []
+    for total in range(1, max_total + 1):
+        for d in compositions(total):
+            try:
+                spec = find_region(d)
+            except SpecInvalid:
+                continue
+            try:
+                rec = case_recurrence(spec)
+            except BaseCase:
+                lines.append(json.dumps([spec.to_dict(), "base"]))
+                continue
+            subs = [None if g is None else g.to_dict() for g in rec.subspecs]
+            lines.append(
+                json.dumps(
+                    [
+                        spec.to_dict(),
+                        rec.case_id,
+                        rec.normalized.to_dict(),
+                        rec.was_flipped,
+                        subs,
+                        rec.multiplier,
+                        rec.identity,
+                    ]
+                )
+            )
+    return lines
+
+
+def test_case_table_is_pinned():
+    # every case, sub-spec, multiplier and identity text, as the table
+    # spelled out case by case gave them before the two cut rules
+    lines = _case_table_lines(14)
+    assert len(lines) == 8191
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "a598dd1ffaf16323983a0c3f64a595243b5d0fbb8a5d78532ce8977b8f30bb61"
+    )
+
+
+@st.composite
+def _compositions(draw, max_total=40):
+    # a total, then cut points between its units
+    total = draw(st.integers(min_value=2, max_value=max_total))
+    cuts = sorted(draw(st.sets(st.integers(min_value=1, max_value=total - 1))))
+    ends = [0, *cuts, total]
+    return tuple(b - a for a, b in zip(ends, ends[1:]))
+
+
+@given(_compositions())
+@settings(max_examples=200, deadline=None)
+def test_engines_agree_on_random_specs(distances):
+    try:
+        spec = find_region(distances)
+    except SpecInvalid:
+        assume(False)
+    region = build_region(*spec)
+    count = formula_count(region)
+    assert condensation_count(spec) == count
+    assert shuffle_count(spec) == count
+    if len(region.cells) <= 300:
+        assert count_matchings(dual_graph(region)) == count
+    # the side is unique: one off either way fails both checks alike
+    for side in (spec.side - 1, spec.side + 1):
+        with pytest.raises(SpecInvalid) as checked:
+            check_spec(side, distances)
+        with pytest.raises(SpecInvalid) as built:
+            build_region(side, distances)
+        assert checked.value.reason == built.value.reason
 
 
 def test_recurrence_checks_only_the_root(monkeypatch):
