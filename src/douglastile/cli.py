@@ -134,7 +134,7 @@ def _resolve(args) -> RegionSpec:
             raise SpecInvalid(f"cannot read spec file: {exc}") from None
         return regions.spec_from_json(text)
     if args.d is None:
-        raise SpecInvalid(regions.REASON_POSITIVE)
+        raise SpecInvalid("no distances: give --d or --spec")
     if args.a is None:
         return regions.find_region(args.d)
     return RegionSpec(args.a, args.d)

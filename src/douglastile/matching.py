@@ -47,10 +47,18 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import repeat
+from itertools import compress, repeat
 from math import gcd, lcm
 
-from .regions import _CORNERS, Color, Region, _shared_sides
+from .regions import (
+    _CORNERS,
+    CellKind,
+    Color,
+    Region,
+    _level_runs,
+    _pair_blocks,
+    _run_end,
+)
 
 __all__ = [
     "RYSER_LIMIT",
@@ -68,6 +76,20 @@ __all__ = [
     "perfect_matching",
     "canonical_embedding",
 ]
+
+# the lattice point at (px, py) has the squares with anchors (px - 1,
+# py - 1), (px, py - 1), (px - 1, py) and (px, py) around it, on levels
+# -(j - 1), -j and -(j + 1) for j = px - py; so a cell of this kind at
+# anchor x on level -j has all four squares around each of its corners iff
+# x + dx lies in the run of level -(j + dj) for every (dj, dx) here
+_INNER_TESTS = {
+    kind: {
+        (cx - cy + dj, cx + dx)
+        for cx, cy in corners
+        for dj, dx in ((0, -1), (1, 0), (-1, -1), (0, 0))
+    }
+    for kind, corners in _CORNERS.items()
+}
 
 RYSER_LIMIT = 16
 # the largest Aztec diamond dual this admits, order 160 with 51,520
@@ -159,7 +181,10 @@ def dual_graph(region: Region) -> MatchGraph:
     Vertex i is `region.cells[i]`: line by line from the top, west to
     east, which keeps the elimination front of the determinant to roughly
     one line of cells.  Each vertex sits at its cell's centroid, in
-    integer sixths of a lattice unit.
+    integer sixths of a lattice unit.  The edges are the index pairs
+    (i, j), i < j, in sorted order, read off the level runs of the
+    region's spec (`regions._pair_blocks`); cells that are not the ones
+    those runs lay out, in number, raise ValueError.
 
     The graph carries a lattice Kasteleyn signing, the parity rule that
     Kasteleyn (1961) gave the square grid.  Two cells with the same anchor
@@ -169,26 +194,44 @@ def dual_graph(region: Region) -> MatchGraph:
     the face gets one negated edge; with six (the drawn diagonal through
     it cuts its NE and SW squares) it gets two, so a face of length 2k
     has k + 1 mod 2.  A cell lies on the outer face when one of its
-    corners lacks one of the four lattice squares around it.
+    corners lacks one of the four lattice squares around it.  Those four
+    squares lie on three consecutive levels, so the cells of a run that
+    are not on the outer face have their anchors in one interval, cut out
+    by the bounds of the runs at most two levels away.
     """
     cells = region.cells
-    edges = tuple(sorted(_shared_sides(cells)))
-    xs = [cell.anchor[0] for cell in cells]
-    negated = bytes([xs[i] == xs[j] and xs[i] & 1 for i, j in edges])
-    # region squares around each lattice point; four make it interior
-    around: dict[tuple[int, int], int] = {}
-    for x, y in {cell.anchor for cell in cells}:
-        for p in ((x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1)):
-            around[p] = around.get(p, 0) + 1
-    outer = bytearray(len(cells))
-    for i, cell in enumerate(cells):
-        x, y = cell.anchor
-        for dx, dy in _CORNERS[cell.kind]:
-            if around[x + dx, y + dy] < 4:
-                outer[i] = 1
-                break
+    runs = _level_runs(*region.spec)[2]
+    if _run_end(runs[-1]) != len(cells):
+        raise ValueError("cells unlike the level runs of their spec")
+    same, east = _pair_blocks(runs)
+    # slot 2i holds cell i's pair across its south side or cut diagonal,
+    # slot 2i + 1 its pair across its east side: every pair (i, j) with
+    # i < j, in sorted order
+    slots = [None] * (2 * len(cells))
+    flags = bytearray(len(slots))
+    parity = b"\0\1" * (len(cells) // 2 + 1)
+    for i, j, n, x in same:
+        slots[2 * i : 2 * (i + n) : 2] = zip(range(i, i + n), range(j, j + n))
+        flags[2 * i : 2 * (i + n) : 2] = parity[x & 1 : (x & 1) + n]
+    for i, j, n, _ in east:
+        slots[2 * i + 1 : 2 * (i + n) : 2] = zip(range(i, i + n), range(j, j + n))
+    edges = tuple(filter(None, slots))
+    negated = bytes(compress(flags, slots))
+
+    # bounds[j + 2] are level -j's, with two empty levels past either end
+    bounds = [(0, 0)] * 2 + [run[1:3] for run in runs] + [(0, 0)] * 2
+    outer = []
+    for j, (_, lo, hi, drawn) in enumerate(runs):
+        for kind in (CellKind.UP, CellKind.DOWN) if drawn else (CellKind.SQUARE,):
+            # the anchors [a, b) off the outer face; every kind has the
+            # corner (0, 0), which asks for x in [lo, hi) itself
+            lows = [bounds[j + 2 + dj][0] - dx for dj, dx in _INNER_TESTS[kind]]
+            highs = [bounds[j + 2 + dj][1] - dx for dj, dx in _INNER_TESTS[kind]]
+            a = min(hi, max(lows))
+            b = max(a, min(highs))
+            outer.append(b"\1" * (a - lo) + b"\0" * (b - a) + b"\1" * (hi - b))
     verts = tuple((cell.color is Color.BLACK, *cell.center) for cell in cells)
-    return MatchGraph(verts, edges, None, (negated, bytes(outer)))
+    return MatchGraph(verts, edges, None, (negated, b"".join(outer)))
 
 
 def _ends(graph: MatchGraph):

@@ -27,8 +27,11 @@ the one side a distance tuple allows and returns the checked spec.
 diagonal level at a time: each level meets the region in a single run of
 cells from the SW staircase to the NE staircase, so the cells come out
 line by line from the top, west to east, with no contour to trace and
-nothing to sort.  Cells that share a side are paired by looking up their
-anchors.
+nothing to sort.  Cells that share a side sit on one drawn level, across
+its cut diagonal, or on two consecutive levels, across a south or an east
+side, so every pair is index arithmetic on the bounds of one or two runs;
+the structure check and `matching.dual_graph` read the pairs, and whether
+the region is in one piece, off those bounds without visiting a cell.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ import json
 from collections import namedtuple
 from collections.abc import Iterator
 from enum import Enum
+from operator import is_
 
 __all__ = [
     "REASON_POSITIVE",
@@ -238,19 +242,39 @@ def check_spec(side: int, distances) -> RegionSpec:
     return _validated(side, distances)[0]
 
 
-def build_region(side: int, distances) -> Region:
-    spec, symbols, ne = _validated(side, distances)
-    total = spec.total
+def _level_runs(side: int, distances):
+    """The checked spec, its line symbols and the run of each level, top down.
 
-    # level -j meets the region in one run of anchors (x, x - j): from the
-    # SW staircase, the point reflection (-side - y, -side - x) of ne[j],
-    # up to ne[j] itself.  A drawn level gives a line of upper halves, then
-    # a line of lower halves; any other level one line of squares.
+    Level -j meets the region in one run of anchors (x, x - j), x from `lo`
+    up to `hi`: from the SW staircase, the point reflection
+    (-side - y, -side - x) of ne[j], up to ne[j] itself.  Its run is
+    `(start, lo, hi, drawn)`: the run's cells begin at index `start`, and
+    a drawn level holds a line of upper halves, then a line of lower
+    halves, any other level one line of squares.
+    """
+    spec, symbols, ne = _validated(side, distances)
+    runs = []
+    start = 0
+    for symbol, (east_x, east_y) in zip(symbols, ne):
+        lo = -side - east_y
+        drawn = symbol in (PLUS, MINUS)
+        runs.append((start, lo, east_x, drawn))
+        start += (east_x - lo) * (1 + drawn)
+    return spec, symbols, runs
+
+
+def _run_end(run) -> int:
+    start, lo, hi, drawn = run
+    return start + (hi - lo) * (1 + drawn)
+
+
+def build_region(side: int, distances) -> Region:
+    spec, symbols, runs = _level_runs(side, distances)
     cells: list[Cell] = []
-    for j, (symbol, (east_x, east_y)) in enumerate(zip(symbols, ne)):
+    for j, (symbol, (_, lo, hi, drawn)) in enumerate(zip(symbols, runs)):
         level = -j
-        anchors = [(x, x + level) for x in range(-side - east_y, east_x)]
-        if symbol in (PLUS, MINUS):
+        anchors = [(x, x + level) for x in range(lo, hi)]
+        if drawn:
             up, down = _COLORS[symbol == PLUS], _COLORS[symbol == MINUS]
             cells += [Cell(CellKind.UP, up, level, a) for a in anchors]
             cells += [Cell(CellKind.DOWN, down, level, a) for a in anchors]
@@ -259,63 +283,102 @@ def build_region(side: int, distances) -> Region:
             cells += [Cell(CellKind.SQUARE, color, level, a) for a in anchors]
     cells = tuple(cells)
 
-    _check_cell_structure(cells)
-    if any(c.color is Color.BLACK for c in cells if c.level == -total):
+    _check_cell_structure(cells, runs)
+    if any(c.color is Color.BLACK for c in cells[runs[-1][0]:]):
         raise InternalError("bottom line not white")
     return Region(spec, cells)
 
 
-def _shared_sides(cells) -> list[tuple[int, int]]:
-    """Index pairs i < j of the cells that share a side, one per side.
+def _pair_blocks(runs):
+    """The shared sides of the cells laid out by `runs`, as index blocks.
 
-    Every side is the west or north side of one anchor's unit square and
-    the east or south side of another's.  A square owns all four sides of
-    its anchor, an upper half the west and north ones, a lower half the
-    east and south ones, and the two halves share their cut diagonal.
+    A block `(i, j, n, x)` pairs cell i + k with cell j + k, i < j, for
+    k < n, where cell i + k has anchor x + k.  The first list holds the
+    pairs across a cut diagonal or a south side, whose two cells share
+    their anchor x; the second the pairs across an east side, where cell
+    j + k sits at x + k + 1.  A square owns all four sides of its anchor,
+    an upper half the west and north ones, a lower half the east and south
+    ones, so a square or lower half at x on one level meets the square or
+    upper half at x (south) and at x + 1 (east) on the level below.
     """
-    west_north: dict[tuple[int, int], int] = {}
-    east_south: dict[tuple[int, int], int] = {}
-    for i, cell in enumerate(cells):
-        kind, anchor = cell.kind, cell.anchor
-        # a second claim on one role at one anchor gives a side three owners
-        if kind is not CellKind.DOWN and west_north.setdefault(anchor, i) != i:
-            raise InternalError("edge shared three ways")
-        if kind is not CellKind.UP and east_south.setdefault(anchor, i) != i:
-            raise InternalError("edge shared three ways")
-    pairs = []
-    get = west_north.get
-    for (x, y), i in east_south.items():
-        # across the east side, the south side and a cut diagonal (a
-        # square owns both roles at its anchor and pairs with nothing there)
-        for j in (get((x + 1, y)), get((x, y - 1)), get((x, y))):
-            if j is not None and j != i:
-                pairs.append((i, j) if i < j else (j, i))
-    return pairs
+    same, east = [], []
+    for start, lo, hi, drawn in runs:
+        if drawn:
+            same.append((start, start + hi - lo, hi - lo, lo))
+    for (s, a, b, drawn), (t, c, d, _) in zip(runs, runs[1:]):
+        # cell i + x is the square or lower half at x on the upper level,
+        # cell j + x the square or upper half at x on the lower one
+        i, j = s + (b - a) * drawn - a, t - c
+        lo, hi = max(a, c), min(b, d)
+        if lo < hi:
+            same.append((i + lo, j + lo, hi - lo, lo))
+        lo, hi = max(a, c - 1), min(b, d - 1)
+        if lo < hi:
+            east.append((i + lo, j + lo + 1, hi - lo, lo))
+    return same, east
 
 
-def _check_cell_structure(cells: tuple[Cell, ...]) -> None:
-    """Internal sanity pass: white top line, proper colour alternation,
-    connectivity, and no side with three owners."""
-    if any(c.color is not Color.WHITE for c in cells if c.level == 0):
+def _connected(runs) -> bool:
+    """Whether the cells laid out by `runs` meet every level in one piece.
+
+    The halves of a cut square share their diagonal, so take each anchor
+    as one node.  Sides are shared only between consecutive levels, and
+    between runs [a, b) and [c, d) on levels -j and -j - 1 the anchor x
+    above meets x and x + 1 below.  So the linked anchors form a single
+    connected stretch, x in [max(a, c - 1), min(b, d)) above and in
+    [max(a, c), min(b + 1, d)) below, and the rest of the two runs meet
+    nothing across that band.  Hence the cells are in one piece iff every
+    anchor lies in the stretch of the band above or below it and the
+    stretches of each two consecutive bands share an anchor on the level
+    between them.
+    """
+    bounds = [(lo, hi) for _, lo, hi, _ in runs]
+    if any(lo >= hi for lo, hi in bounds):
+        return False
+    if len(bounds) == 1:
+        return bounds[0][1] - bounds[0][0] == 1
+    # `reached` is the stretch on the current level of the band above it
+    reached = None
+    for (a, b), (c, d) in zip(bounds, bounds[1:]):
+        lo, hi = max(a, c - 1), min(b, d)
+        if reached is not None:
+            if max(lo, reached[0]) >= min(hi, reached[1]):
+                return False
+            lo, hi = min(lo, reached[0]), max(hi, reached[1])
+        if (lo, hi) != (a, b):
+            return False
+        reached = (max(a, c), min(b + 1, d))
+    return reached == bounds[-1]
+
+
+def _check_cell_structure(cells: tuple[Cell, ...], runs) -> None:
+    """Internal sanity pass over cells laid out by `runs` (`_level_runs`).
+
+    The top line must be white.  The runs must claim the cells in order,
+    each once: a run that starts before the one above it ends claims a
+    cell for a second level or role, so some side gets three owners, and
+    a cell claimed by no run or a run past the last cell leaves cells and
+    runs unlike.  The two cells of each pair from `_pair_blocks` must
+    differ in colour, checked block by block, and `_connected` must hold.
+    """
+    top = cells[runs[0][0] : _run_end(runs[0])]
+    if any(c.color is not Color.WHITE for c in top):
         raise InternalError("top line not white")
+    end = 0
+    for run in runs:
+        if run[0] < end:
+            raise InternalError("edge shared three ways")
+        if run[0] > end:
+            raise InternalError("cells unlike their runs")
+        end = _run_end(run)
+    if end != len(cells):
+        raise InternalError("cells unlike their runs")
     colors = [c.color for c in cells]
-    adj: list[list[int]] = [[] for _ in cells]
-    for i, j in _shared_sides(cells):
-        if colors[i] is colors[j]:
+    same, east = _pair_blocks(runs)
+    for i, j, n, _ in same + east:
+        if any(map(is_, colors[i : i + n], colors[j : j + n])):
             raise InternalError("adjacent cells share a colour")
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = bytearray(len(cells))
-    seen[0] = 1
-    reached = 1
-    queue = [0]
-    while queue:
-        for j in adj[queue.pop()]:
-            if not seen[j]:
-                seen[j] = 1
-                reached += 1
-                queue.append(j)
-    if reached != len(cells):
+    if not _connected(runs):
         raise InternalError("region is disconnected")
 
 

@@ -1,11 +1,23 @@
-"""Reference cell builder: trace the region's contour and scan it row by row.
+"""Reference cell builder and cell checks, by contour and by anchor lookup.
 
 A second, independent way to make a region's cells, for tests to compare
-with `regions.build_region` cell for cell.  It shares only `check_spec`
-with the package and derives the tiers and the forced staircase itself.
+with `regions.build_region` cell for cell: trace the region's contour and
+scan it row by row.  It shares only `check_spec` with the package and
+derives the tiers and the forced staircase itself.
+
+`shared_sides` pairs any cells by looking up their anchors in two dicts,
+and `check_cell_structure` checks them with it and a breadth-first search;
+tests compare both with the package's pairing by level-run arithmetic.
 """
 
-from douglastile.regions import Cell, CellKind, Color, Region, check_spec
+from douglastile.regions import (
+    Cell,
+    CellKind,
+    Color,
+    InternalError,
+    Region,
+    check_spec,
+)
 
 
 def _tiers_and_drawn(distances):
@@ -75,3 +87,57 @@ def reference_region(side: int, distances) -> Region:
 
     cells.sort(key=lambda c: (tier_of(c), c.anchor[0]))
     return Region(spec, tuple(cells))
+
+
+def shared_sides(cells) -> list[tuple[int, int]]:
+    """Index pairs i < j of the cells that share a side, one per side.
+
+    Every side is the west or north side of one anchor's unit square and
+    the east or south side of another's.  A square owns all four sides of
+    its anchor, an upper half the west and north ones, a lower half the
+    east and south ones, and the two halves share their cut diagonal.
+    """
+    west_north: dict[tuple[int, int], int] = {}
+    east_south: dict[tuple[int, int], int] = {}
+    for i, cell in enumerate(cells):
+        kind, anchor = cell.kind, cell.anchor
+        # a second claim on one role at one anchor gives a side three owners
+        if kind is not CellKind.DOWN and west_north.setdefault(anchor, i) != i:
+            raise InternalError("edge shared three ways")
+        if kind is not CellKind.UP and east_south.setdefault(anchor, i) != i:
+            raise InternalError("edge shared three ways")
+    pairs = []
+    get = west_north.get
+    for (x, y), i in east_south.items():
+        # across the east side, the south side and a cut diagonal (a
+        # square owns both roles at its anchor and pairs with nothing there)
+        for j in (get((x + 1, y)), get((x, y - 1)), get((x, y))):
+            if j is not None and j != i:
+                pairs.append((i, j) if i < j else (j, i))
+    return pairs
+
+
+def check_cell_structure(cells) -> None:
+    """White top line, no side with three owners, proper colour
+    alternation and connectivity, cell by cell; InternalError if not."""
+    if any(c.color is not Color.WHITE for c in cells if c.level == 0):
+        raise InternalError("top line not white")
+    colors = [c.color for c in cells]
+    adj: list[list[int]] = [[] for _ in cells]
+    for i, j in shared_sides(cells):
+        if colors[i] is colors[j]:
+            raise InternalError("adjacent cells share a colour")
+        adj[i].append(j)
+        adj[j].append(i)
+    seen = bytearray(len(cells))
+    seen[0] = 1
+    reached = 1
+    queue = [0]
+    while queue:
+        for j in adj[queue.pop()]:
+            if not seen[j]:
+                seen[j] = 1
+                reached += 1
+                queue.append(j)
+    if reached != len(cells):
+        raise InternalError("region is disconnected")

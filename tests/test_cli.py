@@ -75,6 +75,16 @@ def test_missing_spec_exits_two(capsys):
     assert err.startswith("invalid spec:")
 
 
+@pytest.mark.parametrize("argv", [("count", "--a", "3"), ("trace", "--a", "3")])
+def test_missing_distances_are_named(capsys, argv):
+    # a side alone is no spec: the reason names what is missing, not a
+    # non-positive value that was never given
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "invalid spec: no distances: give --d or --spec\n"
+
+
 @pytest.mark.parametrize(
     "content",
     [

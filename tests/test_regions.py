@@ -6,11 +6,12 @@ from collections import Counter
 from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import enumerate_valid_regions, valid_specs
-from reference_cells import reference_region
+from reference_cells import check_cell_structure, reference_region, shared_sides
+from douglastile.matching import dual_graph
 from douglastile.regions import (
     REASON_CORNERS,
     REASON_CROSSING,
@@ -23,7 +24,8 @@ from douglastile.regions import (
     RegionSpec,
     SpecInvalid,
     _check_cell_structure,
-    _shared_sides,
+    _level_runs,
+    _pair_blocks,
     build_region,
     check_spec,
     compositions,
@@ -331,38 +333,182 @@ def test_shared_sides_pairs():
     up = Cell(CellKind.UP, B, -1, (1, 0))
     down = Cell(CellKind.DOWN, W, -1, (1, 0))
     west, below = _square(W, 0, 0), _square(B, 1, -1)
-    assert _shared_sides((up, down)) == [(0, 1)]
-    assert sorted(_shared_sides((up, down, west, below))) == [
+    assert shared_sides((up, down)) == [(0, 1)]
+    assert sorted(shared_sides((up, down, west, below))) == [
         (0, 1), (0, 2), (1, 3)
     ]
     # a 3 x 3 block of squares: twelve shared sides, four at the middle
     block = tuple(_square(W, x, y) for y in range(3) for x in range(3))
-    pairs = _shared_sides(block)
+    pairs = shared_sides(block)
     assert len(pairs) == len(set(pairs)) == 12
     assert all(i < j for i, j in pairs)
     middle = block.index(_square(W, 1, 1))
     assert sum(middle in pair for pair in pairs) == 4
 
 
+# cells with their level runs `(start, lo, hi, drawn)`, one run per level
+# from the top; a run that starts inside the run above claims one of its
+# cells a second time, as two squares or a square and an upper half
 @pytest.mark.parametrize(
-    "cells,reason",
+    "cells,runs,reason",
     [
-        ((_square(B, 0, 0),), "top line not white"),
+        ((_square(B, 0, 0),), [(0, 0, 1, False)], "top line not white"),
         (
             (_square(W, 0, 0), _square(W, 1, 0)),
+            [(0, 0, 1, False), (1, 1, 2, False)],
             "adjacent cells share a colour",
         ),
-        ((_square(W, 0, 0), _square(B, 2, 0)), "region is disconnected"),
-        ((_square(W, 1, 0), _square(B, 1, 0)), "edge shared three ways"),
         (
-            (_square(W, 1, 0), Cell(CellKind.UP, B, -1, (1, 0))),
+            (_square(W, 0, 0), _square(B, 2, 0)),
+            [(0, 0, 1, False), (1, 1, 1, False), (1, 2, 3, False)],
+            "region is disconnected",
+        ),
+        (
+            (_square(W, 0, 0), _square(B, 1, 0)),
+            [(0, 0, 1, False), (0, 1, 2, False)],
+            "edge shared three ways",
+        ),
+        (
+            (
+                _square(W, 0, 0),
+                Cell(CellKind.UP, B, -1, (1, 0)),
+                Cell(CellKind.DOWN, W, -1, (1, 0)),
+            ),
+            [(0, 0, 1, False), (0, 1, 2, True)],
             "edge shared three ways",
         ),
     ],
     ids=["top-line", "colour", "disconnected", "two-squares", "square-and-up"],
 )
-def test_cell_structure_faults(cells, reason):
+def test_cell_structure_faults(cells, runs, reason):
     with pytest.raises(InternalError) as err:
-        _check_cell_structure(cells)
+        _check_cell_structure(cells, runs)
     assert err.value.reason == reason
     assert str(err.value) == f"internal: {reason}"
+
+
+def test_cell_structure_refuses_cells_unlike_their_runs():
+    cells = (_square(W, 0, 0), _square(B, 1, 0))
+    for runs in (
+        [(0, 0, 1, False)],  # a cell past the last run
+        [(0, 0, 1, False), (1, 1, 3, False)],  # a run past the last cell
+        [(0, 0, 1, False), (2, 1, 2, False)],  # a cell between two runs
+    ):
+        with pytest.raises(InternalError) as err:
+            _check_cell_structure(cells, runs)
+        assert err.value.reason == "cells unlike their runs"
+    region = build_region(2, (2, 1))
+    with pytest.raises(ValueError, match="cells unlike the level runs"):
+        dual_graph(region._replace(cells=region.cells[:-1]))
+
+
+def test_a_level_without_cells_breaks_the_region():
+    # the runs of a region meet every level; an empty run at either end,
+    # where the cells may still be in one piece, is refused as well
+    for cells, runs in (
+        ((_square(W, 0, -1),), [(0, 0, 0, False), (0, 0, 1, False)]),
+        ((_square(W, 0, 0),), [(0, 0, 1, False), (1, 1, 1, False)]),
+    ):
+        with pytest.raises(InternalError) as err:
+            _check_cell_structure(cells, runs)
+        assert err.value.reason == "region is disconnected"
+
+
+def _verdict(check, *args):
+    try:
+        check(*args)
+    except InternalError as err:
+        return err.reason
+    return None
+
+
+def _without_level(cells, runs, m):
+    # the cells and runs with level -m's run emptied in place
+    start, lo, hi, drawn = runs[m]
+    size = (hi - lo) * (1 + drawn)
+    later = [(s - size, a, b, d) for s, a, b, d in runs[m + 1 :]]
+    return (
+        cells[:start] + cells[start + size :],
+        runs[:m] + [(start, lo, lo, drawn)] + later,
+    )
+
+
+def _recoloured(cells, k):
+    cell = cells[k]
+    color = W if cell.color is B else B
+    return cells[:k] + (cell._replace(color=color),) + cells[k + 1 :]
+
+
+def test_run_pairing_matches_the_anchor_lookup():
+    # the pairs from run arithmetic are the anchor-dict pairs, and the
+    # structure check from run bounds gives the dict-and-search verdict,
+    # on the regions and on copies with a level emptied or a cell recoloured
+    d24 = (3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5)
+    specs = list(valid_specs(12))
+    specs += [RegionSpec(n, (2 * n,)) for n in range(1, 21)]
+    specs += [find_region(tuple(4 * d for d in d24))]
+    specs += [RegionSpec(1, (1,) * 199 + (2,))]
+    verdicts = Counter()
+    for spec in specs:
+        region = build_region(*spec)
+        cells, runs = region.cells, _level_runs(*spec)[2]
+        assert dual_graph(region).edges == tuple(sorted(shared_sides(cells)))
+        inputs = [(cells, runs)]
+        if len(runs) > 2:
+            inputs.append(_without_level(cells, runs, len(runs) // 2))
+        for k in (0, len(cells) // 2, len(cells) - 1):
+            inputs.append((_recoloured(cells, k), runs))
+        for cells, runs in inputs:
+            verdict = _verdict(_check_cell_structure, cells, runs)
+            assert verdict == _verdict(check_cell_structure, cells)
+            verdicts[verdict] += 1
+    assert len(specs) == 2069
+    assert verdicts == {
+        None: 2069,
+        "region is disconnected": 2069,
+        "top line not white": 2069,
+        "adjacent cells share a colour": 2 * 2069,
+    }
+
+
+def _cells_of_runs(bounds, drawn):
+    # the cells of the given level runs, each line one tier down from the
+    # last and coloured by its tier's parity, so that sides pair unlike
+    # colours; returns the cells and their runs
+    cells, runs, tier = [], [], 0
+    for j, ((lo, hi), cut) in enumerate(zip(bounds, drawn)):
+        runs.append((len(cells), lo, hi, cut))
+        kinds = (CellKind.UP, CellKind.DOWN) if cut else (CellKind.SQUARE,)
+        for kind in kinds:
+            color = B if tier % 2 else W
+            cells += [Cell(kind, color, -j, (x, x - j)) for x in range(lo, hi)]
+            tier += 1
+    return tuple(cells), runs
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(-2, 2), st.integers(1, 4), st.booleans()),
+        min_size=1,
+        max_size=6,
+    )
+)
+@example([(0, 1, False), (0, 2, False)])  # reached across an east side only
+@example([(0, 2, False), (0, 0, False), (0, 2, False)])  # an empty level
+@settings(max_examples=300, deadline=None)
+def test_run_arithmetic_on_any_runs(levels):
+    # runs of any bounds, each level's shifted from the last's by -2 to 2:
+    # the blocks give the anchor-dict pairs, and the structure check the
+    # dict-and-search verdict
+    starts = accumulate(shift for shift, _, _ in levels)
+    bounds = [(lo, lo + n) for lo, (_, n, _) in zip(starts, levels)]
+    drawn = [False] + [cut for _, _, cut in levels[1:]]
+    cells, runs = _cells_of_runs(bounds, drawn)
+    same, east = _pair_blocks(runs)
+    pairs = [
+        (i + k, j + k) for i, j, n, _ in same + east for k in range(n)
+    ]
+    assert sorted(pairs) == sorted(shared_sides(cells))
+    verdict = _verdict(_check_cell_structure, cells, runs)
+    assert verdict == _verdict(check_cell_structure, cells)
+    assert verdict in (None, "region is disconnected")
