@@ -52,12 +52,12 @@ from math import gcd, lcm
 
 from .regions import (
     _CORNERS,
-    CellKind,
+    _LINES,
+    _SIXTHS,
     Color,
     Region,
-    _level_runs,
     _pair_blocks,
-    _run_end,
+    _region_runs,
 )
 
 __all__ = [
@@ -181,10 +181,11 @@ def dual_graph(region: Region) -> MatchGraph:
     Vertex i is `region.cells[i]`: line by line from the top, west to
     east, which keeps the elimination front of the determinant to roughly
     one line of cells.  Each vertex sits at its cell's centroid, in
-    integer sixths of a lattice unit.  The edges are the index pairs
-    (i, j), i < j, in sorted order, read off the level runs of the
-    region's spec (`regions._pair_blocks`); cells that are not the ones
-    those runs lay out, in number, raise ValueError.
+    integer sixths of a lattice unit, and takes its colour from its line.
+    The edges are the index pairs (i, j), i < j, in sorted order.  Both
+    are read off the level runs and line symbols of the region's spec
+    (`regions._pair_blocks`, `regions._LINES`); cells that are not the
+    ones those runs lay out, in number, raise ValueError.
 
     The graph carries a lattice Kasteleyn signing, the parity rule that
     Kasteleyn (1961) gave the square grid.  Two cells with the same anchor
@@ -199,17 +200,15 @@ def dual_graph(region: Region) -> MatchGraph:
     are not on the outer face have their anchors in one interval, cut out
     by the bounds of the runs at most two levels away.
     """
-    cells = region.cells
-    runs = _level_runs(*region.spec)[2]
-    if _run_end(runs[-1]) != len(cells):
-        raise ValueError("cells unlike the level runs of their spec")
+    symbols, runs = _region_runs(region)
+    size = len(region.cells)
     same, east = _pair_blocks(runs)
     # slot 2i holds cell i's pair across its south side or cut diagonal,
     # slot 2i + 1 its pair across its east side: every pair (i, j) with
     # i < j, in sorted order
-    slots = [None] * (2 * len(cells))
+    slots = [None] * (2 * size)
     flags = bytearray(len(slots))
-    parity = b"\0\1" * (len(cells) // 2 + 1)
+    parity = b"\0\1" * (size // 2 + 1)
     for i, j, n, x in same:
         slots[2 * i : 2 * (i + n) : 2] = zip(range(i, i + n), range(j, j + n))
         flags[2 * i : 2 * (i + n) : 2] = parity[x & 1 : (x & 1) + n]
@@ -220,9 +219,17 @@ def dual_graph(region: Region) -> MatchGraph:
 
     # bounds[j + 2] are level -j's, with two empty levels past either end
     bounds = [(0, 0)] * 2 + [run[1:3] for run in runs] + [(0, 0)] * 2
-    outer = []
-    for j, (_, lo, hi, drawn) in enumerate(runs):
-        for kind in (CellKind.UP, CellKind.DOWN) if drawn else (CellKind.SQUARE,):
+    verts, outer = [], []
+    for j, (symbol, (_, lo, hi, _)) in enumerate(zip(symbols, runs)):
+        n = hi - lo
+        for kind, color in _LINES[symbol]:
+            # each line's centroids, in sixths, step by 6 along the run
+            cx, cy = _SIXTHS[kind]
+            verts += zip(
+                repeat(color is Color.BLACK, n),
+                range(6 * lo + cx, 6 * hi + cx, 6),
+                range(6 * (lo - j) + cy, 6 * (hi - j) + cy, 6),
+            )
             # the anchors [a, b) off the outer face; every kind has the
             # corner (0, 0), which asks for x in [lo, hi) itself
             lows = [bounds[j + 2 + dj][0] - dx for dj, dx in _INNER_TESTS[kind]]
@@ -230,8 +237,7 @@ def dual_graph(region: Region) -> MatchGraph:
             a = min(hi, max(lows))
             b = max(a, min(highs))
             outer.append(b"\1" * (a - lo) + b"\0" * (b - a) + b"\1" * (hi - b))
-    verts = tuple((cell.color is Color.BLACK, *cell.center) for cell in cells)
-    return MatchGraph(verts, edges, None, (negated, b"".join(outer)))
+    return MatchGraph(tuple(verts), edges, None, (negated, b"".join(outer)))
 
 
 def _ends(graph: MatchGraph):

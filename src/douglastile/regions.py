@@ -32,6 +32,10 @@ its cut diagonal, or on two consecutive levels, across a south or an east
 side, so every pair is index arithmetic on the bounds of one or two runs;
 the structure check and `matching.dual_graph` read the pairs, and whether
 the region is in one piece, off those bounds without visiting a cell.
+Every line of a run has one kind and one colour, named by the level's
+symbol, so `structural_stats`, the vertices of `matching.dual_graph` and
+the polygons of `render.svg_region` are read off the runs as well, a
+whole run at a time.
 """
 
 from __future__ import annotations
@@ -40,7 +44,9 @@ import json
 from collections import namedtuple
 from collections.abc import Iterator
 from enum import Enum
-from operator import is_
+from functools import partial
+from itertools import repeat
+from operator import attrgetter, is_
 
 __all__ = [
     "REASON_POSITIVE",
@@ -98,9 +104,6 @@ class Color(str, Enum):
     WHITE = "white"
 
 
-# colour of a cell line, indexed by whether it is black
-_COLORS = (Color.WHITE, Color.BLACK)
-
 # the symbol of a level's black line; a white square line has "" instead
 ZERO = "0"
 PLUS = "+"
@@ -154,7 +157,11 @@ class RegionSpec(namedtuple("RegionSpec", "side distances")):
 
 
 class Cell(namedtuple("Cell", "kind color level anchor")):
-    """A `CellKind` and `Color` on a diagonal level; `anchor` is an int pair."""
+    """A `CellKind` and `Color` on a diagonal level; `anchor` is an int pair.
+
+    `build_region` makes cells with `tuple.__new__`, which is all the
+    namedtuple's own `__new__` does; a subclass must not add one.
+    """
 
     __slots__ = ()
 
@@ -182,6 +189,15 @@ class Region(namedtuple("Region", "spec cells")):
     """A spec with its tuple of cells."""
 
     __slots__ = ()
+
+
+# the lines of a level, top first, as (kind, colour), by the level's symbol
+_LINES = {
+    "": ((CellKind.SQUARE, Color.WHITE),),
+    ZERO: ((CellKind.SQUARE, Color.BLACK),),
+    PLUS: ((CellKind.UP, Color.BLACK), (CellKind.DOWN, Color.WHITE)),
+    MINUS: ((CellKind.UP, Color.WHITE), (CellKind.DOWN, Color.BLACK)),
+}
 
 
 def _line_symbols(distances: tuple[int, ...]) -> list[str]:
@@ -268,19 +284,34 @@ def _run_end(run) -> int:
     return start + (hi - lo) * (1 + drawn)
 
 
+def _region_runs(region: Region):
+    """The line symbols and level runs of a region's spec.
+
+    ValueError when the region's cells are not the number its runs lay out.
+    """
+    _, symbols, runs = _level_runs(*region.spec)
+    if _run_end(runs[-1]) != len(region.cells):
+        raise ValueError("cells unlike the level runs of their spec")
+    return symbols, runs
+
+
 def build_region(side: int, distances) -> Region:
+    """The region of a spec, its cells made one level run at a time.
+
+    Each line of a run is one kind and colour, `_LINES[symbol]`, over the
+    run's anchors, so its cells come from C-level iteration with no Python
+    step per cell.  The cells then pass `_check_cell_structure`.
+    """
     spec, symbols, runs = _level_runs(side, distances)
     cells: list[Cell] = []
-    for j, (symbol, (_, lo, hi, drawn)) in enumerate(zip(symbols, runs)):
-        level = -j
-        anchors = [(x, x + level) for x in range(lo, hi)]
-        if drawn:
-            up, down = _COLORS[symbol == PLUS], _COLORS[symbol == MINUS]
-            cells += [Cell(CellKind.UP, up, level, a) for a in anchors]
-            cells += [Cell(CellKind.DOWN, down, level, a) for a in anchors]
-        else:
-            color = _COLORS[symbol == ZERO]
-            cells += [Cell(CellKind.SQUARE, color, level, a) for a in anchors]
+    new = partial(tuple.__new__, Cell)
+    for j, (symbol, (_, lo, hi, _)) in enumerate(zip(symbols, runs)):
+        n = hi - lo
+        anchors = list(zip(range(lo, hi), range(lo - j, hi - j)))
+        for kind, color in _LINES[symbol]:
+            cells += map(
+                new, zip(repeat(kind, n), repeat(color, n), repeat(-j, n), anchors)
+            )
     cells = tuple(cells)
 
     _check_cell_structure(cells, runs)
@@ -373,7 +404,7 @@ def _check_cell_structure(cells: tuple[Cell, ...], runs) -> None:
         end = _run_end(run)
     if end != len(cells):
         raise InternalError("cells unlike their runs")
-    colors = [c.color for c in cells]
+    colors = list(map(attrgetter("color"), cells))
     same, east = _pair_blocks(runs)
     for i, j, n, _ in same + east:
         if any(map(is_, colors[i : i + n], colors[j : j + n])):
@@ -406,15 +437,19 @@ def flipped(spec: RegionSpec) -> RegionSpec:
 
 
 def structural_stats(region: Region) -> RegionStats:
-    """Black lines by kind from the symbols; width and regular cells from the cells."""
-    symbols = _line_symbols(region.spec.distances)
+    """Line and cell counts, read off the line symbols and the level runs.
+
+    The width is the bottom run's length.  The regular cells, the black
+    squares and black upper halves, are one line of the runs on the "0"
+    and "+" levels.  ValueError when the cells are not the runs' number.
+    """
+    symbols, runs = _region_runs(region)
     sq, up, down = symbols.count(ZERO), symbols.count(PLUS), symbols.count(MINUS)
-    total = region.spec.total
-    width = sum(1 for c in region.cells if c.level == -total)
+    width = runs[-1][2] - runs[-1][1]
     regular = sum(
-        1
-        for c in region.cells
-        if c.color is Color.BLACK and c.kind is not CellKind.DOWN
+        hi - lo
+        for symbol, (_, lo, hi, _) in zip(symbols, runs)
+        if symbol in (ZERO, PLUS)
     )
     return RegionStats(
         black_square_lines=sq,

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .regions import _CORNERS, CellKind, Color, Region
+from .regions import _CORNERS, _LINES, CellKind, Color, Region, _region_runs
 
 __all__ = ["ascii_region", "svg_region"]
 
@@ -44,11 +42,29 @@ def ascii_region(region: Region) -> str:
 _FILL = {Color.BLACK: "#3f3f3f", Color.WHITE: "#ffffff"}
 
 
+def _polygon(corners, color: Color) -> str:
+    # {0} and {1} stand for the screen x of the anchor and of the next
+    # lattice column, {2} and {3} for the screen y of the anchor and of
+    # the next lattice row up
+    points = " ".join(f"{{{dx}}},{{{2 + dy}}}" for dx, dy in corners)
+    return (
+        f'<polygon points="{points}" fill="{_FILL[color]}" '
+        'stroke="#888888" stroke-width="1"/>'
+    )
+
+
+# the polygon of a cell as a format method, by (kind, colour)
+_POLYGONS = {
+    (kind, color): _polygon(corners, color).format
+    for kind, corners in _CORNERS.items()
+    for color in Color
+}
+
+
 def _scaled(sixths: int, unit: int) -> str:
-    out = Fraction(sixths, 6) * unit
-    if out.denominator == 1:
-        return str(out.numerator)
-    return str(float(out))
+    # a true division of two ints is correctly rounded
+    whole, rest = divmod(sixths * unit, 6)
+    return str(sixths * unit / 6) if rest else str(whole)
 
 
 def svg_region(
@@ -56,11 +72,19 @@ def svg_region(
     matching: list[tuple[int, int]] | None = None,
     unit: int = 24,
 ) -> str:
-    """Deterministic standalone SVG; y grows downward on screen."""
-    xs = [x for x, _ in (c.anchor for c in region.cells)]
-    ys = [y for _, y in (c.anchor for c in region.cells)]
-    x0, x1 = min(xs), max(xs) + 1
-    y0, y1 = min(ys), max(ys) + 1
+    """Deterministic standalone SVG; y grows downward on screen.
+
+    The view box and the polygons are read off the level runs: level -j's
+    anchors are (x, x - j) for x in [lo, hi), and each line of a run is
+    formatted at once from precomputed coordinate strings.  The matching
+    overlay joins cell centroids.  ValueError when the cells are not the
+    runs' number.
+    """
+    symbols, runs = _region_runs(region)
+    x0 = min(lo for _, lo, _, _ in runs)
+    x1 = max(hi for _, _, hi, _ in runs)
+    y0 = min(lo - j for j, (_, lo, _, _) in enumerate(runs))
+    y1 = max(hi - j for j, (_, _, hi, _) in enumerate(runs))
     pad = unit // 2
     view = (
         x0 * unit - pad,
@@ -72,15 +96,17 @@ def svg_region(
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'viewBox="{view[0]} {view[1]} {view[2]} {view[3]}">'
     ]
-    for cell in region.cells:
-        x, y = cell.anchor
-        points = " ".join(
-            f"{(x + dx) * unit},{-(y + dy) * unit}" for dx, dy in _CORNERS[cell.kind]
-        )
-        parts.append(
-            f'<polygon points="{points}" fill="{_FILL[cell.color]}" '
-            'stroke="#888888" stroke-width="1"/>'
-        )
+    # xs[k] is the screen x of lattice column x0 + k, ys[k] the screen y
+    # of lattice row y0 + k
+    xs = [str(x * unit) for x in range(x0, x1 + 1)]
+    ys = [str(-y * unit) for y in range(y0, y1 + 1)]
+    for j, (symbol, (_, lo, hi, _)) in enumerate(zip(symbols, runs)):
+        a, b = lo - x0, hi - x0
+        c, d = lo - j - y0, hi - j - y0
+        for line in _LINES[symbol]:
+            parts += map(
+                _POLYGONS[line], xs[a:b], xs[a + 1 : b + 1], ys[c:d], ys[c + 1 : d + 1]
+            )
     if matching:
         for i, j in matching:
             ax, ay = region.cells[i].center

@@ -8,14 +8,22 @@ derives the tiers and the forced staircase itself.
 `shared_sides` pairs any cells by looking up their anchors in two dicts,
 and `check_cell_structure` checks them with it and a breadth-first search;
 tests compare both with the package's pairing by level-run arithmetic.
+
+`reference_stats`, `reference_vertices` and `reference_svg` read a region
+cell by cell, where `structural_stats`, `matching.dual_graph` and
+`render.svg_region` read its level runs; tests compare them.
 """
 
+from fractions import Fraction
+
 from douglastile.regions import (
+    _CORNERS,
     Cell,
     CellKind,
     Color,
     InternalError,
     Region,
+    RegionStats,
     check_spec,
 )
 
@@ -141,3 +149,81 @@ def check_cell_structure(cells) -> None:
                 queue.append(j)
     if reached != len(cells):
         raise InternalError("region is disconnected")
+
+
+def reference_stats(region) -> RegionStats:
+    """`structural_stats` from the cells: black lines by kind, the bottom
+    line's cells for the width, black squares and upper halves for the
+    regular cells."""
+    lines = {(c.level, c.kind) for c in region.cells if c.color is Color.BLACK}
+    kinds = [kind for _, kind in lines]
+    sq = kinds.count(CellKind.SQUARE)
+    up = kinds.count(CellKind.UP)
+    down = kinds.count(CellKind.DOWN)
+    total = region.spec.total
+    return RegionStats(
+        black_square_lines=sq,
+        up_triangle_lines=up,
+        down_triangle_lines=down,
+        black_lines=sq + up + down,
+        width=sum(1 for c in region.cells if c.level == -total),
+        regular_cells=sum(
+            1
+            for c in region.cells
+            if c.color is Color.BLACK and c.kind is not CellKind.DOWN
+        ),
+    )
+
+
+def reference_vertices(region) -> tuple:
+    """The vertices of `dual_graph`: each cell's colour flag and centroid."""
+    return tuple((cell.color is Color.BLACK, *cell.center) for cell in region.cells)
+
+
+_FILL = {Color.BLACK: "#3f3f3f", Color.WHITE: "#ffffff"}
+
+
+def _scaled(sixths: int, unit: int) -> str:
+    out = Fraction(sixths, 6) * unit
+    if out.denominator == 1:
+        return str(out.numerator)
+    return str(float(out))
+
+
+def reference_svg(region, matching=None, unit: int = 24) -> str:
+    """`render.svg_region` cell by cell: the view box from every anchor,
+    one polygon per cell from its corners, overlay ends in exact sixths."""
+    xs = [x for x, _ in (c.anchor for c in region.cells)]
+    ys = [y for _, y in (c.anchor for c in region.cells)]
+    x0, x1 = min(xs), max(xs) + 1
+    y0, y1 = min(ys), max(ys) + 1
+    pad = unit // 2
+    view = (
+        x0 * unit - pad,
+        -y1 * unit - pad,
+        (x1 - x0) * unit + 2 * pad,
+        (y1 - y0) * unit + 2 * pad,
+    )
+    parts = [
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'viewBox="{view[0]} {view[1]} {view[2]} {view[3]}">'
+    ]
+    for cell in region.cells:
+        x, y = cell.anchor
+        points = " ".join(
+            f"{(x + dx) * unit},{-(y + dy) * unit}" for dx, dy in _CORNERS[cell.kind]
+        )
+        parts.append(
+            f'<polygon points="{points}" fill="{_FILL[cell.color]}" '
+            'stroke="#888888" stroke-width="1"/>'
+        )
+    for i, j in matching or ():
+        ax, ay = region.cells[i].center
+        bx, by = region.cells[j].center
+        parts.append(
+            f'<line x1="{_scaled(ax, unit)}" y1="{_scaled(-ay, unit)}" '
+            f'x2="{_scaled(bx, unit)}" y2="{_scaled(-by, unit)}" '
+            'stroke="#c02020" stroke-width="5" stroke-linecap="round"/>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts)

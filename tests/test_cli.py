@@ -194,7 +194,11 @@ def test_recurrence_failure_exits_four(capsys, monkeypatch):
 
 def test_cell_check_failure_exits_four(capsys, monkeypatch):
     # every cell line white: the structure check of build_region must fire
-    monkeypatch.setattr(regions, "_COLORS", (Color.WHITE, Color.WHITE))
+    white = {
+        symbol: tuple((kind, Color.WHITE) for kind, _ in lines)
+        for symbol, lines in regions._LINES.items()
+    }
+    monkeypatch.setattr(regions, "_LINES", white)
     code, out, err = run_cli(capsys, "count", *DEEP, "--engine", "formula")
     assert code == 4
     assert out == ""

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_count, valid_specs
+from reference_cells import reference_stats
 from douglastile import condensation, regions
 from douglastile.condensation import (
     BASE_TABLE,
@@ -42,6 +43,7 @@ from douglastile.regions import (
     find_region,
     flipped,
     formula_count,
+    structural_stats,
 )
 from douglastile.shuffle import (
     characteristic_matrix,
@@ -281,6 +283,7 @@ def test_engines_agree_on_random_specs(distances):
     except SpecInvalid:
         assume(False)
     region = build_region(*spec)
+    assert structural_stats(region) == reference_stats(region)
     count = formula_count(region)
     assert condensation_count(spec) == count
     assert shuffle_count(spec) == count

@@ -10,7 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import enumerate_valid_regions, valid_specs
-from reference_cells import check_cell_structure, reference_region, shared_sides
+from reference_cells import (
+    check_cell_structure,
+    reference_region,
+    reference_stats,
+    reference_svg,
+    reference_vertices,
+    shared_sides,
+)
 from douglastile.matching import dual_graph
 from douglastile.regions import (
     REASON_CORNERS,
@@ -36,6 +43,7 @@ from douglastile.regions import (
     spec_from_json,
     structural_stats,
 )
+from douglastile.render import svg_region
 
 # every valid spec with total <= 4, with its matching count 2**exponent
 SMALL_VALID = {
@@ -320,6 +328,20 @@ def test_build_region_matches_reference():
         assert build_region(side, distances) == expected
 
 
+def test_run_readings_match_the_cell_walks():
+    # stats, dual-graph vertices and SVG read off the level runs equal the
+    # same read cell by cell
+    specs = [(s.side, s.distances) for s in valid_specs(12)]
+    specs += [(32, (64,)), (1, (1,) * 79 + (2,))]
+    specs += [(24, (3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5))]
+    assert len(specs) == 2050
+    for side, distances in specs:
+        region = build_region(side, distances)
+        assert structural_stats(region) == reference_stats(region)
+        assert dual_graph(region).vertices == reference_vertices(region)
+        assert svg_region(region) == reference_svg(region)
+
+
 def _square(color, x, y):
     return Cell(CellKind.SQUARE, color, y - x, (x, y))
 
@@ -398,8 +420,10 @@ def test_cell_structure_refuses_cells_unlike_their_runs():
             _check_cell_structure(cells, runs)
         assert err.value.reason == "cells unlike their runs"
     region = build_region(2, (2, 1))
-    with pytest.raises(ValueError, match="cells unlike the level runs"):
-        dual_graph(region._replace(cells=region.cells[:-1]))
+    for cells in (region.cells[:-1], region.cells + region.cells[:1]):
+        for read in (dual_graph, structural_stats, svg_region):
+            with pytest.raises(ValueError, match="cells unlike the level runs"):
+                read(region._replace(cells=cells))
 
 
 def test_a_level_without_cells_breaks_the_region():

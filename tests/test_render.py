@@ -1,11 +1,13 @@
 """ASCII and SVG renderings."""
 
 import hashlib
+from fractions import Fraction
 
 from conftest import enumerate_valid_regions
+from reference_cells import reference_svg
 from douglastile.matching import dual_graph, perfect_matching
 from douglastile.regions import build_region
-from douglastile.render import ascii_region, svg_region
+from douglastile.render import _scaled, ascii_region, svg_region
 
 ASCII_GOLDENS = [
     (
@@ -68,6 +70,27 @@ def test_svg_matching_overlay_golden():
     assert digest.hexdigest() == (
         "1581a2dd5e451661738d4b1d909dfd954189402aded94878fffd89a302331666"
     )
+
+
+def test_svg_overlay_with_an_odd_unit():
+    # an odd unit puts most centroids between whole screen units, so the
+    # overlay takes the float branch; it prints what exact sixths give
+    for spec in ((2, (1, 2, 1)), (7, (4, 2, 5, 4))):
+        region = build_region(*spec)
+        matching = perfect_matching(dual_graph(region))
+        for unit in (5, 7, 24):
+            svg = svg_region(region, matching, unit)
+            assert svg == reference_svg(region, matching, unit)
+        lines = svg_region(region, matching, 5).splitlines()
+        assert any("." in ln for ln in lines if ln.startswith("<line"))
+    for sixths in (1, -7, 10**17 + 1, -(3**40)):
+        for unit in (5, 7, 24, 10**9 + 7):
+            want = Fraction(sixths, 6) * unit
+            got = _scaled(sixths, unit)
+            if want.denominator == 1:
+                assert got == str(want.numerator)
+            else:
+                assert got == str(float(want))
 
 
 def test_svg_triangle_polygons():
