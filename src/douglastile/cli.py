@@ -9,6 +9,12 @@ size, 4 an internal consistency check failed or any other exception
 escaped (a bug, not a property of the input), with one `internal
 error:` line, 141 the reader closed stdout early (128 + SIGPIPE, as a
 shell reports a writer killed by that signal), silently.
+
+`verify --sweep` deals its regions out to one forked worker per CPU the
+process may run on and prints their reports in order.  A failure in a
+worker ends the sweep with the same output, stderr line and exit code
+as it would in one process; a worker that dies without its report is an
+internal error.
 """
 
 from __future__ import annotations
@@ -38,8 +44,9 @@ _ENGINES = ("brute", "condense", "shuffle", "formula")
 
 # the largest total `verify --sweep` walks: each step doubles the
 # compositions and about doubles the time (totals 11, 12 and 13 take
-# 1.4-1.9, 3.5-4.5 and 8-11 s wall on one Intel Xeon core), so 16 takes
-# one to two minutes
+# 1.1-1.2, 2.2-2.3 and 4.0-4.5 s wall with two workers on two Intel Xeon
+# cores, 1.9, 2.6-3.4 and 6.2-6.4 s on one), so 16 takes about a minute
+# on two cores and one to two on one
 SWEEP_LIMIT = 16
 
 # failures that no input should cause: each one is a bug in an engine
@@ -264,44 +271,134 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
+def _report_lines(specs):
+    """One line per spec, in order: "+" or "-" for a passed or failed
+    report, then the report's JSON; the specs share one pair of memos."""
     memo: dict[RegionSpec, int] = {}
     stats_memo: dict[RegionSpec, regions.RegionStats] = {}
-    failed = passed = 0
-    if args.sweep is not None:
+    for spec in specs:
+        report = _verify_one(regions.build_region(*spec), memo, stats_memo)
+        yield ("+" if report["ok"] else "-") + json.dumps(report, sort_keys=True)
+
+
+def _worker(specs, fd: int):
+    """A forked child's whole life: the `_report_lines` of `specs` on the
+    pipe `fd`, or up to the first failure, which ends them with one "!"
+    line holding the `_failure` pair.  Writes nothing else and never
+    returns: every path ends in `os._exit`, so no buffer or exit handler
+    that the child inherited runs twice."""
+    try:
+        # line buffered: what a child verified reaches the parent even if
+        # the child is killed later
+        with open(fd, "w", encoding="utf-8", buffering=1) as pipe:
+            try:
+                for line in _report_lines(specs):
+                    pipe.write(line + "\n")
+            except Exception as exc:
+                pipe.write("!" + json.dumps(_failure(exc)) + "\n")
+    finally:
+        os._exit(0)
+
+
+def _forked_lines(specs, workers: int):
+    """`_report_lines(specs)` from `workers` forked children, in order.
+
+    Child w verifies `specs[w::workers]`, so line i comes from child
+    i mod workers.  A child that ends before one of its lines is an
+    internal error.  Closing the generator, or any exception, kills and
+    reaps every child.
+    """
+    import signal
+
+    # a buffer the children inherit must not be printed by them as well
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pids, pipes = [], []
+    try:
+        for w in range(workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_fd)
+                _worker(specs[w::workers], write_fd)
+            pids.append(pid)
+            os.close(write_fd)
+            pipes.append(open(read_fd, encoding="utf-8"))
+        for i, spec in enumerate(specs):
+            line = pipes[i % workers].readline()
+            if not line.endswith("\n"):
+                raise InternalError(
+                    f"sweep worker ended before the report on "
+                    f"{spec.side}:{spec.distances}"
+                )
+            yield line[:-1]
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
+
+
+def _worker_count(count: int) -> int:
+    """One worker per CPU this process may run on, at most one per spec of
+    the `count`; 1, in-process, without `os.fork` or `os.sched_getaffinity`."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(len(os.sched_getaffinity(0)), count)
+
+
+class _Reported(Exception):
+    """A failure a sweep worker has already turned into its `_failure` pair."""
+
+    def __init__(self, code: int, line: str | None):
+        super().__init__(line)
+        self.code = code
+        self.line = line
+
+
+def cmd_verify(args) -> int:
+    if args.sweep is None:
+        lines = _report_lines([_resolve(args)])
+    else:
         if args.sweep > SWEEP_LIMIT:
             raise SizeLimit(f"sweep total {args.sweep} exceeds {SWEEP_LIMIT}")
-        compositions = valid = 0
+        compositions = 0
+        specs = []
         for total in range(1, args.sweep + 1):
             for distances in regions.compositions(total):
                 compositions += 1
                 try:
-                    spec = regions.find_region(distances)
+                    specs.append(regions.find_region(distances))
                 except SpecInvalid:
                     continue
-                valid += 1
-                report = _verify_one(regions.build_region(*spec), memo, stats_memo)
-                print(json.dumps(report, sort_keys=True))
-                if report["ok"]:
-                    passed += 1
-                else:
-                    failed += 1
+        workers = _worker_count(len(specs))
+        if workers > 1:
+            lines = _forked_lines(specs, workers)
+        else:
+            lines = _report_lines(specs)
+    failed = passed = 0
+    try:
+        for line in lines:
+            if line[0] == "!":
+                raise _Reported(*json.loads(line[1:]))
+            print(line[1:])
+            if line[0] == "+":
+                passed += 1
+            else:
+                failed += 1
+    finally:
+        lines.close()
+    summary = {"passed": passed, "failed": failed}
+    if args.sweep is not None:
+        valid = len(specs)
         summary = {
-            "summary": {
-                "compositions": compositions,
-                "valid": valid,
-                "invalid": compositions - valid,
-                "passed": passed,
-                "failed": failed,
-            }
+            "compositions": compositions,
+            "valid": valid,
+            "invalid": compositions - valid,
+            **summary,
         }
-    else:
-        region = regions.build_region(*_resolve(args))
-        report = _verify_one(region, memo, stats_memo)
-        print(json.dumps(report, sort_keys=True))
-        passed, failed = (1, 0) if report["ok"] else (0, 1)
-        summary = {"summary": {"passed": passed, "failed": failed}}
-    print(json.dumps(summary, sort_keys=True))
+    print(json.dumps({"summary": summary}, sort_keys=True))
     return 0 if failed == 0 else 1
 
 
@@ -339,23 +436,29 @@ def main(argv=None) -> int:
         # a closed stdout must surface here, not in the interpreter's last flush
         sys.stdout.flush()
         return code
-    except SpecInvalid as exc:
-        print(f"invalid spec: {exc.reason}", file=sys.stderr)
-        return 2
-    except SizeLimit as exc:
-        print(f"size limit: {exc}", file=sys.stderr)
-        return 3
-    except _INTERNAL as exc:
-        reason = getattr(exc, "reason", str(exc))
-        print(f"internal error: {reason}", file=sys.stderr)
-        return 4
-    except BrokenPipeError:
-        # the reader left; devnull takes what the exit flush still holds
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
     except Exception as exc:
-        # anything else escaping an engine is a bug as well, the
-        # elimination's ArithmeticError on an inexact division included
-        reason = " ".join(f"{type(exc).__name__}: {exc}".split())
-        print(f"internal error: {reason}", file=sys.stderr)
-        return 4
+        code, line = _failure(exc)
+        if isinstance(exc, BrokenPipeError):
+            # the reader left; devnull takes what the exit flush still holds
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if line is not None:
+            print(line, file=sys.stderr)
+        return code
+
+
+def _failure(exc: Exception) -> tuple[int, str | None]:
+    """The exit code and the one stderr line (None: none) of a failed command."""
+    if isinstance(exc, _Reported):
+        return exc.code, exc.line
+    if isinstance(exc, SpecInvalid):
+        return 2, f"invalid spec: {exc.reason}"
+    if isinstance(exc, SizeLimit):
+        return 3, f"size limit: {exc}"
+    if isinstance(exc, _INTERNAL):
+        return 4, f"internal error: {getattr(exc, 'reason', str(exc))}"
+    if isinstance(exc, BrokenPipeError):
+        return 141, None
+    # anything else escaping an engine is a bug as well, the elimination's
+    # ArithmeticError on an inexact division included
+    reason = " ".join(f"{type(exc).__name__}: {exc}".split())
+    return 4, f"internal error: {reason}"

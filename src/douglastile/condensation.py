@@ -384,11 +384,11 @@ def _triangle(n: int) -> int:
 def _region_stats(
     spec: RegionSpec, memo: dict[RegionSpec, regions.RegionStats]
 ) -> regions.RegionStats:
+    """`structural_stats` of the spec's region, read off its level runs."""
     stats = memo.get(spec)
     if stats is None:
-        stats = memo[spec] = regions.structural_stats(
-            regions.build_region(spec.side, spec.distances)
-        )
+        _, symbols, runs = regions._level_runs(spec.side, spec.distances)
+        stats = memo[spec] = regions._run_stats(symbols, runs)
     return stats
 
 
@@ -405,9 +405,10 @@ def stats_deltas(
     The balance identity at the end restates the exponent bookkeeping of
     the recurrence purely in measured quantities and must always hold.
 
-    Pass the same `memo` dict to several calls to build each region's
-    cells once; it maps a spec to its `structural_stats`.  A Case II spec
-    raises NotCaseOne, a base spec BaseCase.
+    The stats are read off each spec's level runs, so no cells are built.
+    Pass the same `memo` dict to several calls to read each spec's stats
+    once; it maps a spec to its `structural_stats`.  A Case II spec raises
+    NotCaseOne, a base spec BaseCase.
     """
     rec = case_recurrence(spec)
     if not rec.case_id.startswith("I."):

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from math import gcd, lcm
 
 from .regions import (
@@ -131,8 +131,11 @@ class MatchGraph(namedtuple("MatchGraph", "vertices edges weights signing")):
     __slots__ = ()
 
     def __new__(cls, vertices, edges, weights=None, signing=None) -> MatchGraph:
-        ends = [i for edge in edges for i in edge]
-        if ends and not 0 <= min(ends) <= max(ends) < len(vertices):
+        # two C-level passes over the ends, with no list of them
+        ends = chain.from_iterable
+        if edges and not (
+            0 <= min(ends(edges)) and max(ends(edges)) < len(vertices)
+        ):
             raise ValueError("edge end is not a vertex position")
         if weights is not None and len(weights) != len(edges):
             raise ValueError("weights and edges differ in length")

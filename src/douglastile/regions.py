@@ -439,11 +439,18 @@ def flipped(spec: RegionSpec) -> RegionSpec:
 def structural_stats(region: Region) -> RegionStats:
     """Line and cell counts, read off the line symbols and the level runs.
 
+    ValueError when the cells are not the runs' number.
+    """
+    return _run_stats(*_region_runs(region))
+
+
+def _run_stats(symbols: list[str], runs) -> RegionStats:
+    """The `RegionStats` of the region that `symbols` and `runs` lay out.
+
     The width is the bottom run's length.  The regular cells, the black
     squares and black upper halves, are one line of the runs on the "0"
-    and "+" levels.  ValueError when the cells are not the runs' number.
+    and "+" levels.
     """
-    symbols, runs = _region_runs(region)
     sq, up, down = symbols.count(ZERO), symbols.count(PLUS), symbols.count(MINUS)
     width = runs[-1][2] - runs[-1][1]
     regular = sum(

@@ -3,12 +3,14 @@
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import valid_specs
 from douglastile import cli, condensation, matching, regions
 from douglastile.cli import main
 from douglastile.regions import Color
@@ -146,29 +148,29 @@ def test_count_prints_past_the_int_digit_limit(capsys):
     assert out.strip() == str(2**14535)
 
 
-def test_brute_size_limit_exits_three(capsys, monkeypatch):
+def test_brute_size_limit_exits_three(capsys, monkeypatch, tmp_path):
     # an Aztec dual of order n has 2n(n + 1) vertices: 160 is the last
     # order under the limit and 161 the first refused, before its dual
     # graph is built
     assert 2 * 160 * 161 <= matching.VERTEX_LIMIT < 2 * 161 * 162
-    graphs = count_calls(monkeypatch, cli, "dual_graph")
+    graphs = count_calls(monkeypatch, tmp_path, cli, "dual_graph")
     code, _, err = run_cli(
         capsys, "count", "--a", "161", "--d", "322", "--engine", "brute"
     )
     assert code == 3
     assert err == "size limit: 52164 vertices exceed 52000\n"
-    assert graphs == []
+    assert graphs.calls() == []
 
 
-def test_sweep_past_the_limit_exits_three(capsys, monkeypatch):
+def test_sweep_past_the_limit_exits_three(capsys, monkeypatch, tmp_path):
     # refused before any composition is walked
     assert cli.SWEEP_LIMIT == 16
-    walked = count_calls(monkeypatch, regions, "compositions")
+    walked = count_calls(monkeypatch, tmp_path, regions, "compositions")
     code, out, err = run_cli(capsys, "verify", "--sweep", "17")
     assert code == 3
     assert out == ""
     assert err == "size limit: sweep total 17 exceeds 16\n"
-    assert walked == []
+    assert walked.calls() == []
 
 
 @pytest.mark.parametrize(
@@ -221,15 +223,17 @@ def test_verify_single_report(capsys):
     assert json.loads(lines[1]) == {"summary": {"passed": 1, "failed": 0}}
 
 
-def test_verify_reports_a_refused_brute_count_as_null(capsys, monkeypatch):
+def test_verify_reports_a_refused_brute_count_as_null(
+    capsys, monkeypatch, tmp_path
+):
     # the Aztec dual of order 5 has 60 vertices: past a limit of 20 the
     # brute count is refused before its dual graph is built, and the
     # other engines still agree
     monkeypatch.setattr(matching, "VERTEX_LIMIT", 20)
-    graphs = count_calls(monkeypatch, cli, "dual_graph")
+    graphs = count_calls(monkeypatch, tmp_path, cli, "dual_graph")
     code, out, _ = run_cli(capsys, "verify", "--a", "5", "--d", "10")
     assert code == 0
-    assert graphs == []
+    assert graphs.calls() == []
     report = json.loads(out.splitlines()[0])
     assert report["counts"] == {
         "brute": None,
@@ -281,7 +285,7 @@ def test_verify_surfaces_a_fault_inside_stats_deltas(capsys, monkeypatch):
     # only a base or Case II spec leaves `case_deltas_balance` null; any
     # other ValueError raised while the deltas are measured is a fault and
     # must not end in an `ok` report
-    real_deltas, real_stats = cli.stats_deltas, regions.structural_stats
+    real_deltas, real_stats = cli.stats_deltas, regions._run_stats
     inside = []
 
     def deltas(*args):
@@ -291,16 +295,16 @@ def test_verify_surfaces_a_fault_inside_stats_deltas(capsys, monkeypatch):
         finally:
             inside.pop()
 
-    def stats(region):
+    def stats(symbols, runs):
         if inside:
             raise ValueError("injected")
-        return real_stats(region)
+        return real_stats(symbols, runs)
 
     code, out, _ = run_cli(capsys, "verify", *DEEP)
     assert code == 0
     assert json.loads(out.splitlines()[0])["checks"]["case_deltas_balance"]
     monkeypatch.setattr(cli, "stats_deltas", deltas)
-    monkeypatch.setattr(regions, "structural_stats", stats)
+    monkeypatch.setattr(regions, "_run_stats", stats)
     code, out, err = run_cli(capsys, "verify", *DEEP)
     assert code == 4
     assert out == ""
@@ -397,23 +401,47 @@ def test_trace_kuo_max_zero_disables_counts(capsys):
     assert all(r["kuo"] is None for r in records)
 
 
-def count_calls(monkeypatch, owner, name):
-    """A list that grows by one item per call of `owner.name` from now on."""
-    calls = []
+class CallLog:
+    """The calls of a patched function, one `repr` of their arguments per
+    line of a file, so that the calls made in forked sweep workers count."""
+
+    def __init__(self, path):
+        self.path = path
+        self.clear()
+
+    def add(self, args) -> None:
+        # one short write to an O_APPEND file lands whole, whichever
+        # process makes it
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
+        try:
+            os.write(fd, f"{args!r}\n".encode())
+        finally:
+            os.close(fd)
+
+    def calls(self) -> list[str]:
+        return self.path.read_text().splitlines()
+
+    def clear(self) -> None:
+        self.path.write_text("")
+
+
+def count_calls(monkeypatch, tmp_path, owner, name) -> CallLog:
+    """A `CallLog` of every call of `owner.name` from now on."""
+    log = CallLog(tmp_path / f"{name}.calls")
     real = getattr(owner, name)
 
     def counted(*args):
-        calls.append(1)
+        log.add(args)
         return real(*args)
 
     monkeypatch.setattr(owner, name, counted)
-    return calls
+    return log
 
 
-def test_trace_signs_each_kuo_graph_once(capsys, monkeypatch):
+def test_trace_signs_each_kuo_graph_once(capsys, monkeypatch, tmp_path):
     # each Kuo block is signed once, when its one dual graph is built,
     # and the six counts use that lattice signing
-    graphs = count_calls(monkeypatch, cli, "dual_graph")
+    graphs = count_calls(monkeypatch, tmp_path, cli, "dual_graph")
     code, out, _ = run_cli(
         capsys, "trace", "--d", "4,2,5,4,3,6,2,3", "--kuo-max", "16"
     )
@@ -421,21 +449,22 @@ def test_trace_signs_each_kuo_graph_once(capsys, monkeypatch):
     blocks = [json.loads(line)["kuo"] for line in out.strip().splitlines()]
     counted = [block for block in blocks if block is not None]
     assert len(counted) > 1
-    assert len(graphs) == len(counted)
+    assert len(graphs.calls()) == len(counted)
 
 
-def test_verify_signs_each_region_once(capsys, monkeypatch):
+def test_verify_signs_each_region_once(capsys, monkeypatch, tmp_path):
     # each region is signed once, when its one dual graph is built, and
     # counted with that lattice signing (with a Kuo check, the brute count
     # is the Kuo block's full count); `count --engine brute` likewise
-    graphs = count_calls(monkeypatch, cli, "dual_graph")
+    graphs = count_calls(monkeypatch, tmp_path, cli, "dual_graph")
     code, out, _ = run_cli(capsys, "verify", "--sweep", "8")
     assert code == 0
-    assert len(graphs) == json.loads(out.splitlines()[-1])["summary"]["valid"]
+    valid = json.loads(out.splitlines()[-1])["summary"]["valid"]
+    assert len(graphs.calls()) == valid
     graphs.clear()
     code, out, _ = run_cli(capsys, "count", "--engine", "brute", *DEEP)
     assert code == 0 and out == "536870912\n"
-    assert len(graphs) == 1
+    assert len(graphs.calls()) == 1
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
@@ -452,7 +481,9 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert "douglastile.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect"}
+    assert not loaded & {
+        "dataclasses", "inspect", "multiprocessing", "concurrent.futures"
+    }
 
 
 def test_corner_off_outer_face(capsys, monkeypatch):
@@ -596,42 +627,36 @@ def test_side_is_derived_through_find_region(capsys, monkeypatch):
     assert len(calls) == len(set(calls)) == 15
 
 
-def test_derived_side_builds_the_cells_once(capsys, monkeypatch):
+def test_derived_side_builds_the_cells_once(capsys, monkeypatch, tmp_path):
     # deriving the side builds nothing: the engines on the distance tuple
-    # build no cells, a command that needs cells builds its region once,
-    # and verify also builds the sub-regions whose stats `stats_deltas`
-    # reads; a sweep builds each valid region once
-    calls = []
-    real = regions.build_region
-
-    def counted(side, distances):
-        calls.append((side, tuple(distances)))
-        return real(side, distances)
-
-    monkeypatch.setattr(regions, "build_region", counted)
+    # build no cells, and a command that needs cells builds its region
+    # once, verify too, since `stats_deltas` reads the sub-regions' stats
+    # off their level runs; a sweep builds each valid region once, in
+    # whichever worker verifies it
+    built = count_calls(monkeypatch, tmp_path, regions, "build_region")
     for argv in (
         ["count", "--d", "4,2,5,4", "--engine", "condense"],
         ["count", "--d", "4,2,5,4", "--engine", "shuffle"],
         ["trace", "--d", "4,2,5,4", "--kuo-max", "0"],
     ):
-        calls.clear()
+        built.clear()
         code, _, _ = run_cli(capsys, *argv)
         assert code == 0
-        assert calls == [], argv
+        assert built.calls() == [], argv
     for argv in (
         ["count", "--d", "4,2,5,4", "--engine", "formula"],
         ["count", "--d", "4,2,5,4", "--engine", "brute"],
         ["render", "--d", "4,2,5,4"],
         ["verify", "--d", "4,2,5,4"],
     ):
-        calls.clear()
+        built.clear()
         code, _, _ = run_cli(capsys, *argv)
         assert code == 0
-        assert calls.count((7, (4, 2, 5, 4))) == 1, argv
-    calls.clear()
+        assert built.calls() == [repr((7, (4, 2, 5, 4)))], argv
+    built.clear()
     code, _, _ = run_cli(capsys, "verify", "--sweep", "10")
     assert code == 0
-    assert len(calls) == len(set(calls)) == 511
+    assert len(built.calls()) == len(set(built.calls())) == 511
 
 
 def test_closed_stdout_exits_quietly():
@@ -652,3 +677,102 @@ def test_closed_stdout_exits_quietly():
     proc.stderr.close()
     assert proc.wait() == 141
     assert err == b""
+
+
+fork_only = pytest.mark.skipif(
+    not hasattr(os, "fork"), reason="sweep workers are forked"
+)
+
+
+def sweep_on(capsys, monkeypatch, cpus, *argv):
+    """`verify` run as if the process may use `cpus` CPUs: the exit code,
+    the report lines without timings, stderr and the number of workers
+    forked.  No child of the test process may be left afterwards."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(
+        os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
+    )
+    monkeypatch.setattr(os, "fork", fork)
+    code, out, err = run_cli(capsys, "verify", *argv)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return code, strip_timings(out), err, len(forks)
+
+
+def fault_at(monkeypatch, spec, fault):
+    """Make `regions.build_region` call `fault()` when it builds `spec`."""
+    real = regions.build_region
+
+    def build(side, distances):
+        if (side, tuple(distances)) == spec:
+            fault()
+        return real(side, distances)
+
+    monkeypatch.setattr(regions, "build_region", build)
+
+
+@fork_only
+def test_sweep_fan_out_matches_one_process(capsys, monkeypatch):
+    # one CPU verifies in-process, three fan the regions out to three
+    # forked workers; the reports, the summary and the exit code agree
+    one = sweep_on(capsys, monkeypatch, 1, "--sweep", "8")
+    fanned = sweep_on(capsys, monkeypatch, 3, "--sweep", "8")
+    assert (one[3], fanned[3]) == (0, 3)
+    assert one[:3] == fanned[:3]
+    assert one[0] == 0 and one[2] == ""
+    assert json.loads(one[1][-1])["summary"]["passed"] == 127
+
+
+@fork_only
+@pytest.mark.parametrize(
+    "error, code, line",
+    [
+        (regions.InternalError("injected"), 4, "internal error: injected"),
+        (matching.SizeLimit("injected"), 3, "size limit: injected"),
+        (KeyError("injected"), 4, "internal error: KeyError: 'injected'"),
+    ],
+)
+def test_sweep_worker_failure_matches_one_process(
+    capsys, monkeypatch, error, code, line
+):
+    # a fault on one spec midway through the sweep ends it as one process
+    # would: the reports before that spec, one stderr line, the exit code
+    target = valid_specs(8)[50]
+
+    def fault():
+        raise error
+
+    fault_at(monkeypatch, target, fault)
+    one = sweep_on(capsys, monkeypatch, 1, "--sweep", "8")
+    fanned = sweep_on(capsys, monkeypatch, 3, "--sweep", "8")
+    assert fanned[3] == 3
+    assert one[:3] == fanned[:3]
+    assert one[0] == code and one[2] == line + "\n"
+    assert len(one[1]) == 50
+
+
+@fork_only
+def test_killed_sweep_worker_exits_four(capsys, monkeypatch):
+    # a worker that dies without its report is an internal error; the
+    # reports before the missing one are all printed
+    parent = os.getpid()
+    target = valid_specs(8)[50]
+
+    def fault():
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    fault_at(monkeypatch, target, fault)
+    code, out, err, forks = sweep_on(capsys, monkeypatch, 2, "--sweep", "8")
+    assert (code, forks) == (4, 2)
+    assert len(out) == 50
+    assert err == (
+        "internal error: sweep worker ended before the report on "
+        f"{target.side}:{target.distances}\n"
+    )

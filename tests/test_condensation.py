@@ -444,7 +444,8 @@ def test_stats_deltas_layer_reading_and_balance():
     assert cases == {"I.1", "I.2", "I.3", "I.4", "I.5", "I.6"}
 
 
-def test_stats_deltas_memo_builds_each_region_once(monkeypatch):
+def test_stats_deltas_builds_no_cells(monkeypatch):
+    # the stats of each region are read off its spec's level runs
     specs = []
     for spec in valid_specs(8):
         try:
@@ -452,7 +453,6 @@ def test_stats_deltas_memo_builds_each_region_once(monkeypatch):
                 specs.append(spec)
         except BaseCase:
             pass
-    fresh = [stats_deltas(spec) for spec in specs]
     built = []
     real_build = regions.build_region
 
@@ -461,9 +461,12 @@ def test_stats_deltas_memo_builds_each_region_once(monkeypatch):
         return real_build(side, distances)
 
     monkeypatch.setattr(regions, "build_region", counting_build)
+    fresh = [stats_deltas(spec) for spec in specs]
     memo: dict = {}
     assert [stats_deltas(spec, memo) for spec in specs] == fresh
-    assert len(built) == len(set(built)) == len(memo)
+    assert built == []
+    for spec, stats in memo.items():
+        assert stats == regions.structural_stats(real_build(*spec))
 
 
 def test_stats_deltas_rejects_case_two():

@@ -280,13 +280,16 @@ def test_rejects_malformed_edges():
 
 
 def test_rejects_edge_end_outside_positions():
-    # with positions as names, -1 would silently mean the last vertex
+    # with positions as names, -1 would silently mean the last vertex;
+    # an end equal to the vertex count is one past the last
     v = path(3).vertices
-    for ends in ((0, 3), (-1, 1), (2, -1)):
-        with pytest.raises(ValueError, match="not a vertex position"):
-            MatchGraph(v, ((0, 1), ends))
+    for ends in ((0, 3), (3, 0), (-1, 1), (2, -1)):
+        for edges in (((0, 1), ends), (ends, (1, 2))):
+            with pytest.raises(ValueError, match="not a vertex position"):
+                MatchGraph(v, edges)
     with pytest.raises(ValueError, match="not a vertex position"):
         MatchGraph((), ((0, 1),))
+    assert MatchGraph(v, ((0, 1), (1, 2))).edges == ((0, 1), (1, 2))
 
 
 def test_rejects_weights_unlike_edges():
