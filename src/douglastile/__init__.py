@@ -1,9 +1,10 @@
 """Exact domino-tiling counts for generalized Douglas regions.
 
 Three independent engines count the perfect matchings of a region's dual
-graph: a Kasteleyn determinant, Kuo graphical condensation, and weighted
-Aztec-diamond shuffling.  All of them land on a power of
-two predicted by a closed-form exponent read off the region's shape.
+graph: a Kasteleyn determinant, Kuo graphical condensation, and symbol
+shuffling, which tracks the urban-renewal rounds of the paper's second
+proof one symbol per black line.  All of them land on a power of two
+predicted by a closed-form exponent read off the region's shape.
 
 The names below are the public surface; everything else is imported from
 its module (`douglastile.regions`, `.matching`, `.condensation`,
@@ -12,7 +13,7 @@ its module (`douglastile.regions`, `.matching`, `.condensation`,
 
 __version__ = "0.1.0"
 
-from .condensation import condensation_count, trace_recurrence, verify_kuo
+from .condensation import condensation_count, trace_recurrence
 from .matching import SizeLimit, count_matchings, dual_graph, perfect_matching
 from .regions import (
     Region,
@@ -43,7 +44,6 @@ __all__ = [
     "perfect_matching",
     "condensation_count",
     "trace_recurrence",
-    "verify_kuo",
     "shuffle_count",
     "shuffle_exponent",
     "code_trace",

@@ -40,7 +40,6 @@ __all__ = [
     "pick_corners",
     "kuo_counts",
     "kuo_identity",
-    "verify_kuo",
     "case_recurrence",
     "condensation_count",
     "stats_deltas",
@@ -160,17 +159,6 @@ def kuo_identity(counts: dict[str, int]) -> bool:
         == counts["minus_west_south"] * counts["minus_east_north"]
         + counts["minus_north_west"] * counts["minus_south_east"]
     )
-
-
-def verify_kuo(graph: MatchGraph, quad: CornerQuad | None = None) -> bool:
-    """Whether Kuo's identity holds on the graph at the four corners.
-
-    `quad` defaults to `pick_corners(graph)`.  Raises CornersNotFound when
-    no four distinct corners are found or one is off the outer face.
-    """
-    if quad is None:
-        quad = pick_corners(graph)
-    return kuo_identity(kuo_counts(graph, quad))
 
 
 def _first_wide(d: tuple[int, ...]) -> int | None:

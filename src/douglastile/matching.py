@@ -1,24 +1,23 @@
 """Perfect matchings of plane bipartite graphs, counted exactly.
 
-The main entry points count matchings (or sum matching weights) with one
-Kasteleyn determinant (Kasteleyn, "The statistics of dimers on a
-lattice", 1961; Kuperberg, "An exploration of the permanent-determinant
-method", 1998).  The edges carry a signing under which every face walk
-of length 2k but each component's outer walk has k + 1 negative edges
-mod 2; then every perfect matching enters the determinant of the signed
-black x white matrix with the same sign, and the determinant is one
-sparse exact elimination.  Each column's pivot is the first row with a
-unit entry (+1 or -1) there, if any row has one, else the first row with
-any entry.  A unit pivot scales no row, so the entries of a signed
-matrix, which start at +1 and -1, and its fill stay small, and an Aztec
-diamond dual of order 160 (51,520 vertices) counts in seconds.
+The main entry points count matchings with one Kasteleyn determinant
+(Kasteleyn, "The statistics of dimers on a lattice", 1961; Kuperberg,
+"An exploration of the permanent-determinant method", 1998).  The edges
+carry a signing under which every face walk of length 2k but each
+component's outer walk has k + 1 negative edges mod 2; then every
+perfect matching enters the determinant of the signed black x white
+matrix with the same sign, and the determinant is one sparse exact
+elimination.  Each column's pivot is the first row with a unit entry (+1
+or -1) there, if any row has one, else the first row with any entry.  A
+unit pivot scales no row, so the entries of a signed matrix, which start
+at +1 and -1, and its fill stay small, and an Aztec diamond dual of
+order 160 (51,520 vertices) counts in seconds.
 
 A graph hands its signing over in `MatchGraph.signing`, read off lattice
-coordinates when the graph is made: `dual_graph` and
-`shuffle.aztec_match_graph` each carry the square-lattice parity rule of
-their family and the vertices on the outer face.  The counts trust that
-signing and refuse a graph without one, `without`'s subgraphs included,
-with ValueError.  The tests sign the graphs they build by hand with a
+coordinates when the graph is made: `dual_graph` carries the
+square-lattice parity rule and the vertices on the outer face.  The
+counts trust that signing and refuse a graph without one with
+ValueError.  The tests sign the graphs they build by hand with a
 face-walk reference signer, `tests/reference_kasteleyn.py`.
 
 `deletion_counts` counts several subgraphs G - S from one signing of G.
@@ -28,15 +27,8 @@ so G's signing stays a Kasteleyn signing of G - S, components and all;
 that holds even where a component of G has colour classes of unequal
 size, so that G itself has no matching.  Each G - S takes G's signed rows
 less the rows and columns of S, re-ranked, and gets its own exact
-elimination.  `count_matchings` is the case of S empty.  A weighted
-sum runs through the same signed rows with the weights in them; it takes
-its sign from the unit determinant of those rows, which every matching
-enters with the common Kasteleyn sign and which is 0 only when there is
-no matching.
-
-A Ryser permanent, which needs no plane drawing, serves as an independent
-cross-check on small instances.  All arithmetic is integer or Fraction;
-nothing here touches floats.
+elimination.  `count_matchings` is the case of S empty.  All arithmetic
+is integer; nothing here touches floats.
 
 A vertex is its position in `MatchGraph.vertices`, and `perfect_matching`
 returns one matching for drawing as position pairs: an iterative
@@ -46,9 +38,8 @@ augmenting-path search with no size limit and no plane drawing needed.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from itertools import chain, compress, repeat
-from math import gcd, lcm
+from math import gcd
 
 from .regions import (
     _CORNERS,
@@ -61,7 +52,6 @@ from .regions import (
 )
 
 __all__ = [
-    "RYSER_LIMIT",
     "VERTEX_LIMIT",
     "SizeLimit",
     "check_size",
@@ -70,11 +60,7 @@ __all__ = [
     "dual_graph",
     "count_matchings",
     "deletion_counts",
-    "matching_generating_function",
-    "permanent_oracle",
-    "reduce_forced",
     "perfect_matching",
-    "canonical_embedding",
 ]
 
 # the lattice point at (px, py) has the squares with anchors (px - 1,
@@ -91,7 +77,6 @@ _INNER_TESTS = {
     for kind, corners in _CORNERS.items()
 }
 
-RYSER_LIMIT = 16
 # the largest Aztec diamond dual this admits, order 160 with 51,520
 # vertices, counts in about 10 s on one Xeon core under Python 3.11
 # (`count --engine brute`, start-up and cells included); orders 32, 64
@@ -113,73 +98,38 @@ class OuterFaceError(ValueError):
     """A vertex to delete is not on the outer face walk of its component."""
 
 
-class MatchGraph(namedtuple("MatchGraph", "vertices edges weights signing")):
+class MatchGraph(namedtuple("MatchGraph", "vertices edges signing")):
     """A bipartite graph drawn in the plane; vertex i is `vertices[i]`.
 
     A vertex is `(is_black, x, y)`, the coordinates ints or any rationals,
-    and an edge a pair of vertex positions.  `weights` runs parallel to
-    `edges`; None means every weight is 1.  `signing` is None or a pair
+    and an edge a pair of vertex positions.  `signing` is None or a pair
     `(negated, outer)` of flag sequences: `negated[e]` marks edge e of a
     Kasteleyn signing and `outer[i]` marks vertex i as on the outer face
     walk of its component.  The counts trust a given signing and refuse
-    a graph without one.  An edge end that is no position, or weights or
-    signing flags unlike the edges or vertices in length, raise
-    ValueError.  `_make` and `_replace` skip `__new__` and these checks;
-    this package calls neither.
+    a graph without one.  An edge end that is no position, or signing
+    flags unlike the edges or vertices in length, raise ValueError.
+    `_make` and `_replace` skip `__new__` and these checks; this package
+    calls neither.
     """
 
     __slots__ = ()
 
-    def __new__(cls, vertices, edges, weights=None, signing=None) -> MatchGraph:
+    def __new__(cls, vertices, edges, signing=None) -> MatchGraph:
         # two C-level passes over the ends, with no list of them
         ends = chain.from_iterable
         if edges and not (
             0 <= min(ends(edges)) and max(ends(edges)) < len(vertices)
         ):
             raise ValueError("edge end is not a vertex position")
-        if weights is not None and len(weights) != len(edges):
-            raise ValueError("weights and edges differ in length")
         if signing is not None:
             negated, outer = signing
             if len(negated) != len(edges) or len(outer) != len(vertices):
                 raise ValueError("signing flags unlike the edges or vertices")
-        return super().__new__(cls, vertices, edges, weights, signing)
-
-    def without(self, positions) -> MatchGraph:
-        """Induced subgraph after deleting the vertices at `positions`.
-
-        The survivors keep their order and are renumbered from 0; each
-        surviving edge keeps its weight.  The signing is dropped, since
-        deleting vertices can move others onto the outer face.
-        """
-        drop = set(positions)
-        # new[i] is the position of survivor i, -1 for a deleted vertex
-        new = [-1] * len(self.vertices)
-        verts = []
-        for i, vertex in enumerate(self.vertices):
-            if i not in drop:
-                new[i] = len(verts)
-                verts.append(vertex)
-        edges, weights = [], []
-        for (u, v), weight in zip(self.edges, _weights(self)):
-            u, v = new[u], new[v]
-            if u >= 0 and v >= 0:
-                edges.append((u, v))
-                weights.append(weight)
-        return MatchGraph(
-            tuple(verts),
-            tuple(edges),
-            None if self.weights is None else tuple(weights),
-        )
-
-
-def _weights(graph: MatchGraph):
-    """Edge weights parallel to `graph.edges`, 1 where `weights` is None."""
-    return graph.weights or (1,) * len(graph.edges)
+        return super().__new__(cls, vertices, edges, signing)
 
 
 def dual_graph(region: Region) -> MatchGraph:
-    """One vertex per cell, one edge per shared cell side, unit weights.
+    """One vertex per cell, one edge per shared cell side.
 
     Vertex i is `region.cells[i]`: line by line from the top, west to
     east, which keeps the elimination front of the determinant to roughly
@@ -240,7 +190,7 @@ def dual_graph(region: Region) -> MatchGraph:
             a = min(hi, max(lows))
             b = max(a, min(highs))
             outer.append(b"\1" * (a - lo) + b"\0" * (b - a) + b"\1" * (hi - b))
-    return MatchGraph(tuple(verts), edges, None, (negated, b"".join(outer)))
+    return MatchGraph(tuple(verts), edges, (negated, b"".join(outer)))
 
 
 def _ends(graph: MatchGraph):
@@ -402,13 +352,11 @@ def _reference_matching(keys, n: int) -> list[int] | None:
     return row_col
 
 
-def _signed_rows(black, ends, neg, drop, weights=None):
+def _signed_rows(black, ends, neg, drop):
     """Signed black x white rows of G - drop, or None if its classes differ.
 
     Rows and columns are the surviving black and white vertices, each
-    ranked in vertex order.  An entry is the edge weight, 1 where
-    `weights` is None, negated on a flagged edge; a zero weight leaves
-    no entry.
+    ranked in vertex order.  An entry is -1 on a flagged edge, else 1.
     """
     rank = [-1] * len(black)
     seen = [0, 0]
@@ -419,24 +367,25 @@ def _signed_rows(black, ends, neg, drop, weights=None):
     if seen[0] != seen[1]:
         return None
     rows: list[dict] = [{} for _ in range(seen[1])]
-    for (b, w), flip, weight in zip(ends, neg, weights or repeat(1)):
+    for (b, w), flip in zip(ends, neg):
         r, c = rank[b], rank[w]
-        if r >= 0 and c >= 0 and weight:
-            rows[r][c] = -weight if flip else weight
+        if r >= 0 and c >= 0:
+            rows[r][c] = -1 if flip else 1
     return rows
 
 
-def _deletion_sums(graph: MatchGraph, deletions, weights) -> list:
-    """Weighted sum over the perfect matchings of G - S for each S.
+def deletion_counts(graph: MatchGraph, deletions) -> list[int]:
+    """Perfect matchings of G - S for each vertex set S in `deletions`.
 
-    G carries its signing; see `deletion_counts` for why it carries over
-    to each G - S.  The signing holds on every component, so one with
-    unequal colour classes shows up as a zero determinant.  With
-    `weights` None the determinant of the signed rows is plus or minus
-    the count.  Otherwise its sign comes from the unit determinant of the
-    same rows: every matching enters that with the common Kasteleyn sign,
-    and 0 means there is none.  Weighted rows are scaled to integers by
-    the lcm of their denominators, undone by one exact division.
+    G carries its signing (graphs from `dual_graph` do; any other without
+    one raises ValueError).  Each G - S keeps G's signed rows less those
+    of S, re-ranked, and gets its own exact determinant, which is plus or
+    minus the count.  Every vertex of S must lie on the outer face walk of
+    its component, or OuterFaceError is raised: then the bounded faces of
+    G - S are the bounded faces of G that do not touch S, so G's signing
+    is a Kasteleyn signing of G - S.  The signing holds on every
+    component, so one with unequal colour classes shows up as a zero
+    determinant.
     """
     check_size(len(graph.vertices))
     black, ends = _ends(graph)
@@ -450,138 +399,16 @@ def _deletion_sums(graph: MatchGraph, deletions, weights) -> list:
                 raise OuterFaceError(
                     f"vertex {v} is not on the outer face of its component"
                 )
-    sums = []
+    counts = []
     for drop in drops:
-        rows = _signed_rows(black, ends, neg, drop, weights)
-        if rows is None:
-            sums.append(0)
-        elif weights is None:
-            sums.append(abs(_determinant(rows)))
-        else:
-            # 0 here leaves no matching, so the weighted determinant is 0 too
-            unit = _determinant(_signed_rows(black, ends, neg, drop))
-            scale = 1
-            for r, values in enumerate(rows):
-                common = lcm(*(v.denominator for v in values.values()))
-                scale *= common
-                rows[r] = {
-                    c: v.numerator * (common // v.denominator)
-                    for c, v in values.items()
-                }
-            det = _determinant(rows)
-            sums.append(Fraction(-det if unit < 0 else det, scale))
-    return sums
-
-
-def deletion_counts(graph: MatchGraph, deletions) -> list[int]:
-    """Perfect matchings of G - S for each vertex set S in `deletions`.
-
-    G carries its signing (graphs from `dual_graph` and
-    `shuffle.aztec_match_graph` do; any other raises ValueError).  Each
-    G - S keeps G's signed rows less those of S, re-ranked, and gets its
-    own exact determinant.  Every vertex of S must lie on the outer face
-    walk of its component, or OuterFaceError is raised: then the bounded
-    faces of G - S are the bounded faces of G that do not touch S, so G's
-    signing is a Kasteleyn signing of G - S.
-    """
-    if graph.weights is not None and any(w != 1 for w in graph.weights):
-        raise ValueError("matching counts expect unit edge weights")
-    return _deletion_sums(graph, deletions, None)
+        rows = _signed_rows(black, ends, neg, drop)
+        counts.append(0 if rows is None else abs(_determinant(rows)))
+    return counts
 
 
 def count_matchings(graph: MatchGraph) -> int:
-    """Number of perfect matchings of an unweighted plane graph."""
+    """Number of perfect matchings of a plane graph that carries its signing."""
     return deletion_counts(graph, ((),))[0]
-
-
-def matching_generating_function(graph: MatchGraph) -> Fraction:
-    """Sum over perfect matchings of the product of edge weights."""
-    return Fraction(_deletion_sums(graph, ((),), graph.weights)[0])
-
-
-def permanent_oracle(graph: MatchGraph) -> Fraction:
-    """Biadjacency permanent via Ryser's formula with Gray-code updates."""
-    black = [v[0] for v in graph.vertices]
-    rank, size = [], [0, 0]  # row or column of each vertex, part sizes
-    for is_black in black:
-        rank.append(size[is_black])
-        size[is_black] += 1
-    n = size[1]
-    if n != size[0]:
-        return Fraction(0)
-    if n == 0:
-        return Fraction(1)
-    if n > RYSER_LIMIT:
-        raise SizeLimit(f"permanent side {n} exceeds {RYSER_LIMIT}")
-    a = [[Fraction(0)] * n for _ in range(n)]
-    for (u, v), weight in zip(graph.edges, _weights(graph)):
-        if black[u] == black[v]:
-            raise ValueError("edge inside one part of the bipartition")
-        if not black[u]:
-            u, v = v, u
-        a[rank[u]][rank[v]] += weight
-    # per(A) = (-1)^n sum over nonempty column sets S of
-    #          (-1)^|S| prod_i (row sum of A over S)
-    total = Fraction(0)
-    sums = [Fraction(0)] * n
-    prev = 0
-    for code in range(1, 1 << n):
-        gray = code ^ (code >> 1)
-        changed = gray ^ prev
-        j = changed.bit_length() - 1
-        sign = 1 if gray & changed else -1
-        for i in range(n):
-            sums[i] += sign * a[i][j]
-        prev = gray
-        prod = Fraction(1)
-        for i in range(n):
-            if sums[i] == 0:
-                prod = Fraction(0)
-                break
-            prod *= sums[i]
-        if gray.bit_count() % 2:
-            total -= prod
-        else:
-            total += prod
-    return -total if n % 2 else total
-
-
-def reduce_forced(graph: MatchGraph) -> tuple[MatchGraph, Fraction]:
-    """Strip forced edges: every degree-1 vertex fixes its one edge.
-
-    Returns the remaining graph and the product of the forced edge
-    weights.  If the cascade isolates a vertex there is no perfect
-    matching at all and the zero sentinel (empty graph, 0) comes back.
-    """
-    n = len(graph.vertices)
-    # adj[i] maps each neighbour of vertex i to the weight of their edge
-    adj: list[dict[int, Fraction]] = [{} for _ in range(n)]
-    for (i, j), w in zip(graph.edges, _weights(graph)):
-        adj[i][j] = adj[j][i] = w
-    alive = [True] * n
-    multiplier = Fraction(1)
-    queue = [i for i in range(n) if len(adj[i]) == 1]
-    bad = [i for i in range(n) if not adj[i]]
-    if bad and n:
-        return MatchGraph((), ()), Fraction(0)
-    while queue:
-        i = queue.pop()
-        if not alive[i] or len(adj[i]) != 1:
-            continue
-        (j,) = adj[i]
-        multiplier *= adj[i][j]
-        for k in (i, j):
-            alive[k] = False
-        for k in list(adj[j]):
-            del adj[k][j]
-            if alive[k]:
-                if not adj[k]:
-                    return MatchGraph((), ()), Fraction(0)
-                if len(adj[k]) == 1:
-                    queue.append(k)
-        adj[i].clear()
-        adj[j].clear()
-    return graph.without(i for i in range(n) if not alive[i]), multiplier
 
 
 def perfect_matching(graph: MatchGraph) -> list[tuple[int, int]] | None:
@@ -604,19 +431,3 @@ def perfect_matching(graph: MatchGraph) -> list[tuple[int, int]] | None:
     return sorted(
         tuple(sorted((blacks[r], whites[c]))) for r, c in enumerate(matched)
     )
-
-
-def canonical_embedding(graph: MatchGraph):
-    """Translation-normalised geometric form, for embedded-graph equality."""
-    if not graph.vertices:
-        return ((), ())
-    _, minx, miny = map(min, zip(*graph.vertices))
-    pos = [(v[1] - minx, v[2] - miny) for v in graph.vertices]
-    verts = tuple(sorted(pos))
-    edges = tuple(
-        sorted(
-            (tuple(sorted((pos[u], pos[v]))), weight)
-            for (u, v), weight in zip(graph.edges, _weights(graph))
-        )
-    )
-    return (verts, edges)

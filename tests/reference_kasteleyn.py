@@ -2,8 +2,8 @@
 
 A second, independent way to sign a plane bipartite graph, for tests to
 check the lattice signings of `matching.dual_graph` and
-`shuffle.aztec_match_graph` face by face, and to sign the graphs that
-tests build by hand (`signed`).  The package counts only graphs that
+`reference_aztec.aztec_match_graph` face by face, and to sign the graphs
+that tests build by hand (`signed`).  The package counts only graphs that
 carry their signing; it shares nothing with this module.
 
 The cyclic order of neighbours read off the vertex coordinates gives the
@@ -206,6 +206,4 @@ def kasteleyn_signing(graph):
 
 def signed(graph):
     """The graph with the reference signing in place of its own, if any."""
-    return MatchGraph(
-        graph.vertices, graph.edges, graph.weights, kasteleyn_signing(graph)
-    )
+    return MatchGraph(graph.vertices, graph.edges, kasteleyn_signing(graph))

@@ -482,8 +482,101 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     loaded = set(proc.stdout.split())
     assert "douglastile.cli" in loaded
     assert not loaded & {
-        "dataclasses", "inspect", "multiprocessing", "concurrent.futures"
+        "dataclasses",
+        "inspect",
+        "multiprocessing",
+        "concurrent.futures",
+        "fractions",
+        "decimal",
     }
+
+
+# what the probe below runs: every engine of `count`, a derived side, a
+# spec file, `verify` on one spec and on a sweep, `trace`, each `render`
+# output, and the exits 2 and 3
+_REACH_RUNS = [
+    *(["count", "--a", "2", "--d", "4", "--engine", e] for e in
+      ("brute", "condense", "shuffle", "formula")),
+    ["count", "--d", "4,2,5,4"],
+    ["count", "--spec", "{tmp}/spec.json"],
+    ["verify", *DEEP],
+    ["verify", "--sweep", "8"],
+    ["trace", *DEEP, "--kuo-max", "16"],
+    ["render", "--a", "2", "--d", "4"],
+    ["render", "--a", "2", "--d", "4", "--format", "svg"],
+    ["render", "--a", "2", "--d", "4", "--format", "svg",
+     "--matching", "sample-by-forced-order"],
+    ["render", "--a", "2", "--d", "4", "--out", "{tmp}/out.txt"],
+    ["count", "--a", "3", "--d", "4"],
+    ["render", "--a", "2", "--d", "4", "--matching", "sample-by-forced-order"],
+    ["verify", "--sweep", "17"],
+    ["count", "--d", "322", "--engine", "brute"],
+]
+
+# a fresh interpreter that imports the CLI and runs it under a profile
+# hook, one CPU, and prints the exit codes and the qualified names of the
+# package's functions it never entered; a function is a code object
+# compiled from a def, found by walking each module's constants
+_REACH_PROBE = """
+import contextlib, io, json, os, sys
+from pathlib import Path
+
+entered = set()
+def hook(frame, event, arg):
+    if event == "call":
+        entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+sys.setprofile(hook)
+import douglastile.cli
+os.sched_getaffinity = lambda pid: {0}
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stderr(io.StringIO()):
+            codes.append(douglastile.cli.main(argv))
+sys.setprofile(None)
+
+missed = []
+for path in sorted(Path(douglastile.cli.__file__).parent.glob("*.py")):
+    stack = [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
+    while stack:
+        code = stack.pop()
+        for const in code.co_consts:
+            if isinstance(const, type(code)):
+                stack.append(const)
+                # CO_NEWLOCALS: a function body, not a class body
+                if const.co_flags & 2 and not const.co_name.startswith("<"):
+                    if (str(path), const.co_firstlineno) not in entered:
+                        missed.append(f"{path.stem}.{const.co_qualname}")
+print(json.dumps([codes, sorted(missed)]))
+"""
+
+
+def test_cli_runs_enter_every_function(tmp_path):
+    # the package holds what its commands run: code that only the tests
+    # call belongs in tests/.  Not entered here: the forked sweep (one
+    # CPU verifies in-process), the fault-only InternalError and the
+    # trace that scripts/draw_figures.py prints
+    (tmp_path / "spec.json").write_text('{"a": 7, "d": [4, 2, 5, 4]}')
+    runs = [[arg.format(tmp=tmp_path) for arg in argv] for argv in _REACH_RUNS]
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(Path(regions.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _REACH_PROBE, json.dumps(runs)],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, missed = json.loads(proc.stdout)
+    assert codes == [0] * 13 + [2, 2, 3, 3]
+    assert missed == [
+        "cli._Reported.__init__",
+        "cli._forked_lines",
+        "cli._worker",
+        "regions.InternalError.__init__",
+        "shuffle.code_trace",
+    ]
 
 
 def test_corner_off_outer_face(capsys, monkeypatch):

@@ -9,7 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_count, valid_specs
+from reference_aztec import characteristic_matrix
 from reference_cells import reference_stats
+from reference_graphs import canonical_embedding, reduce_forced, without
 from douglastile import condensation, regions
 from douglastile.condensation import (
     BASE_TABLE,
@@ -22,18 +24,12 @@ from douglastile.condensation import (
     case_recurrence,
     condensation_count,
     kuo_counts,
+    kuo_identity,
     pick_corners,
     stats_deltas,
     trace_recurrence,
-    verify_kuo,
 )
-from douglastile.matching import (
-    MatchGraph,
-    canonical_embedding,
-    count_matchings,
-    dual_graph,
-    reduce_forced,
-)
+from douglastile.matching import MatchGraph, count_matchings, dual_graph
 from douglastile.regions import (
     RegionSpec,
     SpecInvalid,
@@ -45,12 +41,7 @@ from douglastile.regions import (
     formula_count,
     structural_stats,
 )
-from douglastile.shuffle import (
-    characteristic_matrix,
-    code_trace,
-    shuffle_count,
-    shuffle_exponent,
-)
+from douglastile.shuffle import code_trace, shuffle_count, shuffle_exponent
 
 # dispatch fixtures: spec -> (case, normalized, flipped, sub-specs, multiplier)
 # sub-spec counts were confirmed against brute force when frozen
@@ -386,8 +377,8 @@ def test_kuo_identity_exact_on_duals():
             == c["minus_west_south"] * c["minus_east_north"]
             + c["minus_north_west"] * c["minus_south_east"]
         )
-        assert verify_kuo(g)
-        assert verify_kuo(g, quad)
+        assert kuo_identity(kuo_counts(g, pick_corners(g)))
+        assert kuo_identity(c)
 
 
 def test_kuo_off_outer_face_is_corners_not_found():
@@ -400,7 +391,7 @@ def test_kuo_off_outer_face_is_corners_not_found():
     with pytest.raises(CornersNotFound, match="not on the outer face"):
         kuo_counts(g, inner)
     with pytest.raises(CornersNotFound):
-        verify_kuo(g, inner)
+        kuo_identity(kuo_counts(g, inner))
 
 
 def test_corner_deletion_reproduces_first_subregion():
@@ -416,7 +407,7 @@ def test_corner_deletion_reproduces_first_subregion():
             continue
         g = dual_graph(build_region(spec.side, spec.distances))
         quad = pick_corners(g)
-        reduced, mult = reduce_forced(g.without((quad.west, quad.south)))
+        reduced, _, mult = reduce_forced(without(g, (quad.west, quad.south))[0])
         sub = rec.subspecs[0]
         sub_dual = dual_graph(build_region(sub.side, sub.distances))
         assert mult == 1

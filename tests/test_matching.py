@@ -1,5 +1,5 @@
-"""Matching counts: Kasteleyn determinant vs permanent oracle, forced-edge
-reduction, and the graph utilities."""
+"""Matching counts: Kasteleyn determinant vs permanent oracle, the weighted
+sum, forced-edge reduction, and the graph utilities."""
 
 import hashlib
 import json
@@ -10,31 +10,35 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_count, valid_specs
+from reference_aztec import AztecDiamond, WeightPattern, aztec_match_graph
+from reference_graphs import (
+    RYSER_LIMIT,
+    canonical_embedding,
+    matching_generating_function,
+    permanent_oracle,
+    reduce_forced,
+    without,
+)
 from reference_kasteleyn import adjacency, face_walks, kasteleyn_signing, signed
 from douglastile.condensation import kuo_counts, pick_corners
 from douglastile.matching import (
-    RYSER_LIMIT,
     VERTEX_LIMIT,
     MatchGraph,
     SizeLimit,
     _determinant,
     _ends,
     _signed_rows,
-    canonical_embedding,
     count_matchings,
     deletion_counts,
     dual_graph,
-    matching_generating_function,
     perfect_matching,
-    permanent_oracle,
-    reduce_forced,
 )
 from douglastile.regions import CellKind, RegionSpec, build_region, formula_count
-from douglastile.shuffle import AztecDiamond, WeightPattern, aztec_match_graph
 
 
-def bipartite(n_black, n_white, mask, weights=None):
-    """Graph from an edge bitmask over the black x white product, unsigned.
+def weighted_bipartite(n_black, n_white, mask, weights):
+    """Graph from an edge bitmask over the black x white product, unsigned,
+    and its edge weights: the edge of bit k weighs `weights[k % len]`.
 
     Dense masks draw graphs that are not plane, so only the tests that
     count one sign it, with `signed`.
@@ -48,12 +52,19 @@ def bipartite(n_black, n_white, mask, weights=None):
         for j in range(n_white):
             if mask >> bit & 1:
                 edges.append((i, n_black + j))
-                if weights is not None:
-                    picked.append(weights[bit % len(weights)])
+                picked.append(weights[bit % len(weights)])
             bit += 1
-    return MatchGraph(
-        tuple(verts), tuple(edges), None if weights is None else tuple(picked)
-    )
+    return MatchGraph(tuple(verts), tuple(edges)), tuple(picked)
+
+
+def bipartite(n_black, n_white, mask):
+    """The graph of `weighted_bipartite`, unweighted."""
+    return weighted_bipartite(n_black, n_white, mask, (1,))[0]
+
+
+def aztec_graph(n):
+    """The order-n Aztec diamond graph with its lattice signing."""
+    return aztec_match_graph(AztecDiamond(n, WeightPattern.ones(2, 2)))[0]
 
 
 def path(n):
@@ -67,7 +78,7 @@ def path(n):
 PLANE_BASES = tuple(
     g
     for g in [dual_graph(build_region(s.side, s.distances)) for s in valid_specs(8)]
-    + [aztec_match_graph(AztecDiamond(n, WeightPattern.ones(2, 2))) for n in (1, 2, 3)]
+    + [aztec_graph(n) for n in (1, 2, 3)]
     if len(g.vertices) <= 20
 )
 
@@ -76,24 +87,22 @@ WEIGHT_PICKS = [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(0), Fraction(
 
 @st.composite
 def plane_graphs(draw, weights=(Fraction(1),)):
-    """A base plane graph with a few vertices and edges deleted, signed.
+    """A base plane graph with a few vertices and edges deleted, signed,
+    and its edge weights.
 
     Edge k gets weight `picks[k % len(picks)]`, picks drawn from `weights`.
     """
     g = draw(st.sampled_from(PLANE_BASES))
     drop = draw(st.lists(st.integers(0, 63), max_size=4))
-    g = g.without(k % len(g.vertices) for k in drop)
+    g, _ = without(g, (k % len(g.vertices) for k in drop))
     cut = set(draw(st.lists(st.integers(0, 127), max_size=6)))
     picks = draw(st.lists(st.sampled_from(weights), min_size=1, max_size=6))
     edges = tuple(
         e for k, e in enumerate(g.edges) if k % max(len(g.edges), 1) not in cut
     )
-    return signed(
-        MatchGraph(
-            g.vertices,
-            edges,
-            tuple(picks[k % len(picks)] for k in range(len(edges))),
-        )
+    return (
+        signed(MatchGraph(g.vertices, edges)),
+        tuple(picks[k % len(picks)] for k in range(len(edges))),
     )
 
 
@@ -111,7 +120,7 @@ def test_dual_graph_shape():
     assert parts.count(True) == parts.count(False)
     for u, v in g.edges:
         assert {g.vertices[u][0], g.vertices[v][0]} == {True, False}
-    assert g.weights is None
+    assert g._fields == ("vertices", "edges", "signing")
 
 
 def test_tiny_graphs():
@@ -127,16 +136,18 @@ def test_tiny_graphs():
     assert count_matchings(no_match) == 0
 
 
-@given(g=plane_graphs())
+@given(case=plane_graphs())
 @settings(max_examples=200, deadline=None)
-def test_sweep_agrees_with_permanent(g):
-    assert Fraction(count_matchings(g)) == permanent_oracle(g)
+def test_sweep_agrees_with_permanent(case):
+    g, weights = case
+    assert Fraction(count_matchings(g)) == permanent_oracle(g, weights)
 
 
-@given(g=plane_graphs(weights=WEIGHT_PICKS))
+@given(case=plane_graphs(weights=WEIGHT_PICKS))
 @settings(max_examples=200, deadline=None)
-def test_weighted_mgf_agrees_with_permanent(g):
-    assert matching_generating_function(g) == permanent_oracle(g)
+def test_weighted_mgf_agrees_with_permanent(case):
+    g, weights = case
+    assert matching_generating_function(g, weights) == permanent_oracle(g, weights)
 
 
 def test_non_plane_graph_is_refused():
@@ -145,7 +156,7 @@ def test_non_plane_graph_is_refused():
     with pytest.raises(ValueError, match="graph is not plane"):
         count_matchings(signed(k33))
     with pytest.raises(ValueError, match="graph is not plane"):
-        matching_generating_function(signed(k33))
+        matching_generating_function(signed(k33), (1,) * 9)
     # the permanent needs no drawing
     assert permanent_oracle(k33) == 6
 
@@ -160,7 +171,7 @@ def test_sweep_order_insensitive_to_positions():
     for g in (
         dual_graph(build_region(7, (4, 2, 5, 4))),
         dual_graph(build_region(15, (4, 2, 5, 4, 3, 6, 2, 3))),
-        aztec_match_graph(AztecDiamond(4, WeightPattern.ones(2, 2))),
+        aztec_graph(4),
     ):
         want = count_matchings(g)
         for move in (
@@ -172,24 +183,22 @@ def test_sweep_order_insensitive_to_positions():
                 MatchGraph(
                     tuple((b, *move(x, y)) for b, x, y in g.vertices),
                     g.edges,
-                    g.weights,
                 )
             )
             assert count_matchings(moved) == want
 
 
 def test_mgf_multiplicative_over_components():
-    a = bipartite(2, 2, 0b1111, weights=[Fraction(2), Fraction(1, 3)])
+    a, a_weights = weighted_bipartite(2, 2, 0b1111, [Fraction(2), Fraction(1, 3)])
     shift = len(a.vertices)
-    b = bipartite(2, 2, 0b0111, weights=[Fraction(5)])
+    b, b_weights = weighted_bipartite(2, 2, 0b0111, [Fraction(5)])
     both = MatchGraph(
         a.vertices + tuple((c, x + 100, y) for c, x, y in b.vertices),
         a.edges + tuple((u + shift, v + shift) for u, v in b.edges),
-        a.weights + b.weights,
     )
-    assert matching_generating_function(signed(both)) == (
-        matching_generating_function(signed(a))
-        * matching_generating_function(signed(b))
+    assert matching_generating_function(signed(both), a_weights + b_weights) == (
+        matching_generating_function(signed(a), a_weights)
+        * matching_generating_function(signed(b), b_weights)
     )
 
 
@@ -198,9 +207,9 @@ def test_zero_weight_edges_count_as_zero_not_absent():
     verts = tuple((i % 2 == 0, i, 0) for i in range(4))
     edges = ((0, 1), (1, 2), (2, 3), (3, 0))
     weights = (Fraction(1), Fraction(1), Fraction(0), Fraction(1))
-    g = signed(MatchGraph(verts, edges, weights))
-    assert matching_generating_function(g) == 1
-    reduced, mult = reduce_forced(g)
+    g = signed(MatchGraph(verts, edges))
+    assert matching_generating_function(g, weights) == 1
+    reduced, _, mult = reduce_forced(g, weights)
     # degrees are all 2, so nothing is forced and nothing is deleted
     assert mult == 1
     assert len(reduced.edges) == 4
@@ -211,11 +220,13 @@ def test_weighted_sign_comes_from_the_unit_determinant():
     # weighted sum that dropped that sign, or took abs, would come out 2
     verts = ((True, 0, 0), (False, 1, 0), (True, 1, 1), (False, 0, 1))
     edges = ((0, 1), (1, 2), (2, 3), (3, 0))
-    g = signed(MatchGraph(verts, edges, tuple(map(Fraction, (1, -3, 1, 1)))))
+    g = signed(MatchGraph(verts, edges))
+    weights = tuple(map(Fraction, (1, -3, 1, 1)))
     black, ends = _ends(g)
     neg, _ = g.signing
     assert _determinant(_signed_rows(black, ends, neg, ())) == -2
-    assert matching_generating_function(g) == -2 == permanent_oracle(g)
+    assert matching_generating_function(g, weights) == -2
+    assert permanent_oracle(g, weights) == -2
 
 
 def fraction_determinant(matrix):
@@ -263,12 +274,6 @@ def test_determinant_matches_fraction_elimination(matrix, repeat):
     assert _determinant(rows) == fraction_determinant(matrix)
 
 
-def test_count_matchings_requires_unit_weights():
-    g = signed(bipartite(1, 1, 0b1, weights=[Fraction(2)]))
-    with pytest.raises(ValueError, match="unit edge weights"):
-        count_matchings(g)
-
-
 def test_rejects_malformed_edges():
     v = path(3).vertices
     with pytest.raises(ValueError, match="self-loops"):
@@ -294,11 +299,11 @@ def test_rejects_edge_end_outside_positions():
 
 def test_rejects_weights_unlike_edges():
     # zip would silently drop the edges past a short weights tuple
-    g = path(4)
+    g = signed(path(4))
     for weights in ((), (Fraction(2),) * 2, (Fraction(2),) * 4):
         with pytest.raises(ValueError, match="differ in length"):
-            MatchGraph(g.vertices, g.edges, weights)
-    assert MatchGraph(g.vertices, g.edges, (Fraction(2),) * 3).weights
+            matching_generating_function(g, weights)
+    assert matching_generating_function(g, (Fraction(2),) * 3) == 4
 
 
 def test_size_limits():
@@ -307,7 +312,7 @@ def test_size_limits():
     with pytest.raises(SizeLimit):
         count_matchings(path(VERTEX_LIMIT + 1))
     with pytest.raises(SizeLimit):
-        matching_generating_function(path(VERTEX_LIMIT + 1))
+        matching_generating_function(path(VERTEX_LIMIT + 1), (1,) * VERTEX_LIMIT)
     wide = bipartite(RYSER_LIMIT + 1, RYSER_LIMIT + 1, 0)
     with pytest.raises(SizeLimit):
         permanent_oracle(wide)
@@ -331,24 +336,25 @@ def test_permanent_unequal_parts_is_zero():
 def test_reduce_forced_preserves_mgf(n, m, mask, picks):
     # dense and unequal-part graphs need not be plane, so the reference is
     # the permanent, which needs no drawing
-    g = bipartite(n, m, mask, weights=picks)
-    reduced, mult = reduce_forced(g)
-    assert mult * permanent_oracle(reduced) == permanent_oracle(g)
+    g, weights = weighted_bipartite(n, m, mask, picks)
+    reduced, kept, mult = reduce_forced(g, weights)
+    assert mult * permanent_oracle(reduced, kept) == permanent_oracle(g, weights)
 
 
-@given(g=plane_graphs(weights=[Fraction(1), Fraction(2), Fraction(1, 2)]))
+@given(case=plane_graphs(weights=[Fraction(1), Fraction(2), Fraction(1, 2)]))
 @settings(max_examples=200, deadline=None)
-def test_reduce_forced_preserves_mgf_on_plane_graphs(g):
-    reduced, mult = reduce_forced(g)
-    assert mult * matching_generating_function(signed(reduced)) == (
-        matching_generating_function(g)
+def test_reduce_forced_preserves_mgf_on_plane_graphs(case):
+    g, weights = case
+    reduced, kept, mult = reduce_forced(g, weights)
+    assert mult * matching_generating_function(signed(reduced), kept) == (
+        matching_generating_function(g, weights)
     )
 
 
 def test_reduce_forced_zero_sentinel():
     # isolated vertex: no perfect matching anywhere
     g = MatchGraph(path(3).vertices, ((0, 1),))
-    reduced, mult = reduce_forced(g)
+    reduced, _, mult = reduce_forced(g)
     assert (reduced.vertices, mult) == ((), 0)
 
 
@@ -356,7 +362,7 @@ def test_reduce_forced_strips_pendant_chain():
     # a path on four vertices is matched entirely by the forced cascade
     g = path(4)
     weights = (Fraction(2), Fraction(1), Fraction(3))
-    reduced, mult = reduce_forced(MatchGraph(g.vertices, g.edges, weights))
+    reduced, _, mult = reduce_forced(g, weights)
     assert reduced.vertices == ()
     assert mult == 6
 
@@ -460,7 +466,7 @@ def test_deletion_counts_are_fresh_counts():
         x, y, z, t = q.west, q.south, q.east, q.north
         sets = ((x, y, z, t), (x, y), (z, t), (t, x), (y, z))
         assert deletion_counts(g, sets) == [
-            count_matchings(signed(g.without(drop))) for drop in sets
+            count_matchings(signed(without(g, drop)[0])) for drop in sets
         ], spec
     for n in range(1, 7):
         g = _aztec_dual(n)
@@ -471,7 +477,7 @@ def test_deletion_counts_are_fresh_counts():
         ]
         counts = deletion_counts(g, sets)
         assert counts == [
-            count_matchings(signed(g.without(drop))) for drop in sets
+            count_matchings(signed(without(g, drop)[0])) for drop in sets
         ]
         assert any(counts)
 
@@ -503,7 +509,7 @@ def test_deletion_signs_unbalanced_components():
     pendants = (shift - 1, len(g.vertices) - 1)
     assert count_matchings(g) == 0
     assert deletion_counts(g, ((), pendants)) == [0, 25]
-    assert count_matchings(signed(g.without(pendants))) == 25
+    assert count_matchings(signed(without(g, pendants)[0])) == 25
 
 
 def test_deletion_off_outer_face_raises():
@@ -539,10 +545,7 @@ def test_lattice_signing_is_kasteleyn_face_by_face():
     ]
     assert len(graphs) == 2047
     graphs += [_aztec_dual(n) for n in range(1, 21)]
-    graphs += [
-        aztec_match_graph(AztecDiamond(n, WeightPattern.ones(2, 2)))
-        for n in range(1, 21)
-    ]
+    graphs += [aztec_graph(n) for n in range(1, 21)]
     for g in graphs:
         negated, outer = g.signing
         faces, target, edge_of, _, _ = face_walks(g, adjacency(g))
@@ -562,10 +565,10 @@ def test_signing_flags_are_checked_and_dropped_by_without():
     assert len(negated) == len(g.edges) and len(outer) == len(g.vertices)
     for bad in ((negated[1:], outer), (negated, outer + b"\0"), (b"", b"")):
         with pytest.raises(ValueError, match="signing flags"):
-            MatchGraph(g.vertices, g.edges, None, bad)
+            MatchGraph(g.vertices, g.edges, bad)
     # deleting vertices can move others onto the outer face
-    assert g.without(()).signing is None
-    assert g.without([0, 1]).signing is None
+    assert without(g, ())[0].signing is None
+    assert without(g, [0, 1])[0].signing is None
     assert MatchGraph(g.vertices, g.edges).signing is None
 
 
@@ -582,21 +585,21 @@ def test_aztec_signing_sums_like_the_reference(n, shape, picks):
     pattern = WeightPattern(
         tuple(tuple(picks[r * cols + c] for c in range(cols)) for r in range(rows))
     )
-    g = aztec_match_graph(AztecDiamond(n, pattern))
-    assert matching_generating_function(g) == matching_generating_function(
-        signed(g)
+    g, weights = aztec_match_graph(AztecDiamond(n, pattern))
+    assert matching_generating_function(g, weights) == matching_generating_function(
+        signed(g), weights
     )
 
 
 def test_counts_refuse_a_graph_without_signing():
-    aztec = aztec_match_graph(AztecDiamond(2, WeightPattern(((1, 2), (3, 4)))))
+    aztec, weights = aztec_match_graph(AztecDiamond(2, WeightPattern(((1, 2), (3, 4)))))
     dual = dual_graph(build_region(7, (4, 2, 5, 4)))
     bare = MatchGraph(dual.vertices, dual.edges)
     for count in (
         lambda: count_matchings(bare),
         lambda: deletion_counts(bare, ((),)),
         lambda: matching_generating_function(
-            MatchGraph(aztec.vertices, aztec.edges, aztec.weights)
+            MatchGraph(aztec.vertices, aztec.edges), weights
         ),
     ):
         with pytest.raises(ValueError, match="no Kasteleyn signing"):
@@ -629,7 +632,7 @@ def test_dual_positions_are_integer_sixths():
             assert type(x) is int and type(y) is int
             cx, cy = _centroid(cell)
             assert (x, y) == (6 * cx, 6 * cy)
-    aztec = aztec_match_graph(AztecDiamond(8, WeightPattern.ones(2, 2)))
+    aztec = aztec_graph(8)
     assert all(type(x) is int and type(y) is int for _, x, y in aztec.vertices)
 
 
@@ -647,25 +650,25 @@ def test_rational_positions_order_exactly():
         assert count_matchings(signed(scaled)) == count_matchings(g)
 
 
-def _check_without(g, drop):
+def _check_without(g, drop, weights=None):
     # survivors keep their order and coordinates, and the edges among
     # them, read as coordinate pairs, keep their weights
-    h = g.without(drop)
+    h, kept = without(g, drop, weights)
     keep = [i for i in range(len(g.vertices)) if i not in set(drop)]
     assert h.vertices == tuple(g.vertices[i] for i in keep)
-    assert (h.weights is None) == (g.weights is None)
+    assert (kept is None) == (weights is None)
 
-    def weighed(graph, alive):
-        weights = graph.weights or (1,) * len(graph.edges)
+    def weighed(graph, weights, alive):
+        weights = weights or (1,) * len(graph.edges)
         return {
             (graph.vertices[u], graph.vertices[v]): w
             for (u, v), w in zip(graph.edges, weights, strict=True)
             if u in alive and v in alive
         }
 
-    survived = weighed(h, range(len(h.vertices)))
+    survived = weighed(h, kept, range(len(h.vertices)))
     assert len(survived) == len(h.edges)
-    assert survived == weighed(g, set(keep))
+    assert survived == weighed(g, weights, set(keep))
 
 
 def test_without_renumbers_survivors():
@@ -682,8 +685,8 @@ def test_without_renumbers_survivors():
     pattern = WeightPattern(
         tuple(tuple(Fraction(6 * r + c + 1, 7) for c in range(6)) for r in range(6))
     )
-    g = aztec_match_graph(AztecDiamond(3, pattern))
-    assert len(set(g.weights)) == len(g.edges) == 36
+    g, weights = aztec_match_graph(AztecDiamond(3, pattern))
+    assert len(set(weights)) == len(g.edges) == 36
     q = pick_corners(g)
     for drop in ((q.west, q.south), (q.north, q.east, 5), (), range(0, 24, 3)):
-        _check_without(g, tuple(drop))
+        _check_without(g, tuple(drop), weights)

@@ -1,4 +1,5 @@
-"""Weighted Aztec diamonds, urban renewal, and the symbol reduction."""
+"""The symbol reduction, and the weighted Aztec diamonds and urban
+renewal rounds that it tracks."""
 
 import random
 from fractions import Fraction
@@ -8,12 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_count, valid_specs
-from douglastile.regions import RegionSpec, build_region, structural_stats
-from douglastile.shuffle import (
-    BOTH,
-    MINUS,
-    PLUS,
-    ZERO,
+from reference_aztec import (
     AztecDiamond,
     NotBinaryBlock,
     SingularBlock,
@@ -23,17 +19,25 @@ from douglastile.shuffle import (
     binary_reduction_step,
     cell_factor,
     characteristic_matrix,
-    code_trace,
     encode,
     pattern_of_code,
     reduction_step,
-    region_code,
     scale_row_part,
+    urban_renewal,
+    weight_matrix,
+)
+from douglastile.regions import RegionSpec, build_region, structural_stats
+from douglastile.shuffle import (
+    BOTH,
+    MINUS,
+    PLUS,
+    ZERO,
+    _closed_form_exponent,
+    code_trace,
+    region_code,
     shift_code,
     shuffle_count,
     shuffle_exponent,
-    urban_renewal,
-    weight_matrix,
 )
 
 RATIONALS = [
@@ -109,7 +113,8 @@ def test_weight_matrix_tiles_periodically():
 
 def test_aztec_graph_shape():
     for n in range(1, 5):
-        g = aztec_match_graph(AztecDiamond(n, WeightPattern.ones(2, 2)))
+        g, weights = aztec_match_graph(AztecDiamond(n, WeightPattern.ones(2, 2)))
+        assert len(weights) == len(g.edges)
         assert len(g.vertices) == 2 * n * (n + 1)
         assert len(g.edges) == 4 * n * n
         blacks = sum(1 for v in g.vertices if v[0])
@@ -261,6 +266,18 @@ def test_shift_preserves_minus_positions_and_plus_count(code):
     plus_count = lambda c: sum(1 for s in c if s in (PLUS, BOTH))
     assert minus(shifted) == minus(code)
     assert plus_count(shifted) == plus_count(code)
+
+
+@given(st.lists(st.sampled_from([ZERO, PLUS, MINUS]), max_size=60).map(tuple))
+def test_closed_form_exponent_is_the_quadratic_sum(code):
+    # the definition, recounting the later plus symbols at every position
+    q = len(code)
+    want = sum(
+        q - i + 1 - code[i - 1 :].count(PLUS)
+        for i in range(1, q + 1)
+        if code[i - 1] != MINUS
+    )
+    assert _closed_form_exponent(code) == want
 
 
 def test_binary_reduction_step_contract():
