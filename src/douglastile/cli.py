@@ -25,7 +25,7 @@ import os
 import sys
 import time
 
-from . import __version__, condensation, matching, regions, shuffle
+from . import __version__, condensation, regions, shuffle
 from .condensation import condensation_count, stats_deltas
 from .matching import SizeLimit, count_matchings, dual_graph, perfect_matching
 from .regions import InternalError, RegionSpec, SpecInvalid
@@ -44,9 +44,9 @@ _ENGINES = ("brute", "condense", "shuffle", "formula")
 
 # the largest total `verify --sweep` walks: each step doubles the
 # compositions and about doubles the time (totals 11, 12 and 13 take
-# 1.1-1.2, 2.2-2.3 and 4.0-4.5 s wall with two workers on two Intel Xeon
-# cores, 1.9, 2.6-3.4 and 6.2-6.4 s on one), so 16 takes about a minute
-# on two cores and one to two on one
+# 0.5-0.6, 1.0-1.1 and 2.0-2.2 s wall with two workers on two Intel Xeon
+# cores under Python 3.11, 0.7, 1.4 and 3.2-3.3 s on one), so 16 takes
+# 25-28 s on two cores and 33 s on one
 SWEEP_LIMIT = 16
 
 # failures that no input should cause: each one is a bug in an engine
@@ -147,16 +147,10 @@ def _resolve(args) -> RegionSpec:
     return RegionSpec(args.a, args.d)
 
 
-def _brute_count(region: regions.Region) -> int:
-    """The dual graph's matching count; SizeLimit before the graph is built."""
-    matching.check_size(len(region.cells))
-    return count_matchings(dual_graph(region))
-
-
 def cmd_count(args) -> int:
     spec = _resolve(args)
     if args.engine == "brute":
-        result = _brute_count(regions.build_region(*spec))
+        result = count_matchings(regions.build_region(*spec))
     elif args.engine == "formula":
         result = regions.formula_count(regions.build_region(*spec))
     elif args.engine == "condense":
@@ -188,10 +182,11 @@ def _verify_one(
     counts: dict[str, str | None] = {}
     formula = timed("formula", lambda: 2 ** regions.formula_exponent(stats))
     counts["formula"] = str(formula)
-    exponent = timed("shuffle", lambda: shuffle.shuffle_exponent(spec))
+    # build_region has checked the spec: the engines take it as it is
+    exponent = timed("shuffle", lambda: shuffle._exponent(spec))
     counts["shuffle"] = str(2 ** exponent)
     counts["condense"] = str(
-        timed("condense", lambda: condensation_count(spec, memo))
+        timed("condense", lambda: condensation._resolve(spec, memo, None))
     )
     kuo = None
     if total <= 8:
@@ -202,7 +197,7 @@ def _verify_one(
         counts["brute"] = str(kuo["full"])
     else:
         try:
-            counts["brute"] = str(timed("brute", lambda: _brute_count(region)))
+            counts["brute"] = str(timed("brute", lambda: count_matchings(region)))
         except SizeLimit:
             counts["brute"] = None
 

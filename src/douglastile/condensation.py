@@ -296,8 +296,10 @@ def _resolve(
 ) -> int:
     """Count a spec by the recurrence, memoised by canonical spec.
 
-    New specs are found in preorder with an explicit stack, then counted
-    by increasing total, since every sub-spec is smaller than its parent.
+    The spec must describe a region: this is the entry point for a spec
+    already checked, as `condensation_count` checks it first.  New specs
+    are found in preorder with an explicit stack, then counted by
+    increasing total, since every sub-spec is smaller than its parent.
     When `out` is a list, each new spec appends one record to it in
     preorder, so a trace lists every distinct sub-spec once.
     """

@@ -20,6 +20,12 @@ counts trust that signing and refuse a graph without one with
 ValueError.  The tests sign the graphs they build by hand with a
 face-walk reference signer, `tests/reference_kasteleyn.py`.
 
+`count_matchings(region)` counts a region's tilings without a graph:
+it takes the signed rows of the dual, under the same parity rule,
+straight from the region's level runs, and needs no vertex coordinates,
+outer flags or edge checks.  `dual_graph` serves the Kuo blocks, the
+corner picks, the matching overlay and graphs compared by hand.
+
 `deletion_counts` counts several subgraphs G - S from one signing of G.
 When every vertex of S lies on the outer walk of its component, the
 bounded faces of G - S are exactly the bounded faces of G that miss S,
@@ -27,8 +33,8 @@ so G's signing stays a Kasteleyn signing of G - S, components and all;
 that holds even where a component of G has colour classes of unequal
 size, so that G itself has no matching.  Each G - S takes G's signed rows
 less the rows and columns of S, re-ranked, and gets its own exact
-elimination.  `count_matchings` is the case of S empty.  All arithmetic
-is integer; nothing here touches floats.
+elimination; S empty counts G itself.  All arithmetic is integer;
+nothing here touches floats.
 
 A vertex is its position in `MatchGraph.vertices`, and `perfect_matching`
 returns one matching for drawing as position pairs: an iterative
@@ -37,6 +43,7 @@ augmenting-path search with no size limit and no plane drawing needed.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import namedtuple
 from itertools import chain, compress, repeat
 from math import gcd
@@ -131,12 +138,15 @@ class MatchGraph(namedtuple("MatchGraph", "vertices edges signing")):
 def dual_graph(region: Region) -> MatchGraph:
     """One vertex per cell, one edge per shared cell side.
 
+    The graph is for the Kuo blocks, the corner picks and the matching
+    overlay; `count_matchings` counts a region from its runs without it.
+
     Vertex i is `region.cells[i]`: line by line from the top, west to
     east, which keeps the elimination front of the determinant to roughly
     one line of cells.  Each vertex sits at its cell's centroid, in
     integer sixths of a lattice unit, and takes its colour from its line.
     The edges are the index pairs (i, j), i < j, in sorted order.  Both
-    are read off the level runs and line symbols of the region's spec
+    are read off the level runs and line symbols that the region carries
     (`regions._pair_blocks`, `regions._LINES`); cells that are not the
     ones those runs lay out, in number, raise ValueError.
 
@@ -242,6 +252,12 @@ def _determinant(rows: list[dict[int, int]]) -> int:
     The scalings are undone by one exact division at the end.  A unit
     pivot never scales a row up, so on a Kasteleyn matrix, whose entries
     start at +1 and -1, the entries and the fill stay small.
+
+    The result carries the sign of the pivot order, so it is the
+    determinant itself.  The counts take its absolute value, but the sign
+    costs one pass over the n pivots, little next to the elimination, and
+    it keeps the function checkable against any other exact determinant;
+    a weighted sum over matchings, whose value may be negative, needs it.
     """
     n = len(rows)
     col_rows: list[set[int]] = [set() for _ in range(n)]
@@ -406,9 +422,63 @@ def deletion_counts(graph: MatchGraph, deletions) -> list[int]:
     return counts
 
 
-def count_matchings(graph: MatchGraph) -> int:
-    """Number of perfect matchings of a plane graph that carries its signing."""
-    return deletion_counts(graph, ((),))[0]
+def _region_rows(region: Region):
+    """Signed black x white rows of a region's dual, or None if its colour
+    classes differ in size.
+
+    These are the rows of `_signed_rows` on `dual_graph(region)` with
+    nothing dropped, read off the level runs with no vertex or edge made.
+    Every line of a run has one colour, `_LINES[symbol]`, so a cell's rank
+    is its offset in its line plus the cells of that colour on the lines
+    before it.  Each block of `_pair_blocks` joins a stretch of one line
+    to a stretch of another, so it fills one stretch of rows, one entry
+    each.  A same-anchor block's entry is -1 where the anchor x + k is
+    odd and 1 elsewhere; an east block's entries are all 1.
+    """
+    symbols, runs = _region_runs(region)
+    # each line's first cell index, its colour, and the rank of that cell
+    # among the cells of its colour
+    starts, blacks, ranks = [], [], []
+    seen = [0, 0]
+    for symbol, (start, lo, hi, _) in zip(symbols, runs):
+        n = hi - lo
+        for _, color in _LINES[symbol]:
+            black = color is Color.BLACK
+            starts.append(start)
+            blacks.append(black)
+            ranks.append(seen[black])
+            seen[black] += n
+            start += n
+    if seen[0] != seen[1]:
+        return None
+    rows: list[dict] = [{} for _ in range(seen[1])]
+    signs = (1, -1) * (len(region.cells) // 2 + 1)
+    same, east = _pair_blocks(runs)
+    for blocks, alternate in ((same, True), (east, False)):
+        for i, j, n, x in blocks:
+            # the lines of cells i and j: bisect_right passes over lines
+            # that end where they start
+            a, b = bisect_right(starts, i) - 1, bisect_right(starts, j) - 1
+            r, c = ranks[a] + i - starts[a], ranks[b] + j - starts[b]
+            if not blacks[a]:
+                r, c = c, r
+            values = signs[x & 1 : (x & 1) + n] if alternate else repeat(1, n)
+            for row, col, value in zip(rows[r : r + n], range(c, c + n), values):
+                row[col] = value
+    return rows
+
+
+def count_matchings(region: Region) -> int:
+    """Number of perfect matchings of a region's dual graph: its tilings.
+
+    SizeLimit past `VERTEX_LIMIT` cells, before a row is made; ValueError
+    when the cells are not the number the region's runs lay out.  The
+    signed rows come from the level runs (`_region_rows`), and one exact
+    determinant counts them.
+    """
+    check_size(len(region.cells))
+    rows = _region_rows(region)
+    return 0 if rows is None else abs(_determinant(rows))
 
 
 def perfect_matching(graph: MatchGraph) -> list[tuple[int, int]] | None:

@@ -30,12 +30,14 @@ line by line from the top, west to east, with no contour to trace and
 nothing to sort.  Cells that share a side sit on one drawn level, across
 its cut diagonal, or on two consecutive levels, across a south or an east
 side, so every pair is index arithmetic on the bounds of one or two runs;
-the structure check and `matching.dual_graph` read the pairs, and whether
-the region is in one piece, off those bounds without visiting a cell.
-Every line of a run has one kind and one colour, named by the level's
-symbol, so `structural_stats`, the vertices of `matching.dual_graph` and
-the polygons of `render.svg_region` are read off the runs as well, a
-whole run at a time.
+the structure check, `matching.dual_graph` and the signed rows of
+`matching.count_matchings` read the pairs, and whether the region is in
+one piece, off those bounds without visiting a cell.  Every line of a
+run has one kind and one colour, named by the level's symbol, so
+`structural_stats`, the vertices of `matching.dual_graph` and the
+polygons of `render.svg_region` are read off the runs as well, a whole
+run at a time.  A `Region` carries the symbols and runs that laid out
+its cells, so none of these readings walks the levels again.
 """
 
 from __future__ import annotations
@@ -185,8 +187,9 @@ class RegionStats(
     __slots__ = ()
 
 
-class Region(namedtuple("Region", "spec cells")):
-    """A spec with its tuple of cells."""
+class Region(namedtuple("Region", "spec cells symbols runs")):
+    """A spec with its tuple of cells, and the line symbols and level runs
+    (`_level_runs`, as tuples) that laid the cells out."""
 
     __slots__ = ()
 
@@ -259,7 +262,8 @@ def check_spec(side: int, distances) -> RegionSpec:
 
 
 def _level_runs(side: int, distances):
-    """The checked spec, its line symbols and the run of each level, top down.
+    """The checked spec, its line symbols and the run of each level, top
+    down, both as tuples.
 
     Level -j meets the region in one run of anchors (x, x - j), x from `lo`
     up to `hi`: from the SW staircase, the point reflection
@@ -276,7 +280,7 @@ def _level_runs(side: int, distances):
         drawn = symbol in (PLUS, MINUS)
         runs.append((start, lo, east_x, drawn))
         start += (east_x - lo) * (1 + drawn)
-    return spec, symbols, runs
+    return spec, tuple(symbols), tuple(runs)
 
 
 def _run_end(run) -> int:
@@ -285,14 +289,13 @@ def _run_end(run) -> int:
 
 
 def _region_runs(region: Region):
-    """The line symbols and level runs of a region's spec.
+    """The line symbols and level runs that a region carries.
 
     ValueError when the region's cells are not the number its runs lay out.
     """
-    _, symbols, runs = _level_runs(*region.spec)
-    if _run_end(runs[-1]) != len(region.cells):
+    if _run_end(region.runs[-1]) != len(region.cells):
         raise ValueError("cells unlike the level runs of their spec")
-    return symbols, runs
+    return region.symbols, region.runs
 
 
 def build_region(side: int, distances) -> Region:
@@ -300,7 +303,9 @@ def build_region(side: int, distances) -> Region:
 
     Each line of a run is one kind and colour, `_LINES[symbol]`, over the
     run's anchors, so its cells come from C-level iteration with no Python
-    step per cell.  The cells then pass `_check_cell_structure`.
+    step per cell.  The cells then pass `_check_cell_structure`, and the
+    region keeps the symbols and runs, so that nothing reading it walks
+    the levels again.
     """
     spec, symbols, runs = _level_runs(side, distances)
     cells: list[Cell] = []
@@ -317,7 +322,7 @@ def build_region(side: int, distances) -> Region:
     _check_cell_structure(cells, runs)
     if any(c.color is Color.BLACK for c in cells[runs[-1][0]:]):
         raise InternalError("bottom line not white")
-    return Region(spec, cells)
+    return Region(spec, cells, symbols, runs)
 
 
 def _pair_blocks(runs):
@@ -444,7 +449,7 @@ def structural_stats(region: Region) -> RegionStats:
     return _run_stats(*_region_runs(region))
 
 
-def _run_stats(symbols: list[str], runs) -> RegionStats:
+def _run_stats(symbols, runs) -> RegionStats:
     """The `RegionStats` of the region that `symbols` and `runs` lay out.
 
     The width is the bottom run's length.  The regular cells, the black

@@ -101,7 +101,12 @@ def shuffle_exponent(spec: RegionSpec) -> int:
     mismatch would mean the symbol bookkeeping itself is broken, so it is
     raised loudly instead of picking a side.
     """
-    code = region_code(regions.check_spec(spec.side, spec.distances))
+    return _exponent(regions.check_spec(spec.side, spec.distances))
+
+
+def _exponent(spec: RegionSpec) -> int:
+    """`shuffle_exponent` of a spec already known to describe a region."""
+    code = region_code(spec)
     procedural = sum(cur.count(ZERO) for cur in _rounds(code))
     closed = _closed_form_exponent(code)
     if procedural != closed:

@@ -4,7 +4,7 @@ criterion line registry echoed after the run."""
 from functools import lru_cache
 from typing import Iterator
 
-from douglastile.matching import count_matchings, dual_graph
+from douglastile.matching import count_matchings
 from douglastile.regions import (
     Region,
     RegionSpec,
@@ -52,4 +52,4 @@ def brute_count(spec: RegionSpec | None) -> int:
     """Matching count of the dual graph; the empty spec counts as one."""
     if spec is None:
         return 1
-    return count_matchings(dual_graph(build_region(spec.side, spec.distances)))
+    return count_matchings(build_region(spec.side, spec.distances))

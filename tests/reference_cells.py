@@ -2,8 +2,10 @@
 
 A second, independent way to make a region's cells, for tests to compare
 with `regions.build_region` cell for cell: trace the region's contour and
-scan it row by row.  It shares only `check_spec` with the package and
-derives the tiers and the forced staircase itself.
+scan it row by row.  It derives the tiers and the forced staircase
+itself; from the package it takes only the checked spec and the symbols
+and level runs of `_level_runs`, which a `Region` carries along with its
+cells.
 
 `shared_sides` pairs any cells by looking up their anchors in two dicts,
 and `check_cell_structure` checks them with it and a breadth-first search;
@@ -24,7 +26,7 @@ from douglastile.regions import (
     InternalError,
     Region,
     RegionStats,
-    check_spec,
+    _level_runs,
 )
 
 
@@ -41,7 +43,7 @@ def _tiers_and_drawn(distances):
 
 
 def reference_region(side: int, distances) -> Region:
-    spec = check_spec(side, distances)
+    spec, symbols, runs = _level_runs(side, distances)
     total = spec.total
     tiers, drawn = _tiers_and_drawn(spec.distances)
 
@@ -94,7 +96,7 @@ def reference_region(side: int, distances) -> Region:
         return tiers[cell.level] + (cell.kind is CellKind.DOWN)
 
     cells.sort(key=lambda c: (tier_of(c), c.anchor[0]))
-    return Region(spec, tuple(cells))
+    return Region(spec, tuple(cells), symbols, runs)
 
 
 def shared_sides(cells) -> list[tuple[int, int]]:

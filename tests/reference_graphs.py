@@ -1,5 +1,9 @@
 """Weighted sums and graph utilities that the tests check the package with.
 
+`graph_count` counts the perfect matchings of a signed `MatchGraph`;
+the package's `count_matchings` takes a region, not a graph, and reads
+its rows off the level runs.
+
 A weighted graph here is a `MatchGraph` together with a tuple of edge
 weights parallel to its edges; None stands for all ones.
 
@@ -20,9 +24,22 @@ drawn graphs up to translation and vertex numbering.
 from fractions import Fraction
 from math import lcm
 
-from douglastile.matching import MatchGraph, SizeLimit, _determinant, _ends, check_size
+from douglastile.matching import (
+    MatchGraph,
+    SizeLimit,
+    _determinant,
+    _ends,
+    check_size,
+    deletion_counts,
+)
 
 RYSER_LIMIT = 16
+
+
+def graph_count(graph: MatchGraph) -> int:
+    """Perfect matchings of a graph that carries its signing: G - S with S
+    empty."""
+    return deletion_counts(graph, ((),))[0]
 
 
 def _edge_weights(graph, weights):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import valid_specs
-from douglastile import cli, condensation, matching, regions
+from douglastile import cli, condensation, matching, regions, shuffle
 from douglastile.cli import main
 from douglastile.regions import Color
 
@@ -270,8 +270,9 @@ def test_verify_sweep_summary(capsys):
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
-    # sabotage one engine through its seam; the report must notice
-    monkeypatch.setattr("douglastile.shuffle.shuffle_exponent", lambda spec: 9)
+    # sabotage one engine through its seam, the checked-spec entry that
+    # verify calls; the report must notice
+    monkeypatch.setattr("douglastile.shuffle._exponent", lambda spec: 9)
     code, out, _ = run_cli(capsys, "verify", "--a", "1", "--d", "1,2")
     assert code == 1
     lines = out.strip().splitlines()
@@ -453,9 +454,10 @@ def test_trace_signs_each_kuo_graph_once(capsys, monkeypatch, tmp_path):
 
 
 def test_verify_signs_each_region_once(capsys, monkeypatch, tmp_path):
-    # each region is signed once, when its one dual graph is built, and
-    # counted with that lattice signing (with a Kuo check, the brute count
-    # is the Kuo block's full count); `count --engine brute` likewise
+    # each region with a Kuo check is signed once, when its one dual graph
+    # is built, and its brute count is the Kuo block's full count; a brute
+    # count alone builds no graph, since its signed rows come from the
+    # level runs
     graphs = count_calls(monkeypatch, tmp_path, cli, "dual_graph")
     code, out, _ = run_cli(capsys, "verify", "--sweep", "8")
     assert code == 0
@@ -464,7 +466,7 @@ def test_verify_signs_each_region_once(capsys, monkeypatch, tmp_path):
     graphs.clear()
     code, out, _ = run_cli(capsys, "count", "--engine", "brute", *DEEP)
     assert code == 0 and out == "536870912\n"
-    assert len(graphs.calls()) == 1
+    assert graphs.calls() == []
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
@@ -750,6 +752,52 @@ def test_derived_side_builds_the_cells_once(capsys, monkeypatch, tmp_path):
     code, _, _ = run_cli(capsys, "verify", "--sweep", "10")
     assert code == 0
     assert len(built.calls()) == len(set(built.calls())) == 511
+
+
+def test_verify_walks_each_region_once(capsys, monkeypatch, tmp_path):
+    # counters, not timings, on one CPU so that every region is verified
+    # in this process: `build_region` walks a region's level runs and the
+    # region carries them, so stats, the brute count and the Kuo block's
+    # graph walk none again; only a spec whose stats `stats_deltas` reads
+    # fresh walks its own.  The line symbols are read once per
+    # composition by `find_region`, and per region by `build_region`, by
+    # `shuffle`'s code and by the spec check of `stats_deltas`
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    runs = count_calls(monkeypatch, tmp_path, regions, "_level_runs")
+    symbols = count_calls(monkeypatch, tmp_path, regions, "_line_symbols")
+    (tmp_path / "shuffle").mkdir()
+    shuffled = count_calls(
+        monkeypatch, tmp_path / "shuffle", shuffle, "_line_symbols"
+    )
+    misses = []
+    real_stats = condensation._region_stats
+
+    def region_stats(spec, memo):
+        if spec not in memo:
+            misses.append(spec)
+        return real_stats(spec, memo)
+
+    monkeypatch.setattr(condensation, "_region_stats", region_stats)
+    code, out, _ = run_cli(capsys, "verify", "--sweep", "10")
+    assert code == 0
+    summary = json.loads(out.splitlines()[-1])["summary"]
+    valid = summary["valid"]
+    # in a sweep every sub-region's stats are those of a region verified
+    # before it
+    assert (summary["compositions"], valid, len(misses)) == (1023, 511, 0)
+    assert len(runs.calls()) == valid + len(misses)
+    assert len(symbols.calls()) == 1023 + 2 * valid + len(misses)
+    assert len(shuffled.calls()) == valid
+    # one region alone: its three sub-regions are misses
+    for log in (runs, symbols, shuffled):
+        log.clear()
+    misses.clear()
+    code, _, _ = run_cli(capsys, "verify", *DEEP)
+    assert code == 0
+    assert len(misses) == 3
+    assert len(runs.calls()) == 1 + len(misses)
+    assert len(symbols.calls()) == 2 + len(misses)
+    assert len(shuffled.calls()) == 1
 
 
 def test_closed_stdout_exits_quietly():

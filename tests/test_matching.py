@@ -14,6 +14,7 @@ from reference_aztec import AztecDiamond, WeightPattern, aztec_match_graph
 from reference_graphs import (
     RYSER_LIMIT,
     canonical_embedding,
+    graph_count,
     matching_generating_function,
     permanent_oracle,
     reduce_forced,
@@ -27,13 +28,22 @@ from douglastile.matching import (
     SizeLimit,
     _determinant,
     _ends,
+    _region_rows,
     _signed_rows,
     count_matchings,
     deletion_counts,
     dual_graph,
     perfect_matching,
 )
-from douglastile.regions import CellKind, RegionSpec, build_region, formula_count
+from douglastile.regions import (
+    Cell,
+    CellKind,
+    Color,
+    Region,
+    RegionSpec,
+    build_region,
+    formula_count,
+)
 
 
 def weighted_bipartite(n_black, n_white, mask, weights):
@@ -109,7 +119,29 @@ def plane_graphs(draw, weights=(Fraction(1),)):
 def test_base_counts_match_formula():
     for spec in valid_specs(4):
         region = build_region(spec.side, spec.distances)
-        assert count_matchings(dual_graph(region)) == formula_count(region)
+        assert count_matchings(region) == formula_count(region)
+
+
+def test_region_rows_are_the_dual_graph_rows():
+    # the brute count's rows, read off the level runs, are the rows of the
+    # dual graph with nothing deleted: the same ranks, entries and signs
+    specs = list(valid_specs(14))
+    specs += [RegionSpec(n, (2 * n,)) for n in (1, 2, 3, 8, 32, 64)]
+    assert len(specs) == 8197
+    for spec in specs:
+        region = build_region(*spec)
+        g = dual_graph(region)
+        black, ends = _ends(g)
+        assert _region_rows(region) == _signed_rows(black, ends, g.signing[0], ())
+
+
+def test_region_count_with_unequal_colour_classes_is_zero():
+    # no region a spec describes has one, but the rows refuse to be square
+    # when the runs lay out more cells of one colour
+    cell = Cell(CellKind.SQUARE, Color.WHITE, 0, (0, 0))
+    lone = Region(RegionSpec(1, (1,)), (cell,), ("",), ((0, 0, 1, False),))
+    assert _region_rows(lone) is None
+    assert count_matchings(lone) == 0
 
 
 def test_dual_graph_shape():
@@ -125,22 +157,22 @@ def test_dual_graph_shape():
 
 def test_tiny_graphs():
     single = signed(bipartite(1, 1, 0b1))
-    assert count_matchings(single) == 1
+    assert graph_count(single) == 1
     empty = signed(MatchGraph((), ()))
-    assert count_matchings(empty) == 1
+    assert graph_count(empty) == 1
     odd = signed(MatchGraph(((True, 0, 0),), ()))
-    assert count_matchings(odd) == 0
+    assert graph_count(odd) == 0
     square = signed(bipartite(2, 2, 0b1111))
-    assert count_matchings(square) == 2
+    assert graph_count(square) == 2
     no_match = signed(bipartite(2, 2, 0b0011))  # second black vertex is isolated
-    assert count_matchings(no_match) == 0
+    assert graph_count(no_match) == 0
 
 
 @given(case=plane_graphs())
 @settings(max_examples=200, deadline=None)
 def test_sweep_agrees_with_permanent(case):
     g, weights = case
-    assert Fraction(count_matchings(g)) == permanent_oracle(g, weights)
+    assert Fraction(graph_count(g)) == permanent_oracle(g, weights)
 
 
 @given(case=plane_graphs(weights=WEIGHT_PICKS))
@@ -154,7 +186,7 @@ def test_non_plane_graph_is_refused():
     # the reference signer refuses it, so no count gets a signing
     k33 = bipartite(3, 3, (1 << 9) - 1)
     with pytest.raises(ValueError, match="graph is not plane"):
-        count_matchings(signed(k33))
+        graph_count(signed(k33))
     with pytest.raises(ValueError, match="graph is not plane"):
         matching_generating_function(signed(k33), (1,) * 9)
     # the permanent needs no drawing
@@ -173,7 +205,7 @@ def test_sweep_order_insensitive_to_positions():
         dual_graph(build_region(15, (4, 2, 5, 4, 3, 6, 2, 3))),
         aztec_graph(4),
     ):
-        want = count_matchings(g)
+        want = graph_count(g)
         for move in (
             lambda x, y: (Fraction(-y, 3), x * 7),
             lambda x, y: (-x, y),
@@ -185,7 +217,7 @@ def test_sweep_order_insensitive_to_positions():
                     g.edges,
                 )
             )
-            assert count_matchings(moved) == want
+            assert graph_count(moved) == want
 
 
 def test_mgf_multiplicative_over_components():
@@ -277,11 +309,11 @@ def test_determinant_matches_fraction_elimination(matrix, repeat):
 def test_rejects_malformed_edges():
     v = path(3).vertices
     with pytest.raises(ValueError, match="self-loops"):
-        count_matchings(MatchGraph(v, ((0, 0),)))
+        graph_count(MatchGraph(v, ((0, 0),)))
     with pytest.raises(ValueError, match="parallel"):
-        count_matchings(MatchGraph(v, ((0, 1), (1, 0))))
+        graph_count(MatchGraph(v, ((0, 1), (1, 0))))
     with pytest.raises(ValueError, match="one part"):
-        count_matchings(MatchGraph(v, ((0, 2),)))
+        graph_count(MatchGraph(v, ((0, 2),)))
 
 
 def test_rejects_edge_end_outside_positions():
@@ -307,10 +339,10 @@ def test_rejects_weights_unlike_edges():
 
 
 def test_size_limits():
-    assert count_matchings(signed(path(VERTEX_LIMIT))) == 1 - VERTEX_LIMIT % 2
+    assert graph_count(signed(path(VERTEX_LIMIT))) == 1 - VERTEX_LIMIT % 2
     # the size is refused before the missing signing
     with pytest.raises(SizeLimit):
-        count_matchings(path(VERTEX_LIMIT + 1))
+        graph_count(path(VERTEX_LIMIT + 1))
     with pytest.raises(SizeLimit):
         matching_generating_function(path(VERTEX_LIMIT + 1), (1,) * VERTEX_LIMIT)
     wide = bipartite(RYSER_LIMIT + 1, RYSER_LIMIT + 1, 0)
@@ -388,7 +420,7 @@ def test_perfect_matching_none_when_impossible():
     assert perfect_matching(odd) is None
     # balanced, but both blacks see only the first white
     blocked = bipartite(2, 2, 0b0101)
-    assert count_matchings(signed(blocked)) == 0
+    assert graph_count(signed(blocked)) == 0
     assert perfect_matching(blocked) is None
     assert perfect_matching(MatchGraph((), ())) == []
 
@@ -466,7 +498,7 @@ def test_deletion_counts_are_fresh_counts():
         x, y, z, t = q.west, q.south, q.east, q.north
         sets = ((x, y, z, t), (x, y), (z, t), (t, x), (y, z))
         assert deletion_counts(g, sets) == [
-            count_matchings(signed(without(g, drop)[0])) for drop in sets
+            graph_count(signed(without(g, drop)[0])) for drop in sets
         ], spec
     for n in range(1, 7):
         g = _aztec_dual(n)
@@ -477,7 +509,7 @@ def test_deletion_counts_are_fresh_counts():
         ]
         counts = deletion_counts(g, sets)
         assert counts == [
-            count_matchings(signed(without(g, drop)[0])) for drop in sets
+            graph_count(signed(without(g, drop)[0])) for drop in sets
         ]
         assert any(counts)
 
@@ -507,9 +539,9 @@ def test_deletion_signs_unbalanced_components():
         )
     )
     pendants = (shift - 1, len(g.vertices) - 1)
-    assert count_matchings(g) == 0
+    assert graph_count(g) == 0
     assert deletion_counts(g, ((), pendants)) == [0, 25]
-    assert count_matchings(signed(without(g, pendants)[0])) == 25
+    assert graph_count(signed(without(g, pendants)[0])) == 25
 
 
 def test_deletion_off_outer_face_raises():
@@ -596,7 +628,7 @@ def test_counts_refuse_a_graph_without_signing():
     dual = dual_graph(build_region(7, (4, 2, 5, 4)))
     bare = MatchGraph(dual.vertices, dual.edges)
     for count in (
-        lambda: count_matchings(bare),
+        lambda: graph_count(bare),
         lambda: deletion_counts(bare, ((),)),
         lambda: matching_generating_function(
             MatchGraph(aztec.vertices, aztec.edges), weights
@@ -647,7 +679,7 @@ def test_rational_positions_order_exactly():
         )
         assert {x.denominator for _, x, _ in scaled.vertices} == {2, 3}
         assert kasteleyn_signing(g) == kasteleyn_signing(scaled)
-        assert count_matchings(signed(scaled)) == count_matchings(g)
+        assert graph_count(signed(scaled)) == graph_count(g)
 
 
 def _check_without(g, drop, weights=None):

@@ -305,8 +305,10 @@ def test_spec_json_round_trip():
 
 def test_region_json_payload():
     region = build_region(2, (1, 2, 1))
-    assert region._fields == ("spec", "cells")
+    assert region._fields == ("spec", "cells", "symbols", "runs")
     assert region.spec == RegionSpec(2, (1, 2, 1))
+    assert (region.spec, region.symbols, region.runs) == _level_runs(2, (1, 2, 1))
+    assert hash(region) == hash(build_region(2, (1, 2, 1)))
     assert {c.level for c in region.cells if c.kind is CellKind.UP} == {-1, -3}
     assert {c.kind for c in region.cells} == set(CellKind)
     stats = structural_stats(region)
@@ -453,7 +455,7 @@ def _without_level(cells, runs, m):
     later = [(s - size, a, b, d) for s, a, b, d in runs[m + 1 :]]
     return (
         cells[:start] + cells[start + size :],
-        runs[:m] + [(start, lo, lo, drawn)] + later,
+        [*runs[:m], (start, lo, lo, drawn), *later],
     )
 
 
