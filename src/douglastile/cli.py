@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 at least one verification check failed, 2 the
 spec is malformed or does not describe a region, a `--spec` file cannot
-be read or parsed or comes with `--a` or `--d`, an `--out` file cannot
-be written or `--matching` lacks `--format svg`, 3 an exact
+be read or parsed or comes with `--a` or `--d`, `--sweep` comes with
+`--a`, `--d` or `--spec` or is below 1, an `--out` file cannot be
+written or `--matching` lacks `--format svg`, 3 an exact
 computation, or a `--sweep` total past `SWEEP_LIMIT`, was refused for
 size, 4 an internal consistency check failed or any other exception
 escaped (a bug, not a property of the input), with one `internal
@@ -190,10 +191,8 @@ def _verify_one(
     )
     kuo = None
     if total <= 8:
-        # the Kuo block's "full" count is the brute count of this graph
-        graph = dual_graph(region)
-        quad = condensation.pick_corners(graph)
-        kuo = timed("kuo", lambda: condensation.kuo_counts(graph, quad))
+        # the Kuo block's "full" count is the brute count of this region
+        kuo = timed("kuo", lambda: _kuo(region))
         counts["brute"] = str(kuo["full"])
     else:
         try:
@@ -239,12 +238,17 @@ def _verify_one(
     return report
 
 
+def _kuo(region: regions.Region) -> dict[str, int]:
+    """The six Kuo counts of a region at its corners: minors of one signed
+    matrix, built from the level runs with no dual graph."""
+    return condensation.kuo_counts(region, condensation.pick_corners(region))
+
+
 def _kuo_block(spec: RegionSpec, kuo_max: int) -> dict | None:
     if spec.total > kuo_max:
         return None
-    graph = dual_graph(regions.build_region(spec.side, spec.distances))
     try:
-        counts = condensation.kuo_counts(graph, condensation.pick_corners(graph))
+        counts = _kuo(regions.build_region(spec.side, spec.distances))
     except condensation.CornersNotFound:
         return None
     return {
@@ -356,6 +360,10 @@ def cmd_verify(args) -> int:
     if args.sweep is None:
         lines = _report_lines([_resolve(args)])
     else:
+        if args.a is not None or args.d is not None or args.spec is not None:
+            raise SpecInvalid("--sweep cannot be combined with --a, --d or --spec")
+        if args.sweep < 1:
+            raise SpecInvalid(f"sweep total {args.sweep} is below 1")
         if args.sweep > SWEEP_LIMIT:
             raise SizeLimit(f"sweep total {args.sweep} exceeds {SWEEP_LIMIT}")
         compositions = 0

@@ -17,6 +17,11 @@ the head cut, the tail cut and both (the head rule applied to the tail
 cut); a one-term case takes the head cut alone.  So counting by
 condensation never builds a matching; the only inputs are the base
 table of the seven smallest regions and exact integer division.
+
+`verify` and `trace` check the identity itself on small regions.
+`pick_corners` reads the four corner cells off the level runs, and
+`kuo_counts` takes the six counts as minors of the one signed matrix of
+the region's dual (`matching.deletion_counts`).
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import regions
-from .matching import MatchGraph, OuterFaceError, deletion_counts
-from .regions import RegionSpec
+from .matching import OuterFaceError, deletion_counts
+from .regions import Region, RegionSpec
 
 __all__ = [
     "BaseCase",
@@ -69,7 +74,7 @@ class DivisionInexact(ArithmeticError):
 
 
 class CornersNotFound(RuntimeError):
-    """The four corner vertices could not be picked from the graph."""
+    """The four corner cells could not be picked from the region."""
 
 
 # matching counts of every valid spec with total <= 4, frozen from the
@@ -111,28 +116,37 @@ def canonical_spec(spec: RegionSpec) -> tuple[RegionSpec, bool]:
     return (spec, False) if spec <= other else (other, True)
 
 
-def pick_corners(graph: MatchGraph) -> CornerQuad:
-    """Westmost black, southmost white, eastmost black, northmost white.
+def pick_corners(region: Region) -> CornerQuad:
+    """Westmost black, southmost white, eastmost black, northmost white
+    cell, each at its centroid.
 
     Ties resolve toward the outer face: the west pick prefers north, the
-    east pick south, the south pick west and the north pick east.
+    east pick south, the south pick west and the north pick east.  Both
+    centroid coordinates grow along a line of cells, so every pick is the
+    first or the last cell of a line: the candidates are read off the
+    level runs (`regions._region_lines`), two per line.
     """
-    verts = graph.vertices
-    blacks = [i for i, v in enumerate(verts) if v[0]]
-    whites = [i for i, v in enumerate(verts) if not v[0]]
+    # the (x, y, cell) of each line's first and last cell, in sixths
+    ends: tuple[list, list] = ([], [])
+    for start, j, kind, black, lo, hi, _ in regions._region_lines(region):
+        cx, cy = regions._SIXTHS[kind]
+        for x in (lo, hi - 1) if lo < hi else ():
+            ends[black].append((6 * x + cx, 6 * (x - j) + cy, start + x - lo))
+    whites, blacks = ends
     if not blacks or not whites:
         raise CornersNotFound("a colour class is empty")
-    west = min(blacks, key=lambda i: (verts[i][1], -verts[i][2]))
-    east = max(blacks, key=lambda i: (verts[i][1], -verts[i][2]))
-    south = min(whites, key=lambda i: (verts[i][2], verts[i][1]))
-    north = max(whites, key=lambda i: (verts[i][2], verts[i][1]))
+    west = min(blacks, key=lambda v: (v[0], -v[1]))[2]
+    east = max(blacks, key=lambda v: (v[0], -v[1]))[2]
+    south = min(whites, key=lambda v: (v[1], v[0]))[2]
+    north = max(whites, key=lambda v: (v[1], v[0]))[2]
     if len({west, south, east, north}) != 4:
         raise CornersNotFound("corner picks are not distinct")
     return CornerQuad(west=west, south=south, east=east, north=north)
 
 
-def kuo_counts(graph: MatchGraph, quad: CornerQuad) -> dict[str, int]:
-    """The six counts of Kuo's identity, from one signing of the graph.
+def kuo_counts(region: Region, quad: CornerQuad) -> dict[str, int]:
+    """The six counts of Kuo's identity: minors of the region's signed rows
+    (`matching.deletion_counts`), built once.
 
     Raises CornersNotFound if a corner is not on the outer face.
     """
@@ -146,7 +160,7 @@ def kuo_counts(graph: MatchGraph, quad: CornerQuad) -> dict[str, int]:
         "minus_south_east": (y, z),
     }
     try:
-        counts = deletion_counts(graph, deleted.values())
+        counts = deletion_counts(region, deleted.values())
     except OuterFaceError as exc:
         raise CornersNotFound(str(exc)) from exc
     return dict(zip(deleted, counts))

@@ -1,62 +1,48 @@
 """Perfect matchings of plane bipartite graphs, counted exactly.
 
-The main entry points count matchings with one Kasteleyn determinant
-(Kasteleyn, "The statistics of dimers on a lattice", 1961; Kuperberg,
-"An exploration of the permanent-determinant method", 1998).  The edges
-carry a signing under which every face walk of length 2k but each
-component's outer walk has k + 1 negative edges mod 2; then every
-perfect matching enters the determinant of the signed black x white
-matrix with the same sign, and the determinant is one sparse exact
+A region's tilings are the perfect matchings of its dual graph, one
+vertex per cell and one edge per shared cell side, and they are counted
+with one Kasteleyn determinant (Kasteleyn, "The statistics of dimers on
+a lattice", 1961; Kuperberg, "An exploration of the permanent-determinant
+method", 1998).  The edges carry signs under which every face walk of
+length 2k but each component's outer walk has k + 1 negative edges mod 2;
+then every perfect matching enters the determinant of the signed black x
+white matrix with the same sign, and the determinant is one sparse exact
 elimination.  Each column's pivot is the first row with a unit entry (+1
 or -1) there, if any row has one, else the first row with any entry.  A
 unit pivot scales no row, so the entries of a signed matrix, which start
 at +1 and -1, and its fill stay small, and an Aztec diamond dual of
 order 160 (51,520 vertices) counts in seconds.
 
-A graph hands its signing over in `MatchGraph.signing`, read off lattice
-coordinates when the graph is made: `dual_graph` carries the
-square-lattice parity rule and the vertices on the outer face.  The
-counts trust that signing and refuse a graph without one with
-ValueError.  The tests sign the graphs they build by hand with a
-face-walk reference signer, `tests/reference_kasteleyn.py`.
+`_region_rows` reads the signed rows straight off the region's level
+runs, under the parity rule that Kasteleyn gave the square grid, with no
+vertex, edge or coordinate made.  `deletion_counts(region, deletions)`
+counts several subgraphs G - S as minors of those rows.  When every
+vertex of S lies on the outer walk of its component, the bounded faces of
+G - S are exactly the bounded faces of G that miss S, so G's signs stay
+Kasteleyn signs of G - S, components and all; that holds even
+where a component of G has colour classes of unequal size, so that G
+itself has no matching.  Each G - S takes G's rows less the rows and
+columns of S, re-ranked, and gets its own exact elimination; S empty
+counts G itself, which is `count_matchings`.  Whether a cell of S lies on
+the outer face is read off the runs as well.  All arithmetic is integer;
+nothing here touches floats.  The tests check the rows, the outer test
+and the minors against signed graphs and face walks of their own.
 
-`count_matchings(region)` counts a region's tilings without a graph:
-it takes the signed rows of the dual, under the same parity rule,
-straight from the region's level runs, and needs no vertex coordinates,
-outer flags or edge checks.  `dual_graph` serves the Kuo blocks, the
-corner picks, the matching overlay and graphs compared by hand.
-
-`deletion_counts` counts several subgraphs G - S from one signing of G.
-When every vertex of S lies on the outer walk of its component, the
-bounded faces of G - S are exactly the bounded faces of G that miss S,
-so G's signing stays a Kasteleyn signing of G - S, components and all;
-that holds even where a component of G has colour classes of unequal
-size, so that G itself has no matching.  Each G - S takes G's signed rows
-less the rows and columns of S, re-ranked, and gets its own exact
-elimination; S empty counts G itself.  All arithmetic is integer;
-nothing here touches floats.
-
-A vertex is its position in `MatchGraph.vertices`, and `perfect_matching`
-returns one matching for drawing as position pairs: an iterative
-augmenting-path search with no size limit and no plane drawing needed.
+`dual_graph` draws the dual for the matching overlay: a vertex is its
+position in `MatchGraph.vertices`, and `perfect_matching` returns one
+matching as position pairs: an iterative augmenting-path search with no
+size limit and no plane drawing needed.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections import namedtuple
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from math import gcd
 
-from .regions import (
-    _CORNERS,
-    _LINES,
-    _SIXTHS,
-    Color,
-    Region,
-    _pair_blocks,
-    _region_runs,
-)
+from .regions import _CORNERS, _SIXTHS, Region, _pair_blocks, _region_lines
 
 __all__ = [
     "VERTEX_LIMIT",
@@ -105,102 +91,60 @@ class OuterFaceError(ValueError):
     """A vertex to delete is not on the outer face walk of its component."""
 
 
-class MatchGraph(namedtuple("MatchGraph", "vertices edges signing")):
+class MatchGraph(namedtuple("MatchGraph", "vertices edges")):
     """A bipartite graph drawn in the plane; vertex i is `vertices[i]`.
 
     A vertex is `(is_black, x, y)`, the coordinates ints or any rationals,
-    and an edge a pair of vertex positions.  `signing` is None or a pair
-    `(negated, outer)` of flag sequences: `negated[e]` marks edge e of a
-    Kasteleyn signing and `outer[i]` marks vertex i as on the outer face
-    walk of its component.  The counts trust a given signing and refuse
-    a graph without one.  An edge end that is no position, or signing
-    flags unlike the edges or vertices in length, raise ValueError.
-    `_make` and `_replace` skip `__new__` and these checks; this package
-    calls neither.
+    and an edge a pair of vertex positions; an edge end that is no
+    position raises ValueError.  `_make` and `_replace` skip `__new__` and
+    this check; this package calls neither.
     """
 
     __slots__ = ()
 
-    def __new__(cls, vertices, edges, signing=None) -> MatchGraph:
+    def __new__(cls, vertices, edges) -> MatchGraph:
         # two C-level passes over the ends, with no list of them
         ends = chain.from_iterable
         if edges and not (
             0 <= min(ends(edges)) and max(ends(edges)) < len(vertices)
         ):
             raise ValueError("edge end is not a vertex position")
-        if signing is not None:
-            negated, outer = signing
-            if len(negated) != len(edges) or len(outer) != len(vertices):
-                raise ValueError("signing flags unlike the edges or vertices")
-        return super().__new__(cls, vertices, edges, signing)
+        return super().__new__(cls, vertices, edges)
 
 
 def dual_graph(region: Region) -> MatchGraph:
-    """One vertex per cell, one edge per shared cell side.
-
-    The graph is for the Kuo blocks, the corner picks and the matching
-    overlay; `count_matchings` counts a region from its runs without it.
+    """One vertex per cell, one edge per shared cell side: the graph that
+    the matching overlay draws.
 
     Vertex i is `region.cells[i]`: line by line from the top, west to
-    east, which keeps the elimination front of the determinant to roughly
-    one line of cells.  Each vertex sits at its cell's centroid, in
-    integer sixths of a lattice unit, and takes its colour from its line.
-    The edges are the index pairs (i, j), i < j, in sorted order.  Both
-    are read off the level runs and line symbols that the region carries
-    (`regions._pair_blocks`, `regions._LINES`); cells that are not the
-    ones those runs lay out, in number, raise ValueError.
-
-    The graph carries a lattice Kasteleyn signing, the parity rule that
-    Kasteleyn (1961) gave the square grid.  Two cells with the same anchor
-    x, across a square's south side or a cut diagonal, have their edge
-    negated when that x is odd; cells across an east side never do.  A
-    bounded face is an interior lattice point.  With four cells around it
-    the face gets one negated edge; with six (the drawn diagonal through
-    it cuts its NE and SW squares) it gets two, so a face of length 2k
-    has k + 1 mod 2.  A cell lies on the outer face when one of its
-    corners lacks one of the four lattice squares around it.  Those four
-    squares lie on three consecutive levels, so the cells of a run that
-    are not on the outer face have their anchors in one interval, cut out
-    by the bounds of the runs at most two levels away.
+    east.  Each vertex sits at its cell's centroid, in integer sixths of a
+    lattice unit, and takes its colour from its line.  The edges are the
+    index pairs (i, j), i < j, in sorted order.  Both are read off the
+    level runs and line symbols that the region carries
+    (`regions._pair_blocks`, `regions._region_lines`); cells that are not
+    the ones those runs lay out, in number, raise ValueError.  The graph
+    carries no signs: the counts read their signed rows off the runs.
     """
-    symbols, runs = _region_runs(region)
-    size = len(region.cells)
-    same, east = _pair_blocks(runs)
+    lines = _region_lines(region)
+    same, east = _pair_blocks(region.runs)
     # slot 2i holds cell i's pair across its south side or cut diagonal,
     # slot 2i + 1 its pair across its east side: every pair (i, j) with
     # i < j, in sorted order
-    slots = [None] * (2 * size)
-    flags = bytearray(len(slots))
-    parity = b"\0\1" * (size // 2 + 1)
-    for i, j, n, x in same:
+    slots = [None] * (2 * len(region.cells))
+    for i, j, n, _ in same:
         slots[2 * i : 2 * (i + n) : 2] = zip(range(i, i + n), range(j, j + n))
-        flags[2 * i : 2 * (i + n) : 2] = parity[x & 1 : (x & 1) + n]
     for i, j, n, _ in east:
         slots[2 * i + 1 : 2 * (i + n) : 2] = zip(range(i, i + n), range(j, j + n))
-    edges = tuple(filter(None, slots))
-    negated = bytes(compress(flags, slots))
-
-    # bounds[j + 2] are level -j's, with two empty levels past either end
-    bounds = [(0, 0)] * 2 + [run[1:3] for run in runs] + [(0, 0)] * 2
-    verts, outer = [], []
-    for j, (symbol, (_, lo, hi, _)) in enumerate(zip(symbols, runs)):
-        n = hi - lo
-        for kind, color in _LINES[symbol]:
-            # each line's centroids, in sixths, step by 6 along the run
-            cx, cy = _SIXTHS[kind]
-            verts += zip(
-                repeat(color is Color.BLACK, n),
-                range(6 * lo + cx, 6 * hi + cx, 6),
-                range(6 * (lo - j) + cy, 6 * (hi - j) + cy, 6),
-            )
-            # the anchors [a, b) off the outer face; every kind has the
-            # corner (0, 0), which asks for x in [lo, hi) itself
-            lows = [bounds[j + 2 + dj][0] - dx for dj, dx in _INNER_TESTS[kind]]
-            highs = [bounds[j + 2 + dj][1] - dx for dj, dx in _INNER_TESTS[kind]]
-            a = min(hi, max(lows))
-            b = max(a, min(highs))
-            outer.append(b"\1" * (a - lo) + b"\0" * (b - a) + b"\1" * (hi - b))
-    return MatchGraph(tuple(verts), edges, (negated, b"".join(outer)))
+    verts = []
+    for _, j, kind, black, lo, hi, _ in lines:
+        # each line's centroids, in sixths, step by 6 along the run
+        cx, cy = _SIXTHS[kind]
+        verts += zip(
+            repeat(black, hi - lo),
+            range(6 * lo + cx, 6 * hi + cx, 6),
+            range(6 * (lo - j) + cy, 6 * (hi - j) + cy, 6),
+        )
+    return MatchGraph(tuple(verts), tuple(filter(None, slots)))
 
 
 def _ends(graph: MatchGraph):
@@ -368,99 +312,37 @@ def _reference_matching(keys, n: int) -> list[int] | None:
     return row_col
 
 
-def _signed_rows(black, ends, neg, drop):
-    """Signed black x white rows of G - drop, or None if its classes differ.
+def _region_rows(region: Region) -> list[dict[int, int]]:
+    """Signed rows of a region's dual: one per black cell, keyed by the
+    white cells' ranks.
 
-    Rows and columns are the surviving black and white vertices, each
-    ranked in vertex order.  An entry is -1 on a flagged edge, else 1.
+    A cell's rank is its position among the cells of its colour.  Every
+    line of a run has one colour, so a cell's rank is its offset in its
+    line plus the line's `rank` (`regions._region_lines`).  Each block of
+    `_pair_blocks` joins a stretch of one line to a stretch of another, so
+    it fills one stretch of rows, one entry each.  A same-anchor block's
+    entry is -1 where the anchor x + k is odd and 1 elsewhere; an east
+    block's entries are all 1.  This is Kasteleyn's parity rule for the
+    square grid.  A bounded face is an interior lattice point.  With four
+    cells around it, the face gets one -1; with six (the drawn diagonal
+    through it cuts its NE and SW squares) it gets two.  So a face of
+    length 2k has k + 1 mod 2.  The rows are square only when the colour
+    classes are equal in size.
     """
-    rank = [-1] * len(black)
-    seen = [0, 0]
-    for i, is_black in enumerate(black):
-        if i not in drop:
-            rank[i] = seen[is_black]
-            seen[is_black] += 1
-    if seen[0] != seen[1]:
-        return None
-    rows: list[dict] = [{} for _ in range(seen[1])]
-    for (b, w), flip in zip(ends, neg):
-        r, c = rank[b], rank[w]
-        if r >= 0 and c >= 0:
-            rows[r][c] = -1 if flip else 1
-    return rows
-
-
-def deletion_counts(graph: MatchGraph, deletions) -> list[int]:
-    """Perfect matchings of G - S for each vertex set S in `deletions`.
-
-    G carries its signing (graphs from `dual_graph` do; any other without
-    one raises ValueError).  Each G - S keeps G's signed rows less those
-    of S, re-ranked, and gets its own exact determinant, which is plus or
-    minus the count.  Every vertex of S must lie on the outer face walk of
-    its component, or OuterFaceError is raised: then the bounded faces of
-    G - S are the bounded faces of G that do not touch S, so G's signing
-    is a Kasteleyn signing of G - S.  The signing holds on every
-    component, so one with unequal colour classes shows up as a zero
-    determinant.
-    """
-    check_size(len(graph.vertices))
-    black, ends = _ends(graph)
-    if graph.signing is None:
-        raise ValueError("graph carries no Kasteleyn signing")
-    neg, outer = graph.signing
-    drops = [set(drop) for drop in deletions]
-    for drop in drops:
-        for v in drop:
-            if not (0 <= v < len(outer) and outer[v]):
-                raise OuterFaceError(
-                    f"vertex {v} is not on the outer face of its component"
-                )
-    counts = []
-    for drop in drops:
-        rows = _signed_rows(black, ends, neg, drop)
-        counts.append(0 if rows is None else abs(_determinant(rows)))
-    return counts
-
-
-def _region_rows(region: Region):
-    """Signed black x white rows of a region's dual, or None if its colour
-    classes differ in size.
-
-    These are the rows of `_signed_rows` on `dual_graph(region)` with
-    nothing dropped, read off the level runs with no vertex or edge made.
-    Every line of a run has one colour, `_LINES[symbol]`, so a cell's rank
-    is its offset in its line plus the cells of that colour on the lines
-    before it.  Each block of `_pair_blocks` joins a stretch of one line
-    to a stretch of another, so it fills one stretch of rows, one entry
-    each.  A same-anchor block's entry is -1 where the anchor x + k is
-    odd and 1 elsewhere; an east block's entries are all 1.
-    """
-    symbols, runs = _region_runs(region)
-    # each line's first cell index, its colour, and the rank of that cell
-    # among the cells of its colour
-    starts, blacks, ranks = [], [], []
-    seen = [0, 0]
-    for symbol, (start, lo, hi, _) in zip(symbols, runs):
-        n = hi - lo
-        for _, color in _LINES[symbol]:
-            black = color is Color.BLACK
-            starts.append(start)
-            blacks.append(black)
-            ranks.append(seen[black])
-            seen[black] += n
-            start += n
-    if seen[0] != seen[1]:
-        return None
-    rows: list[dict] = [{} for _ in range(seen[1])]
+    lines = _region_lines(region)
+    starts = [line[0] for line in lines]
+    blacks = sum(hi - lo for _, _, _, black, lo, hi, _ in lines if black)
+    rows: list[dict] = [{} for _ in range(blacks)]
     signs = (1, -1) * (len(region.cells) // 2 + 1)
-    same, east = _pair_blocks(runs)
+    same, east = _pair_blocks(region.runs)
     for blocks, alternate in ((same, True), (east, False)):
         for i, j, n, x in blocks:
             # the lines of cells i and j: bisect_right passes over lines
             # that end where they start
-            a, b = bisect_right(starts, i) - 1, bisect_right(starts, j) - 1
-            r, c = ranks[a] + i - starts[a], ranks[b] + j - starts[b]
-            if not blacks[a]:
+            a = lines[bisect_right(starts, i) - 1]
+            b = lines[bisect_right(starts, j) - 1]
+            r, c = a[6] + i - a[0], b[6] + j - b[0]
+            if not a[3]:
                 r, c = c, r
             values = signs[x & 1 : (x & 1) + n] if alternate else repeat(1, n)
             for row, col, value in zip(rows[r : r + n], range(c, c + n), values):
@@ -468,17 +350,88 @@ def _region_rows(region: Region):
     return rows
 
 
+def _outer_ranks(region: Region, cells) -> dict[int, tuple[bool, int]]:
+    """The colour and rank of each of `cells`, keyed by cell index.
+
+    Each must be a cell on the outer face of its component, or
+    OuterFaceError names the first that is not.  A cell lies on the outer
+    face when one of its corners lacks one of the four lattice squares
+    around it.  Those squares lie on three consecutive levels, so the test
+    asks, for each entry of `_INNER_TESTS`, whether an anchor lies in the
+    run of a level at most two away from the cell's.
+    """
+    lines = _region_lines(region)
+    starts = [line[0] for line in lines]
+    runs = region.runs
+    out = {}
+    for v in cells:
+        if 0 <= v < len(region.cells):
+            start, j, kind, black, lo, _, rank = lines[bisect_right(starts, v) - 1]
+            x = lo + v - start
+            if not all(
+                0 <= j + dj < len(runs) and runs[j + dj][1] <= x + dx < runs[j + dj][2]
+                for dj, dx in _INNER_TESTS[kind]
+            ):
+                out[v] = (black, rank + v - start)
+                continue
+        raise OuterFaceError(
+            f"vertex {v} is not on the outer face of its component"
+        )
+    return out
+
+
+def deletion_counts(region: Region, deletions) -> list[int]:
+    """Perfect matchings of G - S for each cell set S in `deletions`, G the
+    region's dual.
+
+    SizeLimit past `VERTEX_LIMIT` cells, before a row is made; ValueError
+    when the cells are not the number the region's runs lay out;
+    OuterFaceError, a ValueError, when a cell of S is not on the outer face
+    of its component (`_outer_ranks`).  G's rows are built once
+    (`_region_rows`).  Each G - S drops the rows of S's black cells,
+    re-ranks the columns past S's white ones through one index map, and
+    gets its own exact determinant, which is plus or minus the count.  A
+    minor that is not square counts 0.  When S empty is the only set, its
+    determinant takes the rows as built.
+    """
+    check_size(len(region.cells))
+    drops = [set(drop) for drop in deletions]
+    ranks = _outer_ranks(region, chain.from_iterable(drops))
+    rows = _region_rows(region)
+    whites = len(region.cells) - len(rows)
+    counts = []
+    for drop in drops:
+        gone = [ranks[v] for v in drop]
+        dropped = {r for black, r in gone if black}
+        cols = sorted(c for black, c in gone if not black)
+        if len(rows) - len(dropped) != whites - len(cols):
+            counts.append(0)
+            continue
+        if not gone and len(drops) == 1:
+            minor = rows
+        else:
+            # index[c] is column c's rank among the columns kept
+            index: list[int | None] = list(range(whites))
+            for k, c in enumerate(cols):
+                index[c] = None
+                index[c + 1 :] = range(c - k, whites - k - 1)
+            minor = [
+                {index[c]: v for c, v in row.items() if index[c] is not None}
+                for r, row in enumerate(rows)
+                if r not in dropped
+            ]
+        counts.append(abs(_determinant(minor)))
+    return counts
+
+
 def count_matchings(region: Region) -> int:
     """Number of perfect matchings of a region's dual graph: its tilings.
 
-    SizeLimit past `VERTEX_LIMIT` cells, before a row is made; ValueError
-    when the cells are not the number the region's runs lay out.  The
-    signed rows come from the level runs (`_region_rows`), and one exact
-    determinant counts them.
+    `deletion_counts` with S empty: SizeLimit past `VERTEX_LIMIT` cells,
+    before a row is made, and one exact determinant of the signed rows
+    that `_region_rows` reads off the level runs.
     """
-    check_size(len(region.cells))
-    rows = _region_rows(region)
-    return 0 if rows is None else abs(_determinant(rows))
+    return deletion_counts(region, ((),))[0]
 
 
 def perfect_matching(graph: MatchGraph) -> list[tuple[int, int]] | None:

@@ -31,13 +31,15 @@ nothing to sort.  Cells that share a side sit on one drawn level, across
 its cut diagonal, or on two consecutive levels, across a south or an east
 side, so every pair is index arithmetic on the bounds of one or two runs;
 the structure check, `matching.dual_graph` and the signed rows of
-`matching.count_matchings` read the pairs, and whether the region is in
+`matching.deletion_counts` read the pairs, and whether the region is in
 one piece, off those bounds without visiting a cell.  Every line of a
 run has one kind and one colour, named by the level's symbol, so
-`structural_stats`, the vertices of `matching.dual_graph` and the
-polygons of `render.svg_region` are read off the runs as well, a whole
-run at a time.  A `Region` carries the symbols and runs that laid out
-its cells, so none of these readings walks the levels again.
+`structural_stats`, the lines of `_region_lines` (the vertices of
+`matching.dual_graph`, the ranks and outer-face test of the signed rows,
+the corners of `condensation.pick_corners`) and the polygons of
+`render.svg_region` are read off the runs as well, a whole run at a
+time.  A `Region` carries the symbols and runs that laid out its cells,
+so none of these readings walks the levels again.
 """
 
 from __future__ import annotations
@@ -296,6 +298,26 @@ def _region_runs(region: Region):
     if _run_end(region.runs[-1]) != len(region.cells):
         raise ValueError("cells unlike the level runs of their spec")
     return region.symbols, region.runs
+
+
+def _region_lines(region: Region):
+    """The lines of a region's cells, top down, from its runs; ValueError
+    as `_region_runs`.
+
+    A line is `(start, j, kind, black, lo, hi, rank)`: cells `start` up to
+    `start + hi - lo`, of one kind and colour, at the anchors x from `lo`
+    up to `hi` on level -j, and `rank` cells of its colour before them.
+    """
+    symbols, runs = _region_runs(region)
+    lines = []
+    seen = [0, 0]
+    for j, (symbol, (start, lo, hi, _)) in enumerate(zip(symbols, runs)):
+        for kind, color in _LINES[symbol]:
+            black = color is Color.BLACK
+            lines.append((start, j, kind, black, lo, hi, seen[black]))
+            seen[black] += hi - lo
+            start += hi - lo
+    return lines
 
 
 def build_region(side: int, distances) -> Region:

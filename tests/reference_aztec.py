@@ -23,9 +23,8 @@ and the symbol rounds.
 from collections import namedtuple
 from fractions import Fraction
 
-from reference_graphs import matching_generating_function
+from reference_graphs import SignedGraph, matching_generating_function
 from douglastile import regions
-from douglastile.matching import MatchGraph
 from douglastile.regions import RegionSpec
 from douglastile.shuffle import BOTH, MINUS, PLUS, ZERO, region_code, shift_code
 
@@ -111,7 +110,7 @@ def weight_matrix(ad: AztecDiamond) -> tuple[tuple[Fraction, ...], ...]:
     )
 
 
-def aztec_match_graph(ad: AztecDiamond) -> tuple[MatchGraph, tuple[Fraction, ...]]:
+def aztec_match_graph(ad: AztecDiamond) -> tuple[SignedGraph, tuple[Fraction, ...]]:
     """The diamond's graph and its edge weights, parallel to the edges.
 
     Vertices sit at odd-sum integer points, one edge per unit lattice
@@ -150,7 +149,7 @@ def aztec_match_graph(ad: AztecDiamond) -> tuple[MatchGraph, tuple[Fraction, ...
             negated[edge] = s0 % 2 == 0 and t0 % 2 == 0
     edges = tuple(sorted(weight))
     signing = (bytes(map(negated.get, edges)), bytes(outer))
-    graph = MatchGraph(tuple(verts), edges, signing)
+    graph = SignedGraph(tuple(verts), edges, signing)
     return graph, tuple(map(weight.get, edges))
 
 

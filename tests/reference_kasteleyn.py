@@ -1,10 +1,13 @@
 """Reference Kasteleyn signer: walk the faces of a drawing and sign them.
 
 A second, independent way to sign a plane bipartite graph, for tests to
-check the lattice signings of `matching.dual_graph` and
-`reference_aztec.aztec_match_graph` face by face, and to sign the graphs
-that tests build by hand (`signed`).  The package counts only graphs that
-carry their signing; it shares nothing with this module.
+check lattice signings face by face and to sign the graphs that tests
+build by hand (`signed`).  `lattice_signed` signs a region's dual with
+the square-lattice parity rule, read off the cells' anchors, and takes
+the outer flags from the face walks here; the tests check the signed
+rows, corners, outer test and minors that the package reads off a
+region's level runs against it.  The package shares nothing with this
+module.
 
 The cyclic order of neighbours read off the vertex coordinates gives the
 face walks; each component must come out plane (V - E + F = 2), or the
@@ -15,7 +18,8 @@ k + 1 negated edges mod 2.  Coordinates are ints or any rationals, and
 the order is exact on both with no rescaling.
 """
 
-from douglastile.matching import MatchGraph
+from reference_graphs import SignedGraph
+from douglastile.matching import dual_graph
 
 
 def adjacency(graph):
@@ -136,7 +140,7 @@ def kasteleyn_signing(graph):
     the one walk of area <= 0 in a plane drawing; every other walk of
     length 2k gets k + 1 negated edges mod 2, whatever the colour balance.
     `outer[i]` is 1 when vertex i lies on the outer walk of its component
-    (an isolated vertex does).  `graph.signing` is ignored.  Raises
+    (an isolated vertex does).  A signing the graph carries is ignored.  Raises
     ValueError unless the rotation system read off the coordinates has
     genus zero on every component, which is the hypothesis of Kasteleyn's
     theorem.
@@ -204,6 +208,23 @@ def kasteleyn_signing(graph):
     return bytes(neg), bytes(outer)
 
 
-def signed(graph):
+def signed(graph) -> SignedGraph:
     """The graph with the reference signing in place of its own, if any."""
-    return MatchGraph(graph.vertices, graph.edges, kasteleyn_signing(graph))
+    return SignedGraph(graph.vertices, graph.edges, kasteleyn_signing(graph))
+
+
+def lattice_negated(region, graph) -> bytes:
+    """Negated-edge flags of the square-lattice parity rule (Kasteleyn,
+    1961) on `graph`, the region's dual: an edge whose two cells have the
+    same anchor x, across a south side or a cut diagonal, is negated when
+    that x is odd; an edge across an east side never is."""
+    xs = [cell.anchor[0] for cell in region.cells]
+    return bytes(xs[i] == xs[j] and xs[i] % 2 for i, j in graph.edges)
+
+
+def lattice_signed(region) -> SignedGraph:
+    """The region's dual with the lattice signing: `lattice_negated`, and
+    outer flags from the face walks of `kasteleyn_signing`."""
+    graph = dual_graph(region)
+    signing = (lattice_negated(region, graph), kasteleyn_signing(graph)[1])
+    return SignedGraph(graph.vertices, graph.edges, signing)

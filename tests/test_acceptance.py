@@ -20,7 +20,7 @@ from reference_aztec import (
     reduction_step,
     scale_row_part,
 )
-from reference_graphs import graph_count, permanent_oracle
+from reference_graphs import graph_count, graph_kuo_counts, permanent_oracle
 from reference_kasteleyn import signed
 from douglastile.condensation import (
     condensation_count,
@@ -28,7 +28,7 @@ from douglastile.condensation import (
     kuo_identity,
     pick_corners,
 )
-from douglastile.matching import MatchGraph, dual_graph
+from douglastile.matching import MatchGraph, count_matchings, dual_graph
 from douglastile.regions import (
     RegionSpec,
     SpecInvalid,
@@ -230,12 +230,12 @@ def test_criterion_5_engine_agreement_sweep():
 def test_criterion_6_kuo_identity():
     with criterion(6, "four-point identity on duals and 50 grid fixtures"):
         for spec in valid_specs(8):
-            g = dual_graph(build_region(spec.side, spec.distances))
-            assert kuo_identity(kuo_counts(g, pick_corners(g)))
+            region = build_region(spec.side, spec.distances)
+            assert kuo_identity(kuo_counts(region, pick_corners(region)))
         fixtures = grid_fixtures()
         assert len(fixtures) == 50
         for g, quad in fixtures:
-            assert kuo_identity(kuo_counts(g, quad))
+            assert kuo_identity(graph_kuo_counts(g, quad))
 
 
 def test_criterion_7_reduction_theorem():
@@ -308,23 +308,20 @@ def test_criterion_9_exponent_identity_and_merges():
 
 def test_criterion_10_oracle_equivalence():
     with criterion(10, "Kasteleyn determinant equals the permanent on small graphs"):
-        graphs = []
-        for spec in valid_specs(8):
-            graphs.append(dual_graph(build_region(spec.side, spec.distances)))
-        for n in range(1, 5):
-            spec = aztec_spec(n)
-            graphs.append(dual_graph(build_region(spec.side, spec.distances)))
+        # (count, graph): a region's count from its runs, a grid's from its
+        # reference signing, each against the permanent of the graph
+        specs = list(valid_specs(8)) + [aztec_spec(n) for n in range(1, 5)]
         for maker, ks in ((douglas_spec, range(1, 3)), (a_family_spec, range(1, 7)), (e_family_spec, range(2, 7))):
-            for k in ks:
-                spec = maker(k)
-                graphs.append(
-                    dual_graph(build_region(spec.side, spec.distances))
-                )
-        graphs.extend(g for g, _ in grid_fixtures())
+            specs += [maker(k) for k in ks]
+        cases = []
+        for spec in specs:
+            region = build_region(spec.side, spec.distances)
+            cases.append((count_matchings, region, dual_graph(region)))
+        cases += [(graph_count, g, g) for g, _ in grid_fixtures()]
         checked = 0
-        for g in graphs:
+        for count, counted, g in cases:
             if len(g.vertices) > 28:
                 continue
-            assert Fraction(graph_count(g)) == permanent_oracle(g)
+            assert Fraction(count(counted)) == permanent_oracle(g)
             checked += 1
         assert checked >= 60

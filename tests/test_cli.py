@@ -162,6 +162,31 @@ def test_brute_size_limit_exits_three(capsys, monkeypatch, tmp_path):
     assert graphs.calls() == []
 
 
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (("--sweep", "2", "--a", "5", "--d", "9,9"), "cannot be combined"),
+        (("--sweep", "2", "--d", "1,2"), "cannot be combined"),
+        (("--sweep", "2", "--spec", "spec.json"), "cannot be combined"),
+        (("--sweep", "17", "--a", "1"), "cannot be combined"),
+        (("--sweep", "0"), "sweep total 0 is below 1"),
+        (("--sweep", "-3"), "sweep total -3 is below 1"),
+    ],
+)
+def test_sweep_refuses_a_spec_or_a_total_below_one(
+    capsys, monkeypatch, tmp_path, argv, reason
+):
+    # a spec given with --sweep would go unverified, and a total below 1
+    # would verify nothing: both are refused before any composition
+    walked = count_calls(monkeypatch, tmp_path, regions, "compositions")
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid spec: ") and reason in err
+    assert err.count("\n") == 1
+    assert walked.calls() == []
+
+
 def test_sweep_past_the_limit_exits_three(capsys, monkeypatch, tmp_path):
     # refused before any composition is walked
     assert cli.SWEEP_LIMIT == 16
@@ -439,10 +464,18 @@ def count_calls(monkeypatch, tmp_path, owner, name) -> CallLog:
     return log
 
 
+def count_graphs_and_rows(monkeypatch, tmp_path):
+    """`CallLog`s of `dual_graph`, wherever it is bound, and of the signed
+    rows that the counts read off the level runs."""
+    graphs = count_calls(monkeypatch, tmp_path, matching, "dual_graph")
+    monkeypatch.setattr(cli, "dual_graph", matching.dual_graph)
+    return graphs, count_calls(monkeypatch, tmp_path, matching, "_region_rows")
+
+
 def test_trace_signs_each_kuo_graph_once(capsys, monkeypatch, tmp_path):
-    # each Kuo block is signed once, when its one dual graph is built,
-    # and the six counts use that lattice signing
-    graphs = count_calls(monkeypatch, tmp_path, cli, "dual_graph")
+    # each Kuo block signs its region once: the six counts are minors of
+    # one set of signed rows, read off the level runs with no dual graph
+    graphs, rows = count_graphs_and_rows(monkeypatch, tmp_path)
     code, out, _ = run_cli(
         capsys, "trace", "--d", "4,2,5,4,3,6,2,3", "--kuo-max", "16"
     )
@@ -450,23 +483,25 @@ def test_trace_signs_each_kuo_graph_once(capsys, monkeypatch, tmp_path):
     blocks = [json.loads(line)["kuo"] for line in out.strip().splitlines()]
     counted = [block for block in blocks if block is not None]
     assert len(counted) > 1
-    assert len(graphs.calls()) == len(counted)
+    assert graphs.calls() == []
+    assert len(rows.calls()) == len(counted)
 
 
 def test_verify_signs_each_region_once(capsys, monkeypatch, tmp_path):
-    # each region with a Kuo check is signed once, when its one dual graph
-    # is built, and its brute count is the Kuo block's full count; a brute
-    # count alone builds no graph, since its signed rows come from the
-    # level runs
-    graphs = count_calls(monkeypatch, tmp_path, cli, "dual_graph")
+    # each region with a Kuo check is signed once, and its brute count is
+    # the Kuo block's full count; neither it nor a brute count alone
+    # builds a dual graph, since the signed rows come from the level runs
+    graphs, rows = count_graphs_and_rows(monkeypatch, tmp_path)
     code, out, _ = run_cli(capsys, "verify", "--sweep", "8")
     assert code == 0
     valid = json.loads(out.splitlines()[-1])["summary"]["valid"]
-    assert len(graphs.calls()) == valid
-    graphs.clear()
+    assert graphs.calls() == []
+    assert len(rows.calls()) == valid
+    rows.clear()
     code, out, _ = run_cli(capsys, "count", "--engine", "brute", *DEEP)
     assert code == 0 and out == "536870912\n"
     assert graphs.calls() == []
+    assert len(rows.calls()) == 1
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
@@ -585,8 +620,8 @@ def test_corner_off_outer_face(capsys, monkeypatch):
     # a corner inside the graph: trace drops the kuo block, verify exits 4
     real = condensation.pick_corners
 
-    def inner_west(graph):
-        quad = real(graph)
+    def inner_west(region):
+        quad = real(region)
         return condensation.CornerQuad(11, quad.south, quad.east, quad.north)
 
     monkeypatch.setattr(condensation, "pick_corners", inner_west)

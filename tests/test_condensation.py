@@ -29,8 +29,12 @@ from douglastile.condensation import (
     stats_deltas,
     trace_recurrence,
 )
-from douglastile.matching import MatchGraph, count_matchings, dual_graph
+from douglastile.matching import count_matchings, dual_graph
 from douglastile.regions import (
+    Cell,
+    CellKind,
+    Color,
+    Region,
     RegionSpec,
     SpecInvalid,
     build_region,
@@ -345,24 +349,27 @@ def test_condensation_memo_is_populated():
 
 def test_pick_corners_on_duals():
     for spec in valid_specs(6):
-        g = dual_graph(build_region(spec.side, spec.distances))
-        quad = pick_corners(g)
-        assert g.vertices[quad.west][0] and g.vertices[quad.east][0]
-        assert not g.vertices[quad.south][0] and not g.vertices[quad.north][0]
+        region = build_region(spec.side, spec.distances)
+        cells = region.cells
+        quad = pick_corners(region)
+        assert cells[quad.west].color is cells[quad.east].color is Color.BLACK
+        assert cells[quad.south].color is cells[quad.north].color is Color.WHITE
         assert len({quad.west, quad.south, quad.east, quad.north}) == 4
 
 
 def test_pick_corners_needs_both_classes():
-    lonely = MatchGraph(((True, 0, 0),), ())
-    with pytest.raises(CornersNotFound):
+    # a region of one black square, hand-built: no spec lays it out
+    black = Cell(CellKind.SQUARE, Color.BLACK, 0, (0, 0))
+    lonely = Region(RegionSpec(1, (1,)), (black,), ("0",), ((0, 0, 1, False),))
+    with pytest.raises(CornersNotFound, match="a colour class is empty"):
         pick_corners(lonely)
 
 
 def test_kuo_identity_exact_on_duals():
     for spec in valid_specs(6):
-        g = dual_graph(build_region(spec.side, spec.distances))
-        quad = pick_corners(g)
-        c = kuo_counts(g, quad)
+        region = build_region(spec.side, spec.distances)
+        quad = pick_corners(region)
+        c = kuo_counts(region, quad)
         assert c["full"] == brute_count(spec)
         assert set(c) == {
             "full",
@@ -377,21 +384,21 @@ def test_kuo_identity_exact_on_duals():
             == c["minus_west_south"] * c["minus_east_north"]
             + c["minus_north_west"] * c["minus_south_east"]
         )
-        assert kuo_identity(kuo_counts(g, pick_corners(g)))
+        assert kuo_identity(kuo_counts(region, pick_corners(region)))
         assert kuo_identity(c)
 
 
 def test_kuo_off_outer_face_is_corners_not_found():
-    # black cell 11 of the Aztec n = 3 dual is surrounded by cells, so
+    # black cell 11 of the Aztec n = 3 region is surrounded by cells, so
     # Kuo's identity does not apply to it and the restricted signing fails
-    g = dual_graph(build_region(3, (6,)))
-    quad = pick_corners(g)
+    region = build_region(3, (6,))
+    quad = pick_corners(region)
     inner = CornerQuad(west=11, south=quad.south, east=quad.east, north=quad.north)
-    assert g.vertices[11][0]
-    with pytest.raises(CornersNotFound, match="not on the outer face"):
-        kuo_counts(g, inner)
+    assert region.cells[11].color is Color.BLACK
+    with pytest.raises(CornersNotFound, match="vertex 11 is not on the outer face"):
+        kuo_counts(region, inner)
     with pytest.raises(CornersNotFound):
-        kuo_identity(kuo_counts(g, inner))
+        kuo_identity(kuo_counts(region, inner))
 
 
 def test_corner_deletion_reproduces_first_subregion():
@@ -405,8 +412,9 @@ def test_corner_deletion_reproduces_first_subregion():
             continue
         if rec.case_id != "I.1" or rec.was_flipped:
             continue
-        g = dual_graph(build_region(spec.side, spec.distances))
-        quad = pick_corners(g)
+        region = build_region(spec.side, spec.distances)
+        g = dual_graph(region)
+        quad = pick_corners(region)
         reduced, _, mult = reduce_forced(without(g, (quad.west, quad.south))[0])
         sub = rec.subspecs[0]
         sub_dual = dual_graph(build_region(sub.side, sub.distances))

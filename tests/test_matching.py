@@ -1,5 +1,6 @@
-"""Matching counts: Kasteleyn determinant vs permanent oracle, the weighted
-sum, forced-edge reduction, and the graph utilities."""
+"""Matching counts: Kasteleyn determinant vs permanent oracle, the
+run-level rows and minors vs signed graphs, the weighted sum, forced-edge
+reduction, and the graph utilities."""
 
 import hashlib
 import json
@@ -13,23 +14,36 @@ from conftest import brute_count, valid_specs
 from reference_aztec import AztecDiamond, WeightPattern, aztec_match_graph
 from reference_graphs import (
     RYSER_LIMIT,
+    SignedGraph,
+    _signed_rows,
     canonical_embedding,
     graph_count,
+    graph_deletion_counts,
+    graph_kuo_counts,
+    graph_pick_corners,
     matching_generating_function,
     permanent_oracle,
     reduce_forced,
     without,
 )
-from reference_kasteleyn import adjacency, face_walks, kasteleyn_signing, signed
-from douglastile.condensation import kuo_counts, pick_corners
+from reference_kasteleyn import (
+    adjacency,
+    face_walks,
+    kasteleyn_signing,
+    lattice_negated,
+    lattice_signed,
+    signed,
+)
+from douglastile.condensation import CornersNotFound, kuo_counts, pick_corners
 from douglastile.matching import (
     VERTEX_LIMIT,
     MatchGraph,
+    OuterFaceError,
     SizeLimit,
     _determinant,
     _ends,
+    _outer_ranks,
     _region_rows,
-    _signed_rows,
     count_matchings,
     deletion_counts,
     dual_graph,
@@ -124,7 +138,8 @@ def test_base_counts_match_formula():
 
 def test_region_rows_are_the_dual_graph_rows():
     # the brute count's rows, read off the level runs, are the rows of the
-    # dual graph with nothing deleted: the same ranks, entries and signs
+    # dual graph under the lattice signing read off the cells' anchors,
+    # with nothing deleted: the same ranks, entries and signs
     specs = list(valid_specs(14))
     specs += [RegionSpec(n, (2 * n,)) for n in (1, 2, 3, 8, 32, 64)]
     assert len(specs) == 8197
@@ -132,16 +147,96 @@ def test_region_rows_are_the_dual_graph_rows():
         region = build_region(*spec)
         g = dual_graph(region)
         black, ends = _ends(g)
-        assert _region_rows(region) == _signed_rows(black, ends, g.signing[0], ())
+        negated = lattice_negated(region, g)
+        assert _region_rows(region) == _signed_rows(black, ends, negated, ())
+
+
+def _staircase(layers):
+    return RegionSpec(1, (1,) * (layers - 1) + (2,))
+
+
+def _squares(*cells):
+    # a hand-built region of squares, one (colour, level, x) per level:
+    # runs that no spec lays out, whose rows need not be square
+    runs = tuple((j, x, x + 1, False) for j, (_, _, x) in enumerate(cells))
+    symbols = tuple("0" if color is Color.BLACK else "" for color, _, _ in cells)
+    made = tuple(
+        Cell(CellKind.SQUARE, color, level, (x, x + level))
+        for color, level, x in cells
+    )
+    return Region(RegionSpec(1, (1,)), made, symbols, runs)
+
+
+def _outer_cells(region):
+    # the cells that the run-level outer test passes, one call per cell
+    passed = []
+    for v in range(len(region.cells)):
+        try:
+            _outer_ranks(region, (v,))
+        except OuterFaceError:
+            continue
+        passed.append(v)
+    return passed
+
+
+def test_run_level_kuo_blocks_match_the_graph_references():
+    # the corners, the six minors and the outer test that the package reads
+    # off the level runs, against the graph references: the vertex picks,
+    # the counts under the lattice signing and the face walks' outer flags
+    specs = list(valid_specs(10))
+    specs += [RegionSpec(n, (2 * n,)) for n in range(1, 17)] + [_staircase(40)]
+    assert len(specs) == 528
+    # one cell, and one cell of each colour: both picks refuse
+    hand_built = [
+        _squares((Color.WHITE, 0, 0)),
+        _squares((Color.WHITE, 0, 0), (Color.BLACK, -1, 0)),
+    ]
+    refused = 0
+    for region in [build_region(*spec) for spec in specs] + hand_built:
+        spec = region.spec
+        g = lattice_signed(region)
+        outer = g.signing[1]
+        assert _outer_cells(region) == [v for v, flag in enumerate(outer) if flag]
+        try:
+            want = graph_pick_corners(g)
+        except CornersNotFound as exc:
+            with pytest.raises(CornersNotFound, match=str(exc)):
+                pick_corners(region)
+            refused += 1
+            continue
+        quad = pick_corners(region)
+        assert quad == want, spec
+        assert kuo_counts(region, quad) == graph_kuo_counts(g, quad), spec
+    assert refused == 2
 
 
 def test_region_count_with_unequal_colour_classes_is_zero():
-    # no region a spec describes has one, but the rows refuse to be square
-    # when the runs lay out more cells of one colour
-    cell = Cell(CellKind.SQUARE, Color.WHITE, 0, (0, 0))
-    lone = Region(RegionSpec(1, (1,)), (cell,), ("",), ((0, 0, 1, False),))
-    assert _region_rows(lone) is None
+    # no region a spec describes has one; the rows of runs that lay out
+    # more cells of one colour are not square
+    lone = _squares((Color.WHITE, 0, 0))
+    assert lone.runs == ((0, 0, 1, False),)
+    assert _region_rows(lone) == []
     assert count_matchings(lone) == 0
+    with pytest.raises(CornersNotFound, match="a colour class is empty"):
+        pick_corners(lone)
+
+
+def test_deletions_can_balance_unequal_colour_classes():
+    # two white squares over one black: white 0 and the black share a
+    # side, white 1 touches neither, and every cell is on the outer face;
+    # the graph reference counts the same minors
+    cells = (
+        Cell(CellKind.SQUARE, Color.WHITE, 0, (0, 0)),
+        Cell(CellKind.SQUARE, Color.WHITE, 0, (1, 0)),
+        Cell(CellKind.SQUARE, Color.BLACK, -1, (0, -1)),
+    )
+    runs = ((0, 0, 2, False), (2, 0, 1, False))
+    uneven = Region(RegionSpec(1, (1,)), cells, ("", "0"), runs)
+    sets = ((), (1,), (0,), (0, 2), (1, 2))
+    assert deletion_counts(uneven, sets) == [0, 1, 0, 0, 0]
+    g = signed(dual_graph(uneven))
+    assert g.edges == ((0, 2),)
+    assert graph_deletion_counts(g, sets) == [0, 1, 0, 0, 0]
 
 
 def test_dual_graph_shape():
@@ -152,7 +247,11 @@ def test_dual_graph_shape():
     assert parts.count(True) == parts.count(False)
     for u, v in g.edges:
         assert {g.vertices[u][0], g.vertices[v][0]} == {True, False}
-    assert g._fields == ("vertices", "edges", "signing")
+    assert g._fields == ("vertices", "edges")
+    # the signing lives on the tests' signed graphs
+    h = lattice_signed(region)
+    assert h._fields == ("vertices", "edges", "signing")
+    assert (h.vertices, h.edges) == g
 
 
 def test_tiny_graphs():
@@ -201,8 +300,8 @@ def test_sweep_order_insensitive_to_positions():
     # signing, the moved graphs with the reference signer, so this also
     # compares the two signings
     for g in (
-        dual_graph(build_region(7, (4, 2, 5, 4))),
-        dual_graph(build_region(15, (4, 2, 5, 4, 3, 6, 2, 3))),
+        lattice_signed(build_region(7, (4, 2, 5, 4))),
+        lattice_signed(build_region(15, (4, 2, 5, 4, 3, 6, 2, 3))),
         aztec_graph(4),
     ):
         want = graph_count(g)
@@ -461,8 +560,8 @@ def test_kuo_deletion_counts_golden():
     # which shares no code with the determinant
     lines = []
     for spec in valid_specs(8):
-        g = dual_graph(build_region(spec.side, spec.distances))
-        counts = kuo_counts(g, pick_corners(g))
+        region = build_region(spec.side, spec.distances)
+        counts = kuo_counts(region, pick_corners(region))
         del counts["full"]
         lines.append(json.dumps(counts, sort_keys=True))
     assert sum(len(json.loads(line)) for line in lines) == 635
@@ -472,8 +571,8 @@ def test_kuo_deletion_counts_golden():
     )
 
 
-def _aztec_dual(n):
-    return dual_graph(build_region(n, (2 * n,)))
+def _aztec_region(n):
+    return build_region(n, (2 * n,))
 
 
 def _aztec_outer(g):
@@ -490,24 +589,26 @@ def _aztec_outer(g):
 
 
 def test_deletion_counts_are_fresh_counts():
-    # one signing of G, restricted, counts every G - S on the outer face
-    # as a count of G - S signed afresh
+    # minors of one signed matrix count every G - S on the outer face as a
+    # count of G - S signed afresh
     for spec in valid_specs(10):
-        g = dual_graph(build_region(spec.side, spec.distances))
-        q = pick_corners(g)
+        region = build_region(spec.side, spec.distances)
+        g = dual_graph(region)
+        q = pick_corners(region)
         x, y, z, t = q.west, q.south, q.east, q.north
         sets = ((x, y, z, t), (x, y), (z, t), (t, x), (y, z))
-        assert deletion_counts(g, sets) == [
+        assert deletion_counts(region, sets) == [
             graph_count(signed(without(g, drop)[0])) for drop in sets
         ], spec
     for n in range(1, 7):
-        g = _aztec_dual(n)
+        region = _aztec_region(n)
+        g = dual_graph(region)
         outer = set(_aztec_outer(g))
         assert len(outer) == 8 * n - 4
         sets = [(v,) for v in sorted(outer)] + [
             edge for edge in g.edges if set(edge) <= outer
         ]
-        counts = deletion_counts(g, sets)
+        counts = deletion_counts(region, sets)
         assert counts == [
             graph_count(signed(without(g, drop)[0])) for drop in sets
         ]
@@ -540,19 +641,20 @@ def test_deletion_signs_unbalanced_components():
     )
     pendants = (shift - 1, len(g.vertices) - 1)
     assert graph_count(g) == 0
-    assert deletion_counts(g, ((), pendants)) == [0, 25]
+    assert graph_deletion_counts(g, ((), pendants)) == [0, 25]
     assert graph_count(signed(without(g, pendants)[0])) == 25
 
 
 def test_deletion_off_outer_face_raises():
-    g = _aztec_dual(3)
-    inner = sorted(set(range(len(g.vertices))) - set(_aztec_outer(g)))
+    region = _aztec_region(3)
+    inner = sorted(set(range(len(region.cells))) - set(_aztec_outer(dual_graph(region))))
     assert len(inner) == 4
     for v in inner:
-        with pytest.raises(ValueError, match="not on the outer face"):
-            deletion_counts(g, ((), (v,)))
-    with pytest.raises(ValueError, match="not on the outer face"):
-        deletion_counts(g, ((len(g.vertices),),))
+        with pytest.raises(OuterFaceError, match=f"vertex {v} is not on the outer face"):
+            deletion_counts(region, ((), (v,)))
+    for v in (len(region.cells), -1):
+        with pytest.raises(OuterFaceError, match="not on the outer face"):
+            deletion_counts(region, ((v,),))
 
 
 def _area(pos, target, walk):
@@ -567,19 +669,25 @@ def _area(pos, target, walk):
 
 
 def test_lattice_signing_is_kasteleyn_face_by_face():
-    # the lattice parity rules of `dual_graph` and `aztec_match_graph`,
+    # the lattice parity rules of `lattice_negated` and `aztec_match_graph`,
     # checked on the reference signer's face walks: every bounded walk of
-    # length 2k has k + 1 negated edges mod 2, and the outer-face flags
-    # are that signer's, on every region with total <= 12, on the Aztec
-    # duals (n; 2n) and on the Aztec graphs of order n, n <= 20
-    graphs = [
-        dual_graph(build_region(s.side, s.distances)) for s in valid_specs(12)
-    ]
-    assert len(graphs) == 2047
-    graphs += [_aztec_dual(n) for n in range(1, 21)]
-    graphs += [aztec_graph(n) for n in range(1, 21)]
-    for g in graphs:
+    # length 2k has k + 1 negated edges mod 2, and the cells that the
+    # package's run-level test puts on the outer face, and the Aztec
+    # graphs' outer flags, are the vertices of the outer walk, on every
+    # region with total <= 12, on the Aztec duals (n; 2n) and on the Aztec
+    # graphs of order n, n <= 20
+    regions = [build_region(s.side, s.distances) for s in valid_specs(12)]
+    assert len(regions) == 2047
+    regions += [_aztec_region(n) for n in range(1, 21)]
+    graphs = []
+    for region in regions:
+        g = dual_graph(region)
+        graphs.append((g, lattice_negated(region, g), _outer_cells(region)))
+    for n in range(1, 21):
+        g = aztec_graph(n)
         negated, outer = g.signing
+        graphs.append((g, negated, [v for v, flag in enumerate(outer) if flag]))
+    for g, negated, outer in graphs:
         faces, target, edge_of, _, _ = face_walks(g, adjacency(g))
         pos = [v[1:] for v in g.vertices]
         bounded = [walk for walk in faces if _area(pos, target, walk) > 0]
@@ -588,20 +696,23 @@ def test_lattice_signing_is_kasteleyn_face_by_face():
         for walk in bounded:
             odd = sum(negated[edge_of[d]] for d in walk)
             assert odd % 2 == (len(walk) // 2 + 1) % 2
-        assert outer == kasteleyn_signing(g)[1]
+        (walk,) = [walk for walk in faces if _area(pos, target, walk) <= 0]
+        assert sorted({target[d] for d in walk}) == outer
 
 
 def test_signing_flags_are_checked_and_dropped_by_without():
-    g = dual_graph(build_region(7, (4, 2, 5, 4)))
+    g = lattice_signed(build_region(7, (4, 2, 5, 4)))
     negated, outer = g.signing
     assert len(negated) == len(g.edges) and len(outer) == len(g.vertices)
     for bad in ((negated[1:], outer), (negated, outer + b"\0"), (b"", b"")):
         with pytest.raises(ValueError, match="signing flags"):
-            MatchGraph(g.vertices, g.edges, bad)
+            SignedGraph(g.vertices, g.edges, bad)
+    with pytest.raises(ValueError, match="not a vertex position"):
+        SignedGraph(g.vertices, ((0, len(g.vertices)),), (b"\0", outer))
     # deleting vertices can move others onto the outer face
-    assert without(g, ())[0].signing is None
-    assert without(g, [0, 1])[0].signing is None
-    assert MatchGraph(g.vertices, g.edges).signing is None
+    assert type(without(g, ())[0]) is MatchGraph
+    assert type(without(g, [0, 1])[0]) is MatchGraph
+    assert SignedGraph(g.vertices, g.edges).signing is None
 
 
 @given(
@@ -629,7 +740,8 @@ def test_counts_refuse_a_graph_without_signing():
     bare = MatchGraph(dual.vertices, dual.edges)
     for count in (
         lambda: graph_count(bare),
-        lambda: deletion_counts(bare, ((),)),
+        lambda: graph_deletion_counts(bare, ((),)),
+        lambda: graph_count(SignedGraph(dual.vertices, dual.edges)),
         lambda: matching_generating_function(
             MatchGraph(aztec.vertices, aztec.edges), weights
         ),
@@ -672,14 +784,15 @@ def test_rational_positions_order_exactly():
     # the same drawing in lattice units, with Fraction coordinates, must
     # give the same Kasteleyn signs and the same count as the int sixths
     for side, distances in ((7, (4, 2, 5, 4)), (15, (4, 2, 5, 4, 3, 6, 2, 3))):
-        g = dual_graph(build_region(side, distances))
+        region = build_region(side, distances)
+        g = dual_graph(region)
         scaled = MatchGraph(
             tuple((b, Fraction(x, 6), Fraction(y, 6)) for b, x, y in g.vertices),
             g.edges,
         )
         assert {x.denominator for _, x, _ in scaled.vertices} == {2, 3}
         assert kasteleyn_signing(g) == kasteleyn_signing(scaled)
-        assert graph_count(signed(scaled)) == graph_count(g)
+        assert graph_count(signed(scaled)) == count_matchings(region)
 
 
 def _check_without(g, drop, weights=None):
@@ -706,8 +819,9 @@ def _check_without(g, drop, weights=None):
 def test_without_renumbers_survivors():
     checked = 0
     for spec in valid_specs(8):
-        g = dual_graph(build_region(spec.side, spec.distances))
-        q = pick_corners(g)
+        region = build_region(spec.side, spec.distances)
+        g = dual_graph(region)
+        q = pick_corners(region)
         x, y, z, t = q.west, q.south, q.east, q.north
         for drop in ((x, y, z, t), (x, y), (z, t), (t, x), (y, z)):
             _check_without(g, drop)
@@ -719,6 +833,6 @@ def test_without_renumbers_survivors():
     )
     g, weights = aztec_match_graph(AztecDiamond(3, pattern))
     assert len(set(weights)) == len(g.edges) == 36
-    q = pick_corners(g)
+    q = graph_pick_corners(g)
     for drop in ((q.west, q.south), (q.north, q.east, 5), (), range(0, 24, 3)):
         _check_without(g, tuple(drop), weights)

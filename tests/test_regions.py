@@ -18,7 +18,8 @@ from reference_cells import (
     reference_vertices,
     shared_sides,
 )
-from douglastile.matching import dual_graph
+from douglastile.condensation import pick_corners
+from douglastile.matching import count_matchings, dual_graph
 from douglastile.regions import (
     REASON_CORNERS,
     REASON_CROSSING,
@@ -423,7 +424,13 @@ def test_cell_structure_refuses_cells_unlike_their_runs():
         assert err.value.reason == "cells unlike their runs"
     region = build_region(2, (2, 1))
     for cells in (region.cells[:-1], region.cells + region.cells[:1]):
-        for read in (dual_graph, structural_stats, svg_region):
+        for read in (
+            dual_graph,
+            structural_stats,
+            svg_region,
+            count_matchings,
+            pick_corners,
+        ):
             with pytest.raises(ValueError, match="cells unlike the level runs"):
                 read(region._replace(cells=cells))
 
