@@ -6,10 +6,11 @@ be read or parsed or comes with `--a` or `--d`, `--sweep` comes with
 `--a`, `--d` or `--spec` or is below 1, an `--out` file cannot be
 written or `--matching` lacks `--format svg`, 3 an exact
 computation, or a `--sweep` total past `SWEEP_LIMIT`, was refused for
-size, 4 an internal consistency check failed or any other exception
-escaped (a bug, not a property of the input), with one `internal
-error:` line, 141 the reader closed stdout early (128 + SIGPIPE, as a
-shell reports a writer killed by that signal), silently.
+size (a `trace` Kuo block past the size limit is null instead), 4 an
+internal consistency check failed or any other exception escaped (a
+bug, not a property of the input), with one `internal error:` line, 141
+the reader closed stdout early (128 + SIGPIPE, as a shell reports a
+writer killed by that signal), silently.
 
 `verify --sweep` deals its regions out to one forked worker per CPU the
 process may run on and prints their reports in order.  A failure in a
@@ -249,7 +250,7 @@ def _kuo_block(spec: RegionSpec, kuo_max: int) -> dict | None:
         return None
     try:
         counts = _kuo(regions.build_region(spec.side, spec.distances))
-    except condensation.CornersNotFound:
+    except (condensation.CornersNotFound, SizeLimit):
         return None
     return {
         "counts": {name: str(value) for name, value in counts.items()},
@@ -258,6 +259,11 @@ def _kuo_block(spec: RegionSpec, kuo_max: int) -> dict | None:
 
 
 def cmd_trace(args) -> int:
+    """One JSON line per record of the condensation recurrence.  Its `kuo`
+    block holds the six Kuo counts and their check up to `--kuo-max`, and
+    is null past it, where the corners are not found, and where the
+    region is past `matching.VERTEX_LIMIT` cells, which `verify` reports
+    as a null brute count; so no Kuo block makes the trace exit 3."""
     spec = _resolve(args)
     for record in condensation.trace_recurrence(spec):
         node = dict(record)

@@ -21,7 +21,9 @@ table of the seven smallest regions and exact integer division.
 `verify` and `trace` check the identity itself on small regions.
 `pick_corners` reads the four corner cells off the level runs, and
 `kuo_counts` takes the six counts as minors of the one signed matrix of
-the region's dual (`matching.deletion_counts`).
+the region's dual (`matching.deletion_counts`): one elimination leaves
+the corners' two rows and two columns standing, and each count is the
+interior's determinant times a minor of that 2 x 2 residual block.
 """
 
 from __future__ import annotations
@@ -146,7 +148,7 @@ def pick_corners(region: Region) -> CornerQuad:
 
 def kuo_counts(region: Region, quad: CornerQuad) -> dict[str, int]:
     """The six counts of Kuo's identity: minors of the region's signed rows
-    (`matching.deletion_counts`), built once.
+    (`matching.deletion_counts`), built and eliminated once.
 
     Raises CornersNotFound if a corner is not on the outer face.
     """

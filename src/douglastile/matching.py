@@ -20,14 +20,21 @@ vertex, edge or coordinate made.  `deletion_counts(region, deletions)`
 counts several subgraphs G - S as minors of those rows.  When every
 vertex of S lies on the outer walk of its component, the bounded faces of
 G - S are exactly the bounded faces of G that miss S, so G's signs stay
-Kasteleyn signs of G - S, components and all; that holds even
-where a component of G has colour classes of unequal size, so that G
-itself has no matching.  Each G - S takes G's rows less the rows and
-columns of S, re-ranked, and gets its own exact elimination; S empty
-counts G itself, which is `count_matchings`.  Whether a cell of S lies on
-the outer face is read off the runs as well.  All arithmetic is integer;
-nothing here touches floats.  The tests check the rows, the outer test
-and the minors against signed graphs and face walks of their own.
+Kasteleyn signs of G - S, components and all; that holds even where a
+component of G has colour classes of unequal size, so that G itself has
+no matching.  The rows and columns of the cells in some S are the border
+and the rest is the interior A.  One exact elimination of A's columns,
+pivoting on A's rows only, leaves the border rows holding the Schur
+complement R = D - C A^-1 B, and each G - S counts |det A| |det R[K]|,
+K the block of the border that it keeps.  Desnanot-Jacobi relates the
+minors of any matrix, however they are computed: on Kuo's six counts the
+identity holds exactly when R_xy R_zt and R_xt R_zy do not share a sign,
+which is what G's signs promise, so checking it still checks the signing.
+S empty counts G itself, which is `count_matchings`.  Whether a cell of S
+lies on the outer face is read off the runs as well.  All arithmetic is
+integer; nothing here touches floats.  The tests check the rows, the
+outer test and the minors against signed graphs and face walks of their
+own.
 
 `dual_graph` draws the dual for the matching overlay: a vertex is its
 position in `MatchGraph.vertices`, and `perfect_matching` returns one
@@ -40,7 +47,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import namedtuple
 from itertools import chain, repeat
-from math import gcd
+from math import gcd, prod
 
 from .regions import _CORNERS, _SIXTHS, Region, _pair_blocks, _region_lines
 
@@ -184,7 +191,7 @@ def _permutation_sign(perm: list[int]) -> int:
     return sign
 
 
-def _determinant(rows: list[dict[int, int]]) -> int:
+def _determinant(rows: list[dict[int, int]], border: list[int] = ()) -> int:
     """Exact determinant of a sparse square integer matrix, rows as dicts.
 
     Fraction-free elimination, column by column.  The pivot is the first
@@ -197,6 +204,20 @@ def _determinant(rows: list[dict[int, int]]) -> int:
     pivot never scales a row up, so on a Kasteleyn matrix, whose entries
     start at +1 and -1, the entries and the fill stay small.
 
+    A border of k rows and k columns, the last k of each, stays standing;
+    `border` is a list of k ints, each 1 on entry.  Only the first
+    m = n - k columns are eliminated, and only the first m rows, the
+    interior A, pivot: a border row sorts after them.  A border row that
+    holds an eliminated column is reduced like the others, but its
+    content is never divided out, and each factor a that scales it
+    multiplies its entry of `border` instead of the end division.  The
+    result is then det A, and border row i holds border[i] times row i of
+    the Schur complement D - C A^-1 B in the border columns (B, C and D
+    are A's rows in the border columns, the border rows in A's columns,
+    and the border's own block).  0 means that A is singular, and then the
+    border rows are left half reduced.  With no border this is the
+    determinant of the whole matrix.
+
     The result carries the sign of the pivot order, so it is the
     determinant itself.  The counts take its absolute value, but the sign
     costs one pass over the n pivots, little next to the elimination, and
@@ -204,19 +225,22 @@ def _determinant(rows: list[dict[int, int]]) -> int:
     a weighted sum over matchings, whose value may be negative, needs it.
     """
     n = len(rows)
+    m = n - len(border)
     col_rows: list[set[int]] = [set() for _ in range(n)]
     for r, row in enumerate(rows):
         for c in row:
             col_rows[c].add(r)
     product = scaled_up = scaled_down = 1
-    pivot_row = [0] * n
-    for c in range(n):
+    pivot_row = [0] * m
+    for c in range(m):
         cand = col_rows[c]
-        if not cand:
+        # a border row sorts after every interior row, so it is never the
+        # pivot; a column that no interior row holds makes A singular
+        p = min(cand, default=n)
+        if p >= m:
             return 0
-        p = min(cand)
         if rows[p][c] not in (1, -1):
-            units = [r for r in cand if rows[r][c] in (1, -1)]
+            units = [r for r in cand if r < m and rows[r][c] in (1, -1)]
             if units:
                 p = min(units)
         pivot_row[c] = p
@@ -236,7 +260,10 @@ def _determinant(rows: list[dict[int, int]]) -> int:
                 g = gcd(pv, rv)
                 a, b = pv // g, rv // g
             if a != 1:
-                scaled_up *= a
+                if r < m:
+                    scaled_up *= a
+                else:
+                    border[r - m] *= a
                 for k in row:
                     row[k] *= a
             for k, v in prow.items():
@@ -251,6 +278,8 @@ def _determinant(rows: list[dict[int, int]]) -> int:
                     else:
                         del row[k]
                         col_rows[k].discard(r)
+            if r >= m:
+                continue
             if not row:
                 return 0
             content = gcd(*row.values())
@@ -380,6 +409,69 @@ def _outer_ranks(region: Region, cells) -> dict[int, tuple[bool, int]]:
     return out
 
 
+def _submatrix(rows, keep, cols) -> list[dict[int, int]]:
+    """The rows of `keep`, in that order, each keyed by its columns' places
+    in `cols` and holding no other column."""
+    index = dict(zip(cols, range(len(cols))))
+    return [
+        {index[c]: v for c, v in rows[r].items() if c in index} for r in keep
+    ]
+
+
+def _kept_minor(block: list[list[int]]) -> int:
+    """Determinant of a small dense block: its terms up to 2 x 2, past that
+    `_determinant`."""
+    k = len(block)
+    if k > 2:
+        return _determinant([{j: v for j, v in enumerate(row) if v} for row in block])
+    if k == 2:
+        (a, b), (c, d) = block
+        return a * d - b * c
+    return block[0][0] if k else 1
+
+
+def _residual_counts(rows, ranks, drops) -> list[int] | None:
+    """The counts of `deletion_counts` from one elimination of the square
+    rows `rows` that leaves the border standing, or None when the border
+    is not square or the interior is singular."""
+    n = len(rows)
+    border_rows = sorted({r for black, r in ranks.values() if black})
+    border_cols = sorted({c for black, c in ranks.values() if not black})
+    k = len(border_rows)
+    if k != len(border_cols):
+        return None
+    m = n - k
+    matrix = rows
+    if k:
+        # the interior rows and columns first, each in its order
+        inner = set(range(n))
+        matrix = _submatrix(
+            rows,
+            sorted(inner.difference(border_rows)) + border_rows,
+            sorted(inner.difference(border_cols)) + border_cols,
+        )
+    scales = [1] * k
+    interior = abs(_determinant(matrix, scales))
+    if k and not interior:
+        return None
+    counts = []
+    for drop in drops:
+        gone = {ranks[v] for v in drop}
+        keep = [i for i, r in enumerate(border_rows) if (True, r) not in gone]
+        cols = [m + j for j, c in enumerate(border_cols) if (False, c) not in gone]
+        if len(keep) != len(cols):
+            counts.append(0)
+            continue
+        block = [[matrix[m + i].get(c, 0) for c in cols] for i in keep]
+        count, remainder = divmod(
+            interior * abs(_kept_minor(block)), abs(prod(scales[i] for i in keep))
+        )
+        if remainder:
+            raise ArithmeticError("fraction-free elimination did not divide")
+        counts.append(count)
+    return counts
+
+
 def deletion_counts(region: Region, deletions) -> list[int]:
     """Perfect matchings of G - S for each cell set S in `deletions`, G the
     region's dual.
@@ -388,39 +480,36 @@ def deletion_counts(region: Region, deletions) -> list[int]:
     when the cells are not the number the region's runs lay out;
     OuterFaceError, a ValueError, when a cell of S is not on the outer face
     of its component (`_outer_ranks`).  G's rows are built once
-    (`_region_rows`).  Each G - S drops the rows of S's black cells,
-    re-ranks the columns past S's white ones through one index map, and
-    gets its own exact determinant, which is plus or minus the count.  A
-    minor that is not square counts 0.  When S empty is the only set, its
-    determinant takes the rows as built.
+    (`_region_rows`) and eliminated once.  The border is the rows and
+    columns of the cells in some S; the interior A is the rest.  One
+    elimination of the interior columns, pivoting on interior rows only,
+    leaves the border rows holding the Schur complement R = D - C A^-1 B,
+    each times its own scaling (`_determinant`).  G - S keeps A and the
+    block K of the border that S does not delete, so it counts
+    |det A| |det R[K]|: an exact division of the residual block's
+    determinant by the scalings of its rows, which are 1 under unit
+    pivots.  A K with fewer rows than columns, or more, counts 0.  With S
+    empty the only set, the border is empty and the elimination takes the
+    rows as built.  When G's rows or the border are not square, or A is
+    singular, each G - S instead drops S's rows and columns, re-ranked,
+    and gets its own exact determinant.
     """
     check_size(len(region.cells))
     drops = [set(drop) for drop in deletions]
     ranks = _outer_ranks(region, chain.from_iterable(drops))
     rows = _region_rows(region)
     whites = len(region.cells) - len(rows)
+    if len(rows) == whites:
+        counts = _residual_counts(rows, ranks, drops)
+        if counts is not None:
+            return counts
     counts = []
     for drop in drops:
-        gone = [ranks[v] for v in drop]
-        dropped = {r for black, r in gone if black}
-        cols = sorted(c for black, c in gone if not black)
-        if len(rows) - len(dropped) != whites - len(cols):
-            counts.append(0)
-            continue
-        if not gone and len(drops) == 1:
-            minor = rows
-        else:
-            # index[c] is column c's rank among the columns kept
-            index: list[int | None] = list(range(whites))
-            for k, c in enumerate(cols):
-                index[c] = None
-                index[c + 1 :] = range(c - k, whites - k - 1)
-            minor = [
-                {index[c]: v for c, v in row.items() if index[c] is not None}
-                for r, row in enumerate(rows)
-                if r not in dropped
-            ]
-        counts.append(abs(_determinant(minor)))
+        gone = {ranks[v] for v in drop}
+        keep = [r for r in range(len(rows)) if (True, r) not in gone]
+        cols = [c for c in range(whites) if (False, c) not in gone]
+        square = len(keep) == len(cols)
+        counts.append(abs(_determinant(_submatrix(rows, keep, cols))) if square else 0)
     return counts
 
 

@@ -338,9 +338,18 @@ def test_verify_surfaces_a_fault_inside_stats_deltas(capsys, monkeypatch):
 
 
 def test_inexact_elimination_exits_four(capsys, monkeypatch):
-    # the exact-division guard of the determinant is no input's fault
-    def inexact(rows):
+    # the exact-division guards of the determinant and of a Kuo block's
+    # residual minors are no input's fault
+    real = matching._determinant
+
+    def inexact(rows, border=()):
         raise ArithmeticError("fraction-free elimination did not divide")
+
+    def scaled(rows, border=()):
+        # a scaling that no residual minor is a multiple of
+        det = real(rows, border)
+        border[:] = [2**61 - 1] * len(border)
+        return det
 
     monkeypatch.setattr(matching, "_determinant", inexact)
     code, out, err = run_cli(capsys, "count", *DEEP, "--engine", "brute")
@@ -350,6 +359,20 @@ def test_inexact_elimination_exits_four(capsys, monkeypatch):
         "internal error: ArithmeticError: "
         "fraction-free elimination did not divide\n"
     )
+    # the trace stops at its first Kuo block, past the records too large
+    # for one
+    for fake in (inexact, scaled):
+        monkeypatch.setattr(matching, "_determinant", fake)
+        code, out, err = run_cli(
+            capsys, "trace", "--d", "4,2,5,4,3,6,2,3", "--kuo-max", "16"
+        )
+        assert code == 4
+        records = [json.loads(line) for line in out.splitlines()]
+        assert records and all(r["kuo"] is None for r in records)
+        assert err == (
+            "internal error: ArithmeticError: "
+            "fraction-free elimination did not divide\n"
+        )
 
 
 def test_verify_and_trace_golden_bytes(capsys):
@@ -464,18 +487,30 @@ def count_calls(monkeypatch, tmp_path, owner, name) -> CallLog:
     return log
 
 
-def count_graphs_and_rows(monkeypatch, tmp_path):
-    """`CallLog`s of `dual_graph`, wherever it is bound, and of the signed
-    rows that the counts read off the level runs."""
+def count_signing_work(monkeypatch, tmp_path):
+    """`CallLog`s of `dual_graph`, wherever it is bound, of the signed rows
+    that the counts read off the level runs and of their eliminations,
+    each logged by its border's size alone."""
     graphs = count_calls(monkeypatch, tmp_path, matching, "dual_graph")
     monkeypatch.setattr(cli, "dual_graph", matching.dual_graph)
-    return graphs, count_calls(monkeypatch, tmp_path, matching, "_region_rows")
+    rows = count_calls(monkeypatch, tmp_path, matching, "_region_rows")
+    eliminations = CallLog(tmp_path / "_determinant.calls")
+    real = matching._determinant
+
+    def eliminate(matrix, border=()):
+        eliminations.add(len(border))
+        return real(matrix, border)
+
+    monkeypatch.setattr(matching, "_determinant", eliminate)
+    return graphs, rows, eliminations
 
 
 def test_trace_signs_each_kuo_graph_once(capsys, monkeypatch, tmp_path):
-    # each Kuo block signs its region once: the six counts are minors of
-    # one set of signed rows, read off the level runs with no dual graph
-    graphs, rows = count_graphs_and_rows(monkeypatch, tmp_path)
+    # each Kuo block signs its region once and eliminates it once: the six
+    # counts are minors of one set of signed rows, read off the level runs
+    # with no dual graph, and one elimination leaves the two corner rows
+    # and columns standing
+    graphs, rows, eliminations = count_signing_work(monkeypatch, tmp_path)
     code, out, _ = run_cli(
         capsys, "trace", "--d", "4,2,5,4,3,6,2,3", "--kuo-max", "16"
     )
@@ -485,23 +520,50 @@ def test_trace_signs_each_kuo_graph_once(capsys, monkeypatch, tmp_path):
     assert len(counted) > 1
     assert graphs.calls() == []
     assert len(rows.calls()) == len(counted)
+    assert eliminations.calls() == ["2"] * len(counted)
 
 
 def test_verify_signs_each_region_once(capsys, monkeypatch, tmp_path):
-    # each region with a Kuo check is signed once, and its brute count is
-    # the Kuo block's full count; neither it nor a brute count alone
-    # builds a dual graph, since the signed rows come from the level runs
-    graphs, rows = count_graphs_and_rows(monkeypatch, tmp_path)
+    # each region with a Kuo check is signed and eliminated once, and its
+    # brute count is the Kuo block's full count; neither it nor a brute
+    # count alone builds a dual graph, since the signed rows come from the
+    # level runs, and a brute count eliminates with no border
+    graphs, rows, eliminations = count_signing_work(monkeypatch, tmp_path)
     code, out, _ = run_cli(capsys, "verify", "--sweep", "8")
     assert code == 0
     valid = json.loads(out.splitlines()[-1])["summary"]["valid"]
     assert graphs.calls() == []
     assert len(rows.calls()) == valid
+    assert eliminations.calls() == ["2"] * valid
     rows.clear()
+    eliminations.clear()
     code, out, _ = run_cli(capsys, "count", "--engine", "brute", *DEEP)
     assert code == 0 and out == "536870912\n"
     assert graphs.calls() == []
     assert len(rows.calls()) == 1
+    assert eliminations.calls() == ["0"]
+
+
+def test_trace_nulls_a_kuo_block_past_the_size_limit(capsys, monkeypatch):
+    # a Kuo block too large to count is null, as verify's brute count is,
+    # and the trace goes on: the same lines as with no limit but that one
+    argv = ["trace", "--a", "3", "--d", "6", "--kuo-max", "16"]
+    code, full, _ = run_cli(capsys, *argv)
+    assert code == 0
+    monkeypatch.setattr(matching, "VERTEX_LIMIT", 12)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    records = [json.loads(line) for line in out.splitlines()]
+    want = [json.loads(line) for line in full.splitlines()]
+    assert [r["spec"] for r in records] == [
+        {"a": 3, "d": [6]},
+        {"a": 2, "d": [4]},
+        {"a": 1, "d": [2]},
+    ]
+    # 24 cells are past the limit, 12 and 4 are not
+    assert want[0]["kuo"] is not None
+    want[0]["kuo"] = None
+    assert records == want
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():

@@ -5,6 +5,7 @@ reduction, and the graph utilities."""
 import hashlib
 import json
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -221,22 +222,62 @@ def test_region_count_with_unequal_colour_classes_is_zero():
         pick_corners(lone)
 
 
-def test_deletions_can_balance_unequal_colour_classes():
+def _uneven():
     # two white squares over one black: white 0 and the black share a
-    # side, white 1 touches neither, and every cell is on the outer face;
-    # the graph reference counts the same minors
+    # side, white 1 touches neither, and every cell is on the outer face
     cells = (
         Cell(CellKind.SQUARE, Color.WHITE, 0, (0, 0)),
         Cell(CellKind.SQUARE, Color.WHITE, 0, (1, 0)),
         Cell(CellKind.SQUARE, Color.BLACK, -1, (0, -1)),
     )
     runs = ((0, 0, 2, False), (2, 0, 1, False))
-    uneven = Region(RegionSpec(1, (1,)), cells, ("", "0"), runs)
+    return Region(RegionSpec(1, (1,)), cells, ("", "0"), runs)
+
+
+def _singular_interior():
+    # two white squares over two black ones, each white over the black at
+    # its anchor: white 0 touches both blacks, white 1 only black 3; less
+    # white 0 and black 3, the border, white 1 and black 2 touch nothing
+    cells = (
+        Cell(CellKind.SQUARE, Color.WHITE, 0, (0, 0)),
+        Cell(CellKind.SQUARE, Color.WHITE, 0, (1, 1)),
+        Cell(CellKind.SQUARE, Color.BLACK, -1, (0, -1)),
+        Cell(CellKind.SQUARE, Color.BLACK, -1, (1, 0)),
+    )
+    runs = ((0, 0, 2, False), (2, 0, 2, False))
+    return Region(RegionSpec(1, (1,)), cells, ("", "0"), runs)
+
+
+def test_deletions_can_balance_unequal_colour_classes():
+    # the graph reference counts the same minors
+    uneven = _uneven()
     sets = ((), (1,), (0,), (0, 2), (1, 2))
     assert deletion_counts(uneven, sets) == [0, 1, 0, 0, 0]
     g = signed(dual_graph(uneven))
     assert g.edges == ((0, 2),)
     assert graph_deletion_counts(g, sets) == [0, 1, 0, 0, 0]
+
+
+def test_fallback_shapes_count_like_the_graph_reference(monkeypatch):
+    # G's rows not square, or its interior square but singular: no
+    # residual block counts, so each square G - S gets an elimination of
+    # its own, with no border
+    borders = []
+
+    def counted(rows, border=()):
+        borders.append(len(border))
+        return _determinant(rows, border)
+
+    monkeypatch.setattr("douglastile.matching._determinant", counted)
+    cases = [
+        (_uneven(), ((), (1,), (0,), (0, 2), (1, 2)), [0, 1, 0, 0, 0], [0, 0]),
+        (_singular_interior(), ((), (0,), (0, 3)), [1, 0, 0], [1, 0, 0]),
+    ]
+    for region, sets, counts, eliminations in cases:
+        borders.clear()
+        assert deletion_counts(region, sets) == counts
+        assert borders == eliminations
+        assert graph_deletion_counts(signed(dual_graph(region)), sets) == counts
 
 
 def test_dual_graph_shape():
@@ -403,6 +444,59 @@ def test_determinant_matches_fraction_elimination(matrix, repeat):
         matrix[-1] = list(matrix[0])
     rows = [{c: v for c, v in enumerate(row) if v} for row in matrix]
     assert _determinant(rows) == fraction_determinant(matrix)
+
+
+@given(
+    matrix=st.integers(0, 6).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    ),
+    k=st.integers(0, 2),
+    singular=st.booleans(),
+)
+@example(matrix=[[2, 1], [1, 1]], k=1, singular=False)
+@example(matrix=[[2, 3, 1], [3, 2, 0], [1, 1, 2]], k=1, singular=False)
+@example(matrix=[[1, 1, 2], [1, 1, 3], [2, 0, 1]], k=1, singular=False)
+@example(matrix=[[0, 1], [1, 0]], k=1, singular=False)
+@settings(max_examples=500, deadline=None)
+def test_bordered_elimination_leaves_the_schur_complement(matrix, k, singular):
+    # the last k rows and columns stand.  A minor that keeps the interior A
+    # and as many border rows as border columns is det A times the
+    # determinant of the kept residual block, each border row over its own
+    # scaling.  Entries of +-2 and +-3 give non-unit pivots, which scale
+    # the border rows (the first example scales one by 2); `singular`
+    # makes A's last row a copy of its first, or its one entry 0, and the
+    # last two examples have a singular A of their own
+    n = len(matrix)
+    k = min(k, n)
+    m = n - k
+    if singular and m:
+        matrix[m - 1][:m] = matrix[0][:m] if m > 1 else [0]
+    rows = [{c: v for c, v in enumerate(row) if v} for row in matrix]
+    scales = [1] * k
+    det = _determinant(rows, scales)
+    assert det == fraction_determinant([row[:m] for row in matrix[:m]])
+    if not det:
+        return
+    assert all(c >= m for row in rows[m:] for c in row)
+    inner = list(range(m))
+    for size in range(k + 1):
+        for keep in combinations(range(k), size):
+            for cols in combinations(range(k), size):
+                minor = [
+                    [matrix[r][c] for c in inner + [m + j for j in cols]]
+                    for r in inner + [m + i for i in keep]
+                ]
+                block = [
+                    [Fraction(rows[m + i].get(m + j, 0), scales[i]) for j in cols]
+                    for i in keep
+                ]
+                assert det * fraction_determinant(block) == fraction_determinant(
+                    minor
+                )
 
 
 def test_rejects_malformed_edges():
