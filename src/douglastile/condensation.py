@@ -22,8 +22,9 @@ table of the seven smallest regions and exact integer division.
 `pick_corners` reads the four corner cells off the level runs, and
 `kuo_counts` takes the six counts as minors of the one signed matrix of
 the region's dual (`matching.deletion_counts`): one elimination leaves
-the corners' two rows and two columns standing, and each count is the
-interior's determinant times a minor of that 2 x 2 residual block.
+the corners' two rows and two columns standing where the rows have them,
+and each count is the interior's determinant times a minor of that 2 x 2
+residual block.
 """
 
 from __future__ import annotations

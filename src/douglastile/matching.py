@@ -8,11 +8,11 @@ method", 1998).  The edges carry signs under which every face walk of
 length 2k but each component's outer walk has k + 1 negative edges mod 2;
 then every perfect matching enters the determinant of the signed black x
 white matrix with the same sign, and the determinant is one sparse exact
-elimination.  Each column's pivot is the first row with a unit entry (+1
-or -1) there, if any row has one, else the first row with any entry.  A
-unit pivot scales no row, so the entries of a signed matrix, which start
-at +1 and -1, and its fill stay small, and an Aztec diamond dual of
-order 160 (51,520 vertices) counts in seconds.
+elimination.  Each column's pivot is a row with a unit entry (+1 or -1)
+there when one has it; a unit pivot scales no row up, so |det| is then
+exactly the product of the row contents divided out.  The entries still
+grow, to 99 bits on the Aztec diamond dual of order 64, and that dual of
+order 160 (51,520 vertices) counts in about 10 s.
 
 `_region_rows` reads the signed rows straight off the region's level
 runs, under the parity rule that Kasteleyn gave the square grid, with no
@@ -22,11 +22,12 @@ vertex of S lies on the outer walk of its component, the bounded faces of
 G - S are exactly the bounded faces of G that miss S, so G's signs stay
 Kasteleyn signs of G - S, components and all; that holds even where a
 component of G has colour classes of unequal size, so that G itself has
-no matching.  The rows and columns of the cells in some S are the border
-and the rest is the interior A.  One exact elimination of A's columns,
-pivoting on A's rows only, leaves the border rows holding the Schur
-complement R = D - C A^-1 B, and each G - S counts |det A| |det R[K]|,
-K the block of the border that it keeps.  Desnanot-Jacobi relates the
+no matching.  The border is two index sets, the rows and the columns of
+the cells in some S, and the rest is the interior A.  One exact
+elimination of A's columns, pivoting on A's rows only, leaves the border
+rows, where they stand, holding the Schur complement R = D - C A^-1 B,
+and each G - S counts |det A| |det R[K]|, K the block of the border that
+it keeps; no row is copied or reordered.  Desnanot-Jacobi relates the
 minors of any matrix, however they are computed: on Kuo's six counts the
 identity holds exactly when R_xy R_zt and R_xt R_zy do not share a sign,
 which is what G's signs promise, so checking it still checks the signing.
@@ -191,7 +192,7 @@ def _permutation_sign(perm: list[int]) -> int:
     return sign
 
 
-def _determinant(rows: list[dict[int, int]], border: list[int] = ()) -> int:
+def _determinant(rows: list[dict[int, int]], border=None, skip=()) -> int:
     """Exact determinant of a sparse square integer matrix, rows as dicts.
 
     Fraction-free elimination, column by column.  The pivot is the first
@@ -201,49 +202,50 @@ def _determinant(rows: list[dict[int, int]], border: list[int] = ()) -> int:
     b = r's entry times the pivot, otherwise a, b are the pivot and r
     entries over their gcd.  The content of the new row is divided out.
     The scalings are undone by one exact division at the end.  A unit
-    pivot never scales a row up, so on a Kasteleyn matrix, whose entries
-    start at +1 and -1, the entries and the fill stay small.
+    pivot scales no row up, so under unit pivots |det| is exactly the
+    product of the row contents divided out.  The entries still grow: on
+    region rows, which start at +1 and -1, they reach 99 bits on the
+    Aztec diamond dual of order 64 and 135 bits on the region of distances
+    (3,1,4,1,5,9,2,6,5,3,5) times 4.
 
-    A border of k rows and k columns, the last k of each, stays standing;
-    `border` is a list of k ints, each 1 on entry.  Only the first
-    m = n - k columns are eliminated, and only the first m rows, the
-    interior A, pivot: a border row sorts after them.  A border row that
-    holds an eliminated column is reduced like the others, but its
-    content is never divided out, and each factor a that scales it
-    multiplies its entry of `border` instead of the end division.  The
-    result is then det A, and border row i holds border[i] times row i of
-    the Schur complement D - C A^-1 B in the border columns (B, C and D
-    are A's rows in the border columns, the border rows in A's columns,
-    and the border's own block).  0 means that A is singular, and then the
-    border rows are left half reduced.  With no border this is the
-    determinant of the whole matrix.
+    A border stands where it is: `border` maps each border row to its
+    scaling, 1 on entry, and `skip` is the set of border columns.  Every
+    other column is eliminated, in order, and only the other rows, the
+    interior A, pivot; A must be square.  A border row is reduced like the
+    others, but its content is never divided out, and each factor a that
+    scales it multiplies its scaling instead of the end division.  The
+    result is then det A, each pivot row is None, and border row r holds
+    border[r] times row r of the Schur complement D - C A^-1 B in the
+    `skip` columns (B, C and D are A's rows there, the border rows in A's
+    columns, and the border's own block).  0 means that A is singular,
+    and then the border rows are left half reduced.
 
-    The result carries the sign of the pivot order, so it is the
-    determinant itself.  The counts take its absolute value, but the sign
-    costs one pass over the n pivots, little next to the elimination, and
-    it keeps the function checkable against any other exact determinant;
-    a weighted sum over matchings, whose value may be negative, needs it.
+    The result carries the sign of the pivot order, read off the ranks of
+    the pivot rows, so it is the determinant itself: a weighted sum over
+    matchings, whose value may be negative, needs it.
     """
-    n = len(rows)
-    m = n - len(border)
-    col_rows: list[set[int]] = [set() for _ in range(n)]
+    if border is None:
+        border = {}
+    col_rows = [set() for _ in range(len(rows) - len(border) + len(skip))]
     for r, row in enumerate(rows):
         for c in row:
             col_rows[c].add(r)
     product = scaled_up = scaled_down = 1
-    pivot_row = [0] * m
-    for c in range(m):
-        cand = col_rows[c]
-        # a border row sorts after every interior row, so it is never the
-        # pivot; a column that no interior row holds makes A singular
-        p = min(cand, default=n)
-        if p >= m:
+    pivots = []
+    for c, cand in enumerate(col_rows):
+        if c in skip:
+            continue
+        # a column that no interior row holds makes A singular
+        if not cand:
             return 0
-        if rows[p][c] not in (1, -1):
-            units = [r for r in cand if r < m and rows[r][c] in (1, -1)]
-            if units:
-                p = min(units)
-        pivot_row[c] = p
+        p = min(cand)
+        if p in border or rows[p][c] not in (1, -1):
+            inner = [r for r in cand if r not in border]
+            if not inner:
+                return 0
+            units = [r for r in inner if rows[r][c] in (1, -1)]
+            p = min(units or inner)
+        pivots.append(p)
         prow = rows[p]
         rows[p] = None
         for k in prow:
@@ -260,10 +262,10 @@ def _determinant(rows: list[dict[int, int]], border: list[int] = ()) -> int:
                 g = gcd(pv, rv)
                 a, b = pv // g, rv // g
             if a != 1:
-                if r < m:
-                    scaled_up *= a
+                if r in border:
+                    border[r] *= a
                 else:
-                    border[r - m] *= a
+                    scaled_up *= a
                 for k in row:
                     row[k] *= a
             for k, v in prow.items():
@@ -278,7 +280,7 @@ def _determinant(rows: list[dict[int, int]], border: list[int] = ()) -> int:
                     else:
                         del row[k]
                         col_rows[k].discard(r)
-            if r >= m:
+            if r in border:
                 continue
             if not row:
                 return 0
@@ -291,7 +293,9 @@ def _determinant(rows: list[dict[int, int]], border: list[int] = ()) -> int:
     det, remainder = divmod(product * scaled_down, scaled_up)
     if remainder:
         raise ArithmeticError("fraction-free elimination did not divide")
-    return _permutation_sign(pivot_row) * det
+    # the columns sorted by their pivot rows: the inverse of the
+    # permutation that takes each column to its pivot row's rank
+    return _permutation_sign(sorted(range(len(pivots)), key=pivots.__getitem__)) * det
 
 
 def _reference_matching(keys, n: int) -> list[int] | None:
@@ -409,15 +413,6 @@ def _outer_ranks(region: Region, cells) -> dict[int, tuple[bool, int]]:
     return out
 
 
-def _submatrix(rows, keep, cols) -> list[dict[int, int]]:
-    """The rows of `keep`, in that order, each keyed by its columns' places
-    in `cols` and holding no other column."""
-    index = dict(zip(cols, range(len(cols))))
-    return [
-        {index[c]: v for c, v in rows[r].items() if c in index} for r in keep
-    ]
-
-
 def _kept_minor(block: list[list[int]]) -> int:
     """Determinant of a small dense block: its terms up to 2 x 2, past that
     `_determinant`."""
@@ -430,48 +425,6 @@ def _kept_minor(block: list[list[int]]) -> int:
     return block[0][0] if k else 1
 
 
-def _residual_counts(rows, ranks, drops) -> list[int] | None:
-    """The counts of `deletion_counts` from one elimination of the square
-    rows `rows` that leaves the border standing, or None when the border
-    is not square or the interior is singular."""
-    n = len(rows)
-    border_rows = sorted({r for black, r in ranks.values() if black})
-    border_cols = sorted({c for black, c in ranks.values() if not black})
-    k = len(border_rows)
-    if k != len(border_cols):
-        return None
-    m = n - k
-    matrix = rows
-    if k:
-        # the interior rows and columns first, each in its order
-        inner = set(range(n))
-        matrix = _submatrix(
-            rows,
-            sorted(inner.difference(border_rows)) + border_rows,
-            sorted(inner.difference(border_cols)) + border_cols,
-        )
-    scales = [1] * k
-    interior = abs(_determinant(matrix, scales))
-    if k and not interior:
-        return None
-    counts = []
-    for drop in drops:
-        gone = {ranks[v] for v in drop}
-        keep = [i for i, r in enumerate(border_rows) if (True, r) not in gone]
-        cols = [m + j for j, c in enumerate(border_cols) if (False, c) not in gone]
-        if len(keep) != len(cols):
-            counts.append(0)
-            continue
-        block = [[matrix[m + i].get(c, 0) for c in cols] for i in keep]
-        count, remainder = divmod(
-            interior * abs(_kept_minor(block)), abs(prod(scales[i] for i in keep))
-        )
-        if remainder:
-            raise ArithmeticError("fraction-free elimination did not divide")
-        counts.append(count)
-    return counts
-
-
 def deletion_counts(region: Region, deletions) -> list[int]:
     """Perfect matchings of G - S for each cell set S in `deletions`, G the
     region's dual.
@@ -480,36 +433,42 @@ def deletion_counts(region: Region, deletions) -> list[int]:
     when the cells are not the number the region's runs lay out;
     OuterFaceError, a ValueError, when a cell of S is not on the outer face
     of its component (`_outer_ranks`).  G's rows are built once
-    (`_region_rows`) and eliminated once.  The border is the rows and
-    columns of the cells in some S; the interior A is the rest.  One
-    elimination of the interior columns, pivoting on interior rows only,
-    leaves the border rows holding the Schur complement R = D - C A^-1 B,
-    each times its own scaling (`_determinant`).  G - S keeps A and the
-    block K of the border that S does not delete, so it counts
-    |det A| |det R[K]|: an exact division of the residual block's
-    determinant by the scalings of its rows, which are 1 under unit
-    pivots.  A K with fewer rows than columns, or more, counts 0.  With S
-    empty the only set, the border is empty and the elimination takes the
-    rows as built.  When G's rows or the border are not square, or A is
-    singular, each G - S instead drops S's rows and columns, re-ranked,
-    and gets its own exact determinant.
+    (`_region_rows`) and eliminated once, with the rows and the columns of
+    the cells in some S as the border (`_determinant`).  When the interior
+    A is square and nonsingular, G - S counts |det A| |det R[K]|, K the
+    block of the Schur complement R that S does not delete, read off the
+    border rows and divided exactly by their scalings, which are 1 under
+    unit pivots; a K with fewer rows than columns, or more, counts 0.
+    When A is singular or not square, each S is counted alone, as
+    `deletion_counts(region, [S])`: fresh rows whose border is S, so that
+    A is G - S and counts 0 where it is singular or not square.
     """
     check_size(len(region.cells))
     drops = [set(drop) for drop in deletions]
     ranks = _outer_ranks(region, chain.from_iterable(drops))
     rows = _region_rows(region)
-    whites = len(region.cells) - len(rows)
-    if len(rows) == whites:
-        counts = _residual_counts(rows, ranks, drops)
-        if counts is not None:
-            return counts
+    border = {r: 1 for black, r in ranks.values() if black}
+    skip = {c for black, c in ranks.values() if not black}
+    det = 0
+    if len(rows) - len(border) == len(region.cells) - len(rows) - len(skip):
+        det = abs(_determinant(rows, border, skip))
+    if not det and ranks and len(drops) > 1:
+        return [deletion_counts(region, [drop])[0] for drop in drops]
     counts = []
     for drop in drops:
         gone = {ranks[v] for v in drop}
-        keep = [r for r in range(len(rows)) if (True, r) not in gone]
-        cols = [c for c in range(whites) if (False, c) not in gone]
-        square = len(keep) == len(cols)
-        counts.append(abs(_determinant(_submatrix(rows, keep, cols))) if square else 0)
+        keep = [r for r in border if (True, r) not in gone]
+        cols = [c for c in skip if (False, c) not in gone]
+        if len(keep) != len(cols):
+            counts.append(0)
+            continue
+        block = [[rows[r].get(c, 0) for c in cols] for r in keep]
+        count, remainder = divmod(
+            det * abs(_kept_minor(block)), abs(prod(border[r] for r in keep))
+        )
+        if remainder:
+            raise ArithmeticError("fraction-free elimination did not divide")
+        counts.append(count)
     return counts
 
 

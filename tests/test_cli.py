@@ -13,7 +13,7 @@ import pytest
 from conftest import valid_specs
 from douglastile import cli, condensation, matching, regions, shuffle
 from douglastile.cli import main
-from douglastile.regions import Color
+from douglastile.regions import Color, RegionSpec
 
 DEEP = ["--a", "7", "--d", "4,2,5,4"]
 
@@ -342,13 +342,14 @@ def test_inexact_elimination_exits_four(capsys, monkeypatch):
     # residual minors are no input's fault
     real = matching._determinant
 
-    def inexact(rows, border=()):
+    def inexact(rows, border=None, skip=()):
         raise ArithmeticError("fraction-free elimination did not divide")
 
-    def scaled(rows, border=()):
+    def scaled(rows, border=None, skip=()):
         # a scaling that no residual minor is a multiple of
-        det = real(rows, border)
-        border[:] = [2**61 - 1] * len(border)
+        det = real(rows, border, skip)
+        for r in border:
+            border[r] = 2**61 - 1
         return det
 
     monkeypatch.setattr(matching, "_determinant", inexact)
@@ -373,6 +374,45 @@ def test_inexact_elimination_exits_four(capsys, monkeypatch):
             "internal error: ArithmeticError: "
             "fraction-free elimination did not divide\n"
         )
+
+
+def test_trace_refuses_a_kuo_block_before_its_cells(capsys, monkeypatch, tmp_path):
+    # the first record, the Aztec dual of order 161, is past the limit:
+    # its size is read off the level runs and its Kuo block is null with
+    # no cell made.  The next, order 160, is under it and builds its cells,
+    # which the fake stops
+    built = []
+
+    def build(side, distances):
+        built.append((side, tuple(distances)))
+        raise RuntimeError("cells built")
+
+    monkeypatch.setattr(regions, "build_region", build)
+    code, out, err = run_cli(
+        capsys, "trace", "--a", "161", "--d", "322", "--kuo-max", "400"
+    )
+    assert code == 4
+    assert err == "internal error: RuntimeError: cells built\n"
+    (line,) = out.splitlines()
+    record = json.loads(line)
+    assert record["spec"] == {"a": 161, "d": [322]}
+    assert record["kuo"] is None
+    assert built == [(160, (320,))]
+    # the bound 2T(T + 1) on the cells holds on every region with T <= 12
+    # and on the first Aztec dual past the limit
+    for spec in valid_specs(12) + (RegionSpec(161, (322,)),):
+        runs = regions._level_runs(*spec)[2]
+        assert regions._run_end(runs[-1]) <= 2 * spec.total * (spec.total + 1)
+    # a block whose total bounds it under the limit reads no runs for its
+    # size: the only size check is the count's own
+    monkeypatch.undo()
+    sizes = count_calls(monkeypatch, tmp_path, matching, "check_size")
+    code, out, _ = run_cli(
+        capsys, "trace", "--d", "3,1,4,1,5,9,2,6,5,3,5", "--kuo-max", "16"
+    )
+    assert code == 0
+    blocks = [json.loads(line)["kuo"] for line in out.splitlines()]
+    assert len(sizes.calls()) == sum(block is not None for block in blocks) > 0
 
 
 def test_verify_and_trace_golden_bytes(capsys):
@@ -497,9 +537,9 @@ def count_signing_work(monkeypatch, tmp_path):
     eliminations = CallLog(tmp_path / "_determinant.calls")
     real = matching._determinant
 
-    def eliminate(matrix, border=()):
-        eliminations.add(len(border))
-        return real(matrix, border)
+    def eliminate(matrix, border=None, skip=()):
+        eliminations.add(len(border or ()))
+        return real(matrix, border, skip)
 
     monkeypatch.setattr(matching, "_determinant", eliminate)
     return graphs, rows, eliminations

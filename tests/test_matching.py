@@ -259,19 +259,28 @@ def test_deletions_can_balance_unequal_colour_classes():
 
 
 def test_fallback_shapes_count_like_the_graph_reference(monkeypatch):
-    # G's rows not square, or its interior square but singular: no
-    # residual block counts, so each square G - S gets an elimination of
-    # its own, with no border
+    # each elimination is logged by its border's rows and columns.  The
+    # uneven region's interior is square (and empty) once every cell of
+    # the five sets is border, so one elimination serves them all; with
+    # S's cells (0,) and (1,) its interior is not square, and the other
+    # region's interior is square but singular: then each square G - S is
+    # an elimination of its own with S alone as the border
     borders = []
 
-    def counted(rows, border=()):
-        borders.append(len(border))
-        return _determinant(rows, border)
+    def counted(rows, border=None, skip=()):
+        borders.append((len(border or ()), len(skip)))
+        return _determinant(rows, border, skip)
 
     monkeypatch.setattr("douglastile.matching._determinant", counted)
     cases = [
-        (_uneven(), ((), (1,), (0,), (0, 2), (1, 2)), [0, 1, 0, 0, 0], [0, 0]),
-        (_singular_interior(), ((), (0,), (0, 3)), [1, 0, 0], [1, 0, 0]),
+        (_uneven(), ((), (1,), (0,), (0, 2), (1, 2)), [0, 1, 0, 0, 0], [(1, 2)]),
+        (_uneven(), ((), (0,), (1,)), [0, 0, 1], [(0, 1), (0, 1)]),
+        (
+            _singular_interior(),
+            ((), (0,), (0, 3)),
+            [1, 0, 0],
+            [(1, 1), (0, 0), (1, 1)],
+        ),
     ]
     for region, sets, counts, eliminations in cases:
         borders.clear()
@@ -446,53 +455,66 @@ def test_determinant_matches_fraction_elimination(matrix, repeat):
     assert _determinant(rows) == fraction_determinant(matrix)
 
 
-@given(
-    matrix=st.integers(0, 6).flatmap(
-        lambda n: st.lists(
-            st.lists(st.integers(-3, 3), min_size=n, max_size=n),
-            min_size=n,
-            max_size=n,
-        )
-    ),
-    k=st.integers(0, 2),
-    singular=st.booleans(),
-)
-@example(matrix=[[2, 1], [1, 1]], k=1, singular=False)
-@example(matrix=[[2, 3, 1], [3, 2, 0], [1, 1, 2]], k=1, singular=False)
-@example(matrix=[[1, 1, 2], [1, 1, 3], [2, 0, 1]], k=1, singular=False)
-@example(matrix=[[0, 1], [1, 0]], k=1, singular=False)
+@st.composite
+def bordered_matrices(draw):
+    """A square matrix of order 0 to 6 with entries -3..3, and its border:
+    as many rows as columns, at most two of each, drawn at any index."""
+    n = draw(st.integers(0, 6))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    matrix = draw(st.lists(row, min_size=n, max_size=n))
+    k = draw(st.integers(0, min(n, 2)))
+    index = st.lists(
+        st.integers(0, max(n - 1, 0)), min_size=k, max_size=k, unique=True
+    )
+    return matrix, sorted(draw(index)), sorted(draw(index))
+
+
+@given(case=bordered_matrices(), singular=st.booleans())
+@example(case=([[2, 1], [1, 1]], [1], [1]), singular=False)
+@example(case=([[1, 1], [1, 2]], [0], [1]), singular=False)
+@example(case=([[2, 3, 1], [3, 2, 0], [1, 1, 2]], [2], [2]), singular=False)
+@example(case=([[1, 1, 2], [1, 1, 3], [2, 0, 1]], [2], [2]), singular=False)
+@example(case=([[0, 1], [1, 0]], [1], [1]), singular=False)
+@example(case=([[1, 2, 0], [2, 1, 1], [3, 0, 1]], [0, 2], [1, 2]), singular=False)
 @settings(max_examples=500, deadline=None)
-def test_bordered_elimination_leaves_the_schur_complement(matrix, k, singular):
-    # the last k rows and columns stand.  A minor that keeps the interior A
-    # and as many border rows as border columns is det A times the
-    # determinant of the kept residual block, each border row over its own
-    # scaling.  Entries of +-2 and +-3 give non-unit pivots, which scale
-    # the border rows (the first example scales one by 2); `singular`
-    # makes A's last row a copy of its first, or its one entry 0, and the
-    # last two examples have a singular A of their own
-    n = len(matrix)
-    k = min(k, n)
-    m = n - k
-    if singular and m:
-        matrix[m - 1][:m] = matrix[0][:m] if m > 1 else [0]
+def test_bordered_elimination_leaves_the_schur_complement(case, singular):
+    # the border rows and columns stand where they are.  A minor that
+    # keeps the interior A and as many border rows as border columns is
+    # det A times the determinant of the kept residual block, each border
+    # row over its own scaling, with A's rows and columns first, each in
+    # its order.  Entries of +-2 and +-3 give non-unit pivots, which scale
+    # the border rows (the first example scales one by 2, the last two,
+    # which stand away from the end); in the second a border row is a
+    # column's first candidate, which must not pivot;
+    # `singular` makes A's last row a copy of its first, or its one entry
+    # 0, and the fourth and fifth examples have a singular A of their own
+    matrix, border_rows, border_cols = case
+    inner_rows = [r for r in range(len(matrix)) if r not in border_rows]
+    inner_cols = [c for c in range(len(matrix)) if c not in border_cols]
+    if singular and inner_rows:
+        first, last = inner_rows[0], inner_rows[-1]
+        for c in inner_cols:
+            matrix[last][c] = matrix[first][c] if first != last else 0
     rows = [{c: v for c, v in enumerate(row) if v} for row in matrix]
-    scales = [1] * k
-    det = _determinant(rows, scales)
-    assert det == fraction_determinant([row[:m] for row in matrix[:m]])
+    scales = dict.fromkeys(border_rows, 1)
+    det = _determinant(rows, scales, set(border_cols))
+    assert det == fraction_determinant(
+        [[matrix[r][c] for c in inner_cols] for r in inner_rows]
+    )
     if not det:
         return
-    assert all(c >= m for row in rows[m:] for c in row)
-    inner = list(range(m))
-    for size in range(k + 1):
-        for keep in combinations(range(k), size):
-            for cols in combinations(range(k), size):
+    assert all(rows[r] is None for r in inner_rows)
+    assert all(c in border_cols for r in border_rows for c in rows[r])
+    for size in range(len(border_rows) + 1):
+        for keep in combinations(border_rows, size):
+            for cols in combinations(border_cols, size):
                 minor = [
-                    [matrix[r][c] for c in inner + [m + j for j in cols]]
-                    for r in inner + [m + i for i in keep]
+                    [matrix[r][c] for c in inner_cols + list(cols)]
+                    for r in inner_rows + list(keep)
                 ]
                 block = [
-                    [Fraction(rows[m + i].get(m + j, 0), scales[i]) for j in cols]
-                    for i in keep
+                    [Fraction(rows[r].get(c, 0), scales[r]) for c in cols]
+                    for r in keep
                 ]
                 assert det * fraction_determinant(block) == fraction_determinant(
                     minor
