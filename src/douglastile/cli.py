@@ -27,7 +27,7 @@ import os
 import sys
 import time
 
-from . import __version__, condensation, matching, regions, shuffle
+from . import __version__, condensation, regions, shuffle
 from .condensation import condensation_count, stats_deltas
 from .matching import SizeLimit, count_matchings, dual_graph, perfect_matching
 from .regions import InternalError, RegionSpec, SpecInvalid
@@ -246,16 +246,9 @@ def _kuo(region: regions.Region) -> dict[str, int]:
 
 
 def _kuo_block(spec: RegionSpec, kuo_max: int) -> dict | None:
-    total = spec.total
-    if total > kuo_max:
+    if spec.total > kuo_max:
         return None
     try:
-        # a level holds at most `total` anchors, two cells each where it
-        # is drawn, so past 2T(T + 1) cells the region's size is read off
-        # its runs before a cell is made
-        if 2 * total * (total + 1) > matching.VERTEX_LIMIT:
-            runs = regions._level_runs(*spec)[2]
-            matching.check_size(regions._run_end(runs[-1]))
         counts = _kuo(regions.build_region(spec.side, spec.distances))
     except (condensation.CornersNotFound, SizeLimit):
         return None

@@ -50,7 +50,7 @@ from collections import namedtuple
 from itertools import chain, repeat
 from math import gcd, prod
 
-from .regions import _CORNERS, _SIXTHS, Region, _pair_blocks, _region_lines
+from .regions import _CORNERS, _SIXTHS, Region, _pair_blocks, _region_lines, _run_end
 
 __all__ = [
     "VERTEX_LIMIT",
@@ -124,21 +124,20 @@ def dual_graph(region: Region) -> MatchGraph:
     """One vertex per cell, one edge per shared cell side: the graph that
     the matching overlay draws.
 
-    Vertex i is `region.cells[i]`: line by line from the top, west to
+    Vertex i is the region's cell i, line by line from the top, west to
     east.  Each vertex sits at its cell's centroid, in integer sixths of a
     lattice unit, and takes its colour from its line.  The edges are the
     index pairs (i, j), i < j, in sorted order.  Both are read off the
     level runs and line symbols that the region carries
-    (`regions._pair_blocks`, `regions._region_lines`); cells that are not
-    the ones those runs lay out, in number, raise ValueError.  The graph
-    carries no signs: the counts read their signed rows off the runs.
+    (`regions._pair_blocks`, `regions._region_lines`).  The graph carries
+    no signs: the counts read their signed rows off the runs.
     """
     lines = _region_lines(region)
     same, east = _pair_blocks(region.runs)
     # slot 2i holds cell i's pair across its south side or cut diagonal,
     # slot 2i + 1 its pair across its east side: every pair (i, j) with
     # i < j, in sorted order
-    slots = [None] * (2 * len(region.cells))
+    slots = [None] * (2 * _run_end(region.runs[-1]))
     for i, j, n, _ in same:
         slots[2 * i : 2 * (i + n) : 2] = zip(range(i, i + n), range(j, j + n))
     for i, j, n, _ in east:
@@ -366,7 +365,7 @@ def _region_rows(region: Region) -> list[dict[int, int]]:
     starts = [line[0] for line in lines]
     blacks = sum(hi - lo for _, _, _, black, lo, hi, _ in lines if black)
     rows: list[dict] = [{} for _ in range(blacks)]
-    signs = (1, -1) * (len(region.cells) // 2 + 1)
+    signs = (1, -1) * (_run_end(region.runs[-1]) // 2 + 1)
     same, east = _pair_blocks(region.runs)
     for blocks, alternate in ((same, True), (east, False)):
         for i, j, n, x in blocks:
@@ -396,9 +395,10 @@ def _outer_ranks(region: Region, cells) -> dict[int, tuple[bool, int]]:
     lines = _region_lines(region)
     starts = [line[0] for line in lines]
     runs = region.runs
+    size = _run_end(runs[-1])
     out = {}
     for v in cells:
-        if 0 <= v < len(region.cells):
+        if 0 <= v < size:
             start, j, kind, black, lo, _, rank = lines[bisect_right(starts, v) - 1]
             x = lo + v - start
             if not all(
@@ -429,10 +429,9 @@ def deletion_counts(region: Region, deletions) -> list[int]:
     """Perfect matchings of G - S for each cell set S in `deletions`, G the
     region's dual.
 
-    SizeLimit past `VERTEX_LIMIT` cells, before a row is made; ValueError
-    when the cells are not the number the region's runs lay out;
-    OuterFaceError, a ValueError, when a cell of S is not on the outer face
-    of its component (`_outer_ranks`).  G's rows are built once
+    SizeLimit past `VERTEX_LIMIT` cells, the last run's end, before a row
+    is made; OuterFaceError, a ValueError, when a cell of S is not on the
+    outer face of its component (`_outer_ranks`).  G's rows are built once
     (`_region_rows`) and eliminated once, with the rows and the columns of
     the cells in some S as the border (`_determinant`).  When the interior
     A is square and nonsingular, G - S counts |det A| |det R[K]|, K the
@@ -443,14 +442,15 @@ def deletion_counts(region: Region, deletions) -> list[int]:
     `deletion_counts(region, [S])`: fresh rows whose border is S, so that
     A is G - S and counts 0 where it is singular or not square.
     """
-    check_size(len(region.cells))
+    size = _run_end(region.runs[-1])
+    check_size(size)
     drops = [set(drop) for drop in deletions]
     ranks = _outer_ranks(region, chain.from_iterable(drops))
     rows = _region_rows(region)
     border = {r: 1 for black, r in ranks.values() if black}
     skip = {c for black, c in ranks.values() if not black}
     det = 0
-    if len(rows) - len(border) == len(region.cells) - len(rows) - len(skip):
+    if len(rows) - len(border) == size - len(rows) - len(skip):
         det = abs(_determinant(rows, border, skip))
     if not det and ranks and len(drops) > 1:
         return [deletion_counts(region, [drop])[0] for drop in drops]

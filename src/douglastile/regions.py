@@ -23,23 +23,25 @@ line of cells comes out white.  ``check_spec`` decides all of this from
 the symbols alone, without building a cell, and ``find_region`` derives
 the one side a distance tuple allows and returns the checked spec.
 
-``build_region`` is the only producer of cells.  It makes them one
-diagonal level at a time: each level meets the region in a single run of
-cells from the SW staircase to the NE staircase, so the cells come out
-line by line from the top, west to east, with no contour to trace and
-nothing to sort.  Cells that share a side sit on one drawn level, across
-its cut diagonal, or on two consecutive levels, across a south or an east
-side, so every pair is index arithmetic on the bounds of one or two runs;
-the structure check, `matching.dual_graph` and the signed rows of
-`matching.deletion_counts` read the pairs, and whether the region is in
-one piece, off those bounds without visiting a cell.  Every line of a
-run has one kind and one colour, named by the level's symbol, so
-`structural_stats`, the lines of `_region_lines` (the vertices of
-`matching.dual_graph`, the ranks and outer-face test of the signed rows,
-the corners of `condensation.pick_corners`) and the polygons of
-`render.svg_region` are read off the runs as well, a whole run at a
-time.  A `Region` carries the symbols and runs that laid out its cells,
-so none of these readings walks the levels again.
+A region is its level runs: each level meets it in a single run of
+cells from the SW staircase to the NE staircase, so its cells lie line
+by line from the top, west to east, with no contour to trace and
+nothing to sort.  ``build_region`` checks the runs in O(levels) and
+makes no cell; `Region.cells`, not ``build_region``, is the only
+producer of cells, and only `render` reads it.  Cells that share a side
+sit on one drawn level, across its cut diagonal, or on two consecutive
+levels, across a south or an east side, so every pair is index
+arithmetic on the bounds of one or two runs; the structure check,
+`matching.dual_graph` and the signed rows of `matching.deletion_counts`
+read the pairs, and whether the region is in one piece, off those
+bounds without visiting a cell.  Every line of a run has one kind and
+one colour, named by the level's symbol, so `structural_stats`, the
+lines of `_region_lines` (the vertices of `matching.dual_graph`, the
+ranks and outer-face test of the signed rows, the corners of
+`condensation.pick_corners`) and the polygons of `render.svg_region`
+are read off the runs as well, a whole run at a time, and a region's
+cell count is its last run's end.  A `Region` carries its symbols and
+runs, so none of these readings walks the levels again.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from collections.abc import Iterator
 from enum import Enum
 from functools import partial
 from itertools import repeat
-from operator import attrgetter, is_
 
 __all__ = [
     "REASON_POSITIVE",
@@ -96,7 +97,7 @@ class NegativeExponent(ValueError):
 
 
 class InternalError(RuntimeError):
-    """A consistency check on built cells failed; valid specs never do."""
+    """A consistency check on a region's runs failed; valid specs never do."""
 
     def __init__(self, reason: str):
         super().__init__(f"internal: {reason}")
@@ -163,7 +164,7 @@ class RegionSpec(namedtuple("RegionSpec", "side distances")):
 class Cell(namedtuple("Cell", "kind color level anchor")):
     """A `CellKind` and `Color` on a diagonal level; `anchor` is an int pair.
 
-    `build_region` makes cells with `tuple.__new__`, which is all the
+    `Region.cells` makes cells with `tuple.__new__`, which is all the
     namedtuple's own `__new__` does; a subclass must not add one.
     """
 
@@ -189,13 +190,6 @@ class RegionStats(
     __slots__ = ()
 
 
-class Region(namedtuple("Region", "spec cells symbols runs")):
-    """A spec with its tuple of cells, and the line symbols and level runs
-    (`_level_runs`, as tuples) that laid the cells out."""
-
-    __slots__ = ()
-
-
 # the lines of a level, top first, as (kind, colour), by the level's symbol
 _LINES = {
     "": ((CellKind.SQUARE, Color.WHITE),),
@@ -203,6 +197,33 @@ _LINES = {
     PLUS: ((CellKind.UP, Color.BLACK), (CellKind.DOWN, Color.WHITE)),
     MINUS: ((CellKind.UP, Color.WHITE), (CellKind.DOWN, Color.BLACK)),
 }
+
+
+class Region(namedtuple("Region", "spec symbols runs")):
+    """A spec with the line symbols and level runs (`_level_runs`, as
+    tuples) that lay out its cells."""
+
+    __slots__ = ()
+
+    @property
+    def cells(self) -> tuple[Cell, ...]:
+        """The cells, line by line from the top, west to east, made anew
+        from the runs on each read.
+
+        Each line of a run is one kind and colour, `_LINES[symbol]`, over
+        the run's anchors, so its cells come from C-level iteration with no
+        Python step per cell.
+        """
+        cells: list[Cell] = []
+        new = partial(tuple.__new__, Cell)
+        for j, (symbol, (_, lo, hi, _)) in enumerate(zip(self.symbols, self.runs)):
+            n = hi - lo
+            anchors = list(zip(range(lo, hi), range(lo - j, hi - j)))
+            for kind, color in _LINES[symbol]:
+                cells += map(
+                    new, zip(repeat(kind, n), repeat(color, n), repeat(-j, n), anchors)
+                )
+        return tuple(cells)
 
 
 def _line_symbols(distances: tuple[int, ...]) -> list[str]:
@@ -290,28 +311,16 @@ def _run_end(run) -> int:
     return start + (hi - lo) * (1 + drawn)
 
 
-def _region_runs(region: Region):
-    """The line symbols and level runs that a region carries.
-
-    ValueError when the region's cells are not the number its runs lay out.
-    """
-    if _run_end(region.runs[-1]) != len(region.cells):
-        raise ValueError("cells unlike the level runs of their spec")
-    return region.symbols, region.runs
-
-
 def _region_lines(region: Region):
-    """The lines of a region's cells, top down, from its runs; ValueError
-    as `_region_runs`.
+    """The lines of a region's cells, top down, from its runs.
 
     A line is `(start, j, kind, black, lo, hi, rank)`: cells `start` up to
     `start + hi - lo`, of one kind and colour, at the anchors x from `lo`
     up to `hi` on level -j, and `rank` cells of its colour before them.
     """
-    symbols, runs = _region_runs(region)
     lines = []
     seen = [0, 0]
-    for j, (symbol, (start, lo, hi, _)) in enumerate(zip(symbols, runs)):
+    for j, (symbol, (start, lo, hi, _)) in enumerate(zip(region.symbols, region.runs)):
         for kind, color in _LINES[symbol]:
             black = color is Color.BLACK
             lines.append((start, j, kind, black, lo, hi, seen[black]))
@@ -321,30 +330,16 @@ def _region_lines(region: Region):
 
 
 def build_region(side: int, distances) -> Region:
-    """The region of a spec, its cells made one level run at a time.
+    """The region of a spec: its level runs, checked in O(levels).
 
-    Each line of a run is one kind and colour, `_LINES[symbol]`, over the
-    run's anchors, so its cells come from C-level iteration with no Python
-    step per cell.  The cells then pass `_check_cell_structure`, and the
-    region keeps the symbols and runs, so that nothing reading it walks
-    the levels again.
+    The runs pass `_check_cell_structure` and the bottom line must be
+    white; no cell is made (`Region.cells` makes them).
     """
     spec, symbols, runs = _level_runs(side, distances)
-    cells: list[Cell] = []
-    new = partial(tuple.__new__, Cell)
-    for j, (symbol, (_, lo, hi, _)) in enumerate(zip(symbols, runs)):
-        n = hi - lo
-        anchors = list(zip(range(lo, hi), range(lo - j, hi - j)))
-        for kind, color in _LINES[symbol]:
-            cells += map(
-                new, zip(repeat(kind, n), repeat(color, n), repeat(-j, n), anchors)
-            )
-    cells = tuple(cells)
-
-    _check_cell_structure(cells, runs)
-    if any(c.color is Color.BLACK for c in cells[runs[-1][0]:]):
+    _check_cell_structure(symbols, runs)
+    if any(color is Color.BLACK for _, color in _LINES[symbols[-1]]):
         raise InternalError("bottom line not white")
-    return Region(spec, cells, symbols, runs)
+    return Region(spec, symbols, runs)
 
 
 def _pair_blocks(runs):
@@ -409,32 +404,41 @@ def _connected(runs) -> bool:
     return reached == bounds[-1]
 
 
-def _check_cell_structure(cells: tuple[Cell, ...], runs) -> None:
-    """Internal sanity pass over cells laid out by `runs` (`_level_runs`).
+def _check_cell_structure(symbols, runs) -> None:
+    """Internal sanity pass over the cells that `symbols` and `runs`
+    (`_level_runs`) lay out, a line at a time.
 
     The top line must be white.  The runs must claim the cells in order,
     each once: a run that starts before the one above it ends claims a
     cell for a second level or role, so some side gets three owners, and
-    a cell claimed by no run or a run past the last cell leaves cells and
-    runs unlike.  The two cells of each pair from `_pair_blocks` must
-    differ in colour, checked block by block, and `_connected` must hold.
+    a run that starts past it or is drawn unlike its symbol's lines, or
+    symbols and runs of unequal number, leave cells and runs unlike.
+    Every line has one colour, `_LINES[symbol]`, and two lines share a
+    side, as `_pair_blocks` pairs them, only when they are consecutive;
+    those must differ in colour, and `_connected` must hold.
     """
-    top = cells[runs[0][0] : _run_end(runs[0])]
-    if any(c.color is not Color.WHITE for c in top):
+    if len(symbols) != len(runs):
+        raise InternalError("cells unlike their runs")
+    top = [color for _, color in _LINES[symbols[0]]]
+    if runs[0][1] < runs[0][2] and Color.BLACK in top:
         raise InternalError("top line not white")
     end = 0
-    for run in runs:
+    for symbol, run in zip(symbols, runs):
         if run[0] < end:
             raise InternalError("edge shared three ways")
-        if run[0] > end:
+        if run[0] > end or run[3] != (len(_LINES[symbol]) == 2):
             raise InternalError("cells unlike their runs")
         end = _run_end(run)
-    if end != len(cells):
-        raise InternalError("cells unlike their runs")
-    colors = list(map(attrgetter("color"), cells))
-    same, east = _pair_blocks(runs)
-    for i, j, n, _ in same + east:
-        if any(map(is_, colors[i : i + n], colors[j : j + n])):
+    lines = [
+        (color, lo, hi, j)
+        for j, (symbol, (_, lo, hi, _)) in enumerate(zip(symbols, runs))
+        for _, color in _LINES[symbol]
+    ]
+    for (above, a, b, i), (below, c, d, j) in zip(lines, lines[1:]):
+        # across a cut diagonal or a south side where the two lines share
+        # an anchor, and between levels across an east side as well
+        paired = max(a, c) < min(b, d) or i < j and max(a, c - 1) < min(b, d - 1)
+        if paired and above is below:
             raise InternalError("adjacent cells share a colour")
     if not _connected(runs):
         raise InternalError("region is disconnected")
@@ -464,11 +468,8 @@ def flipped(spec: RegionSpec) -> RegionSpec:
 
 
 def structural_stats(region: Region) -> RegionStats:
-    """Line and cell counts, read off the line symbols and the level runs.
-
-    ValueError when the cells are not the runs' number.
-    """
-    return _run_stats(*_region_runs(region))
+    """Line and cell counts, read off the line symbols and the level runs."""
+    return _run_stats(region.symbols, region.runs)
 
 
 def _run_stats(symbols, runs) -> RegionStats:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .regions import _CORNERS, _LINES, CellKind, Color, Region, _region_runs
+from .regions import _CORNERS, _LINES, CellKind, Color, Region
 
 __all__ = ["ascii_region", "svg_region"]
 
@@ -77,10 +77,9 @@ def svg_region(
     The view box and the polygons are read off the level runs: level -j's
     anchors are (x, x - j) for x in [lo, hi), and each line of a run is
     formatted at once from precomputed coordinate strings.  The matching
-    overlay joins cell centroids.  ValueError when the cells are not the
-    runs' number.
+    overlay joins cell centroids, from `region.cells` read once.
     """
-    symbols, runs = _region_runs(region)
+    runs = region.runs
     x0 = min(lo for _, lo, _, _ in runs)
     x1 = max(hi for _, _, hi, _ in runs)
     y0 = min(lo - j for j, (_, lo, _, _) in enumerate(runs))
@@ -100,7 +99,7 @@ def svg_region(
     # of lattice row y0 + k
     xs = [str(x * unit) for x in range(x0, x1 + 1)]
     ys = [str(-y * unit) for y in range(y0, y1 + 1)]
-    for j, (symbol, (_, lo, hi, _)) in enumerate(zip(symbols, runs)):
+    for j, (symbol, (_, lo, hi, _)) in enumerate(zip(region.symbols, runs)):
         a, b = lo - x0, hi - x0
         c, d = lo - j - y0, hi - j - y0
         for line in _LINES[symbol]:
@@ -108,9 +107,10 @@ def svg_region(
                 _POLYGONS[line], xs[a:b], xs[a + 1 : b + 1], ys[c:d], ys[c + 1 : d + 1]
             )
     if matching:
+        cells = region.cells
         for i, j in matching:
-            ax, ay = region.cells[i].center
-            bx, by = region.cells[j].center
+            ax, ay = cells[i].center
+            bx, by = cells[j].center
             parts.append(
                 f'<line x1="{_scaled(ax, unit)}" y1="{_scaled(-ay, unit)}" '
                 f'x2="{_scaled(bx, unit)}" y2="{_scaled(-by, unit)}" '

@@ -1,11 +1,10 @@
 """Reference cell builder and cell checks, by contour and by anchor lookup.
 
 A second, independent way to make a region's cells, for tests to compare
-with `regions.build_region` cell for cell: trace the region's contour and
-scan it row by row.  It derives the tiers and the forced staircase
-itself; from the package it takes only the checked spec and the symbols
-and level runs of `_level_runs`, which a `Region` carries along with its
-cells.
+with `Region.cells` cell for cell: trace the region's contour and scan it
+row by row.  It derives the tiers and the forced staircase itself; from
+the package it takes only the checked spec and the symbols and level runs
+of `_level_runs`, which are all a `Region` carries.
 
 `shared_sides` pairs any cells by looking up their anchors in two dicts,
 and `check_cell_structure` checks them with it and a breadth-first search;
@@ -42,7 +41,9 @@ def _tiers_and_drawn(distances):
     return tiers, tuple(drawn)
 
 
-def reference_region(side: int, distances) -> Region:
+def reference_region(side: int, distances) -> tuple[Region, tuple[Cell, ...]]:
+    """The spec's `Region` and, made apart from it, its cells from the
+    contour row scan."""
     spec, symbols, runs = _level_runs(side, distances)
     total = spec.total
     tiers, drawn = _tiers_and_drawn(spec.distances)
@@ -96,7 +97,7 @@ def reference_region(side: int, distances) -> Region:
         return tiers[cell.level] + (cell.kind is CellKind.DOWN)
 
     cells.sort(key=lambda c: (tier_of(c), c.anchor[0]))
-    return Region(spec, tuple(cells), symbols, runs)
+    return Region(spec, symbols, runs), tuple(cells)
 
 
 def shared_sides(cells) -> list[tuple[int, int]]:
@@ -157,7 +158,8 @@ def reference_stats(region) -> RegionStats:
     """`structural_stats` from the cells: black lines by kind, the bottom
     line's cells for the width, black squares and upper halves for the
     regular cells."""
-    lines = {(c.level, c.kind) for c in region.cells if c.color is Color.BLACK}
+    cells = region.cells
+    lines = {(c.level, c.kind) for c in cells if c.color is Color.BLACK}
     kinds = [kind for _, kind in lines]
     sq = kinds.count(CellKind.SQUARE)
     up = kinds.count(CellKind.UP)
@@ -168,10 +170,10 @@ def reference_stats(region) -> RegionStats:
         up_triangle_lines=up,
         down_triangle_lines=down,
         black_lines=sq + up + down,
-        width=sum(1 for c in region.cells if c.level == -total),
+        width=sum(1 for c in cells if c.level == -total),
         regular_cells=sum(
             1
-            for c in region.cells
+            for c in cells
             if c.color is Color.BLACK and c.kind is not CellKind.DOWN
         ),
     )
@@ -195,8 +197,9 @@ def _scaled(sixths: int, unit: int) -> str:
 def reference_svg(region, matching=None, unit: int = 24) -> str:
     """`render.svg_region` cell by cell: the view box from every anchor,
     one polygon per cell from its corners, overlay ends in exact sixths."""
-    xs = [x for x, _ in (c.anchor for c in region.cells)]
-    ys = [y for _, y in (c.anchor for c in region.cells)]
+    cells = region.cells
+    xs = [x for x, _ in (c.anchor for c in cells)]
+    ys = [y for _, y in (c.anchor for c in cells)]
     x0, x1 = min(xs), max(xs) + 1
     y0, y1 = min(ys), max(ys) + 1
     pad = unit // 2
@@ -210,7 +213,7 @@ def reference_svg(region, matching=None, unit: int = 24) -> str:
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'viewBox="{view[0]} {view[1]} {view[2]} {view[3]}">'
     ]
-    for cell in region.cells:
+    for cell in cells:
         x, y = cell.anchor
         points = " ".join(
             f"{(x + dx) * unit},{-(y + dy) * unit}" for dx, dy in _CORNERS[cell.kind]
@@ -220,8 +223,8 @@ def reference_svg(region, matching=None, unit: int = 24) -> str:
             'stroke="#888888" stroke-width="1"/>'
         )
     for i, j in matching or ():
-        ax, ay = region.cells[i].center
-        bx, by = region.cells[j].center
+        ax, ay = cells[i].center
+        bx, by = cells[j].center
         parts.append(
             f'<line x1="{_scaled(ax, unit)}" y1="{_scaled(-ay, unit)}" '
             f'x2="{_scaled(bx, unit)}" y2="{_scaled(-by, unit)}" '

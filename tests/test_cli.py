@@ -151,15 +151,72 @@ def test_count_prints_past_the_int_digit_limit(capsys):
 def test_brute_size_limit_exits_three(capsys, monkeypatch, tmp_path):
     # an Aztec dual of order n has 2n(n + 1) vertices: 160 is the last
     # order under the limit and 161 the first refused, before its dual
-    # graph is built
+    # graph is built or a cell is read; order 3,000, with 18 M cells, is
+    # refused as soon
     assert 2 * 160 * 161 <= matching.VERTEX_LIMIT < 2 * 161 * 162
     graphs = count_calls(monkeypatch, tmp_path, cli, "dual_graph")
-    code, _, err = run_cli(
-        capsys, "count", "--a", "161", "--d", "322", "--engine", "brute"
-    )
-    assert code == 3
-    assert err == "size limit: 52164 vertices exceed 52000\n"
+    refuse_cells(monkeypatch)
+    for n, cells in ((161, 52164), (3000, 18006000)):
+        code, out, err = run_cli(
+            capsys, "count", "--a", str(n), "--d", str(2 * n), "--engine", "brute"
+        )
+        assert (code, out) == (3, "")
+        assert err == f"size limit: {cells} vertices exceed 52000\n"
     assert graphs.calls() == []
+
+
+def refuse_cells(monkeypatch):
+    """Make every read of `Region.cells` raise."""
+
+    def cells(region):
+        raise AssertionError(f"cells read of {region.spec}")
+
+    monkeypatch.setattr(regions.Region, "cells", property(cells))
+
+
+def count_cell_reads(monkeypatch) -> list:
+    """A list that gains one entry per read of `Region.cells`."""
+    reads = []
+    real = regions.Region.cells
+
+    def cells(region):
+        reads.append(region.spec)
+        return real.fget(region)
+
+    monkeypatch.setattr(regions.Region, "cells", property(cells))
+    return reads
+
+
+def test_only_render_reads_cells(capsys, monkeypatch):
+    # on one CPU, so that every region is verified in this process: the
+    # engines, the stats, the Kuo blocks and the plain SVG read the level
+    # runs and no cell, and give the same bytes as when cells may be read
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    commands = [
+        ["verify", *DEEP],
+        ["verify", "--sweep", "8"],
+        *(["count", *DEEP, "--engine", e] for e in cli._ENGINES),
+        ["trace", "--d", "3,1,4,1,5,9,2,6,5,3,5", "--kuo-max", "16"],
+        ["render", *DEEP, "--format", "svg"],
+    ]
+    usual = []
+    for argv in commands:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        usual.append(strip_timings(out) if argv[0] == "verify" else out)
+    refuse_cells(monkeypatch)
+    for argv, want in zip(commands, usual):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert (strip_timings(out) if argv[0] == "verify" else out) == want, argv
+    # the ASCII picture and the matching overlay read the cells once
+    monkeypatch.undo()
+    reads = count_cell_reads(monkeypatch)
+    for extra in ([], ["--format", "svg", "--matching", "sample-by-forced-order"]):
+        reads.clear()
+        code, _, _ = run_cli(capsys, "render", *DEEP, *extra)
+        assert code == 0
+        assert reads == [RegionSpec(7, (4, 2, 5, 4))], extra
 
 
 @pytest.mark.parametrize(
@@ -378,33 +435,28 @@ def test_inexact_elimination_exits_four(capsys, monkeypatch):
 
 def test_trace_refuses_a_kuo_block_before_its_cells(capsys, monkeypatch, tmp_path):
     # the first record, the Aztec dual of order 161, is past the limit:
-    # its size is read off the level runs and its Kuo block is null with
-    # no cell made.  The next, order 160, is under it and builds its cells,
-    # which the fake stops
-    built = []
+    # its size is the last run's end and its Kuo block is null with no
+    # cell read and no row made.  The next, order 160, is under it and
+    # makes its rows, which the fake stops
+    refuse_cells(monkeypatch)
+    made = []
 
-    def build(side, distances):
-        built.append((side, tuple(distances)))
-        raise RuntimeError("cells built")
+    def rows(region):
+        made.append(region.spec)
+        raise RuntimeError("rows made")
 
-    monkeypatch.setattr(regions, "build_region", build)
+    monkeypatch.setattr(matching, "_region_rows", rows)
     code, out, err = run_cli(
         capsys, "trace", "--a", "161", "--d", "322", "--kuo-max", "400"
     )
     assert code == 4
-    assert err == "internal error: RuntimeError: cells built\n"
+    assert err == "internal error: RuntimeError: rows made\n"
     (line,) = out.splitlines()
     record = json.loads(line)
     assert record["spec"] == {"a": 161, "d": [322]}
     assert record["kuo"] is None
-    assert built == [(160, (320,))]
-    # the bound 2T(T + 1) on the cells holds on every region with T <= 12
-    # and on the first Aztec dual past the limit
-    for spec in valid_specs(12) + (RegionSpec(161, (322,)),):
-        runs = regions._level_runs(*spec)[2]
-        assert regions._run_end(runs[-1]) <= 2 * spec.total * (spec.total + 1)
-    # a block whose total bounds it under the limit reads no runs for its
-    # size: the only size check is the count's own
+    assert made == [RegionSpec(160, (320,))]
+    # every block's only size check is the count's own
     monkeypatch.undo()
     sizes = count_calls(monkeypatch, tmp_path, matching, "check_size")
     code, out, _ = run_cli(
@@ -861,8 +913,8 @@ def test_side_is_derived_through_find_region(capsys, monkeypatch):
 
 def test_derived_side_builds_the_cells_once(capsys, monkeypatch, tmp_path):
     # deriving the side builds nothing: the engines on the distance tuple
-    # build no cells, and a command that needs cells builds its region
-    # once, verify too, since `stats_deltas` reads the sub-regions' stats
+    # build no region, and a command that needs one builds it once,
+    # verify too, since `stats_deltas` reads the sub-regions' stats
     # off their level runs; a sweep builds each valid region once, in
     # whichever worker verifies it
     built = count_calls(monkeypatch, tmp_path, regions, "build_region")

@@ -31,8 +31,6 @@ from douglastile.condensation import (
 )
 from douglastile.matching import count_matchings, dual_graph
 from douglastile.regions import (
-    Cell,
-    CellKind,
     Color,
     Region,
     RegionSpec,
@@ -359,8 +357,7 @@ def test_pick_corners_on_duals():
 
 def test_pick_corners_needs_both_classes():
     # a region of one black square, hand-built: no spec lays it out
-    black = Cell(CellKind.SQUARE, Color.BLACK, 0, (0, 0))
-    lonely = Region(RegionSpec(1, (1,)), (black,), ("0",), ((0, 0, 1, False),))
+    lonely = Region(RegionSpec(1, (1,)), ("0",), ((0, 0, 1, False),))
     with pytest.raises(CornersNotFound, match="a colour class is empty"):
         pick_corners(lonely)
 

@@ -51,7 +51,6 @@ from douglastile.matching import (
     perfect_matching,
 )
 from douglastile.regions import (
-    Cell,
     CellKind,
     Color,
     Region,
@@ -161,11 +160,7 @@ def _squares(*cells):
     # runs that no spec lays out, whose rows need not be square
     runs = tuple((j, x, x + 1, False) for j, (_, _, x) in enumerate(cells))
     symbols = tuple("0" if color is Color.BLACK else "" for color, _, _ in cells)
-    made = tuple(
-        Cell(CellKind.SQUARE, color, level, (x, x + level))
-        for color, level, x in cells
-    )
-    return Region(RegionSpec(1, (1,)), made, symbols, runs)
+    return Region(RegionSpec(1, (1,)), symbols, runs)
 
 
 def _outer_cells(region):
@@ -225,27 +220,16 @@ def test_region_count_with_unequal_colour_classes_is_zero():
 def _uneven():
     # two white squares over one black: white 0 and the black share a
     # side, white 1 touches neither, and every cell is on the outer face
-    cells = (
-        Cell(CellKind.SQUARE, Color.WHITE, 0, (0, 0)),
-        Cell(CellKind.SQUARE, Color.WHITE, 0, (1, 0)),
-        Cell(CellKind.SQUARE, Color.BLACK, -1, (0, -1)),
-    )
     runs = ((0, 0, 2, False), (2, 0, 1, False))
-    return Region(RegionSpec(1, (1,)), cells, ("", "0"), runs)
+    return Region(RegionSpec(1, (1,)), ("", "0"), runs)
 
 
 def _singular_interior():
     # two white squares over two black ones, each white over the black at
     # its anchor: white 0 touches both blacks, white 1 only black 3; less
     # white 0 and black 3, the border, white 1 and black 2 touch nothing
-    cells = (
-        Cell(CellKind.SQUARE, Color.WHITE, 0, (0, 0)),
-        Cell(CellKind.SQUARE, Color.WHITE, 0, (1, 1)),
-        Cell(CellKind.SQUARE, Color.BLACK, -1, (0, -1)),
-        Cell(CellKind.SQUARE, Color.BLACK, -1, (1, 0)),
-    )
     runs = ((0, 0, 2, False), (2, 0, 2, False))
-    return Region(RegionSpec(1, (1,)), cells, ("", "0"), runs)
+    return Region(RegionSpec(1, (1,)), ("", "0"), runs)
 
 
 def test_deletions_can_balance_unequal_colour_classes():

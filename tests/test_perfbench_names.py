@@ -47,6 +47,24 @@ def test_traced_names_resolve():
     assert missing == []
 
 
+def test_size_readers_read_real_outputs():
+    # the tracer reads a size that raises AttributeError as 0, so a reader
+    # that no longer fits its function's output would show nothing
+    regions = importlib.import_module(f"{inproc.PACKAGE}.regions")
+    matching = importlib.import_module(f"{inproc.PACKAGE}.matching")
+    render = importlib.import_module(f"{inproc.PACKAGE}.render")
+    region = regions.build_region(7, (4, 2, 5, 4))
+    outputs = {
+        "regions.build_region": region,
+        "matching.dual_graph": matching.dual_graph(region),
+        "render.svg_region": render.svg_region(region),
+    }
+    assert set(outputs) == set(inproc.SIZES)
+    for name, read in inproc.SIZES.items():
+        size = read(outputs[name])
+        assert type(size) is int and size > 0, name
+
+
 def _reaches_find_region(argv) -> bool:
     # `verify --sweep` derives each side, and so does a `--d` with no side
     if argv[0] == "verify" and "--sweep" in argv:

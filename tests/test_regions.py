@@ -18,8 +18,7 @@ from reference_cells import (
     reference_vertices,
     shared_sides,
 )
-from douglastile.condensation import pick_corners
-from douglastile.matching import count_matchings, dual_graph
+from douglastile.matching import dual_graph
 from douglastile.regions import (
     REASON_CORNERS,
     REASON_CROSSING,
@@ -29,11 +28,13 @@ from douglastile.regions import (
     CellKind,
     Color,
     InternalError,
+    Region,
     RegionSpec,
     SpecInvalid,
     _check_cell_structure,
     _level_runs,
     _pair_blocks,
+    _run_end,
     build_region,
     check_spec,
     compositions,
@@ -234,20 +235,20 @@ def test_line_count_lemmas_full_sweep():
 
 def test_cell_structure_sweep():
     for spec in valid_specs(10):
-        region = build_region(spec.side, spec.distances)
-        blacks = sum(1 for c in region.cells if c.color is Color.BLACK)
-        whites = sum(1 for c in region.cells if c.color is Color.WHITE)
+        cells = build_region(spec.side, spec.distances).cells
+        blacks = sum(1 for c in cells if c.color is Color.BLACK)
+        whites = sum(1 for c in cells if c.color is Color.WHITE)
         assert blacks == whites
         # the bottom line runs from the west corner to the east corner
-        bottom = [c for c in region.cells if c.level == -spec.total]
+        bottom = [c for c in cells if c.level == -spec.total]
         assert len(bottom) == spec.width
         # bottom line is all white, top line all white
-        for cell in region.cells:
+        for cell in cells:
             if cell.level in (0, -spec.total):
                 assert cell.color is Color.WHITE
         # drawn levels carry triangle pairs, others squares
         drawn = {-run for run in accumulate(spec.distances[:-1])}
-        for cell in region.cells:
+        for cell in cells:
             if cell.level in drawn:
                 assert cell.kind in (CellKind.UP, CellKind.DOWN)
             else:
@@ -306,29 +307,34 @@ def test_spec_json_round_trip():
 
 def test_region_json_payload():
     region = build_region(2, (1, 2, 1))
-    assert region._fields == ("spec", "cells", "symbols", "runs")
+    assert region._fields == ("spec", "symbols", "runs")
     assert region.spec == RegionSpec(2, (1, 2, 1))
-    assert (region.spec, region.symbols, region.runs) == _level_runs(2, (1, 2, 1))
+    assert tuple(region) == _level_runs(2, (1, 2, 1))
     assert hash(region) == hash(build_region(2, (1, 2, 1)))
-    assert {c.level for c in region.cells if c.kind is CellKind.UP} == {-1, -3}
-    assert {c.kind for c in region.cells} == set(CellKind)
+    # the cells are made from the runs anew on each read
+    cells = region.cells
+    assert cells == region.cells and cells is not region.cells
+    assert {c.level for c in cells if c.kind is CellKind.UP} == {-1, -3}
+    assert {c.kind for c in cells} == set(CellKind)
     stats = structural_stats(region)
     assert stats.regular_cells == 7
     assert stats.width == 2
-    assert len(region.cells) == 20
+    assert len(cells) == _run_end(region.runs[-1]) == 20
 
 
 def test_build_region_matches_reference():
-    # the per-level builder and the contour row scan give equal regions:
-    # the same spec and the same cells in the same order
+    # the cells made from the level runs and the contour row scan are the
+    # same cells in the same order
     aztec = [(n, (2 * n,)) for n in (32, 64)]
     staircases = [(1, (1,) * (k - 1) + (2,)) for k in (40, 80)]
     specs = [(s.side, s.distances) for s in valid_specs(12)]
     specs += aztec + staircases
     assert len(specs) == 2051
     for side, distances in specs:
-        expected = reference_region(side, distances)
-        assert build_region(side, distances) == expected
+        region, cells = reference_region(side, distances)
+        built = build_region(side, distances)
+        assert built == region
+        assert built.cells == cells
 
 
 def test_run_readings_match_the_cell_walks():
@@ -371,79 +377,70 @@ def test_shared_sides_pairs():
     assert sum(middle in pair for pair in pairs) == 4
 
 
-# cells with their level runs `(start, lo, hi, drawn)`, one run per level
-# from the top; a run that starts inside the run above claims one of its
-# cells a second time, as two squares or a square and an upper half
+def _cells(symbols, runs):
+    # the cells that the symbols and runs lay out; the spec plays no part
+    return Region(RegionSpec(1, (1,)), tuple(symbols), tuple(runs)).cells
+
+
+# line symbols with their level runs `(start, lo, hi, drawn)`, one run per
+# level from the top; a run that starts inside the run above claims one of
+# its cells a second time, as two squares or a square and an upper half
 @pytest.mark.parametrize(
-    "cells,runs,reason",
+    "symbols,runs,reason",
     [
-        ((_square(B, 0, 0),), [(0, 0, 1, False)], "top line not white"),
+        (("0",), [(0, 0, 1, False)], "top line not white"),
         (
-            (_square(W, 0, 0), _square(W, 1, 0)),
+            ("", ""),
             [(0, 0, 1, False), (1, 1, 2, False)],
             "adjacent cells share a colour",
         ),
         (
-            (_square(W, 0, 0), _square(B, 2, 0)),
+            ("", "", "0"),
             [(0, 0, 1, False), (1, 1, 1, False), (1, 2, 3, False)],
             "region is disconnected",
         ),
         (
-            (_square(W, 0, 0), _square(B, 1, 0)),
+            ("", "0"),
             [(0, 0, 1, False), (0, 1, 2, False)],
             "edge shared three ways",
         ),
         (
-            (
-                _square(W, 0, 0),
-                Cell(CellKind.UP, B, -1, (1, 0)),
-                Cell(CellKind.DOWN, W, -1, (1, 0)),
-            ),
+            ("", "+"),
             [(0, 0, 1, False), (0, 1, 2, True)],
             "edge shared three ways",
         ),
     ],
     ids=["top-line", "colour", "disconnected", "two-squares", "square-and-up"],
 )
-def test_cell_structure_faults(cells, runs, reason):
+def test_cell_structure_faults(symbols, runs, reason):
     with pytest.raises(InternalError) as err:
-        _check_cell_structure(cells, runs)
+        _check_cell_structure(symbols, runs)
     assert err.value.reason == reason
     assert str(err.value) == f"internal: {reason}"
 
 
 def test_cell_structure_refuses_cells_unlike_their_runs():
-    cells = (_square(W, 0, 0), _square(B, 1, 0))
-    for runs in (
-        [(0, 0, 1, False)],  # a cell past the last run
-        [(0, 0, 1, False), (1, 1, 3, False)],  # a run past the last cell
-        [(0, 0, 1, False), (2, 1, 2, False)],  # a cell between two runs
+    for symbols, runs in (
+        (("", "0"), [(0, 0, 1, False)]),  # a level past the last run
+        (("",), [(0, 0, 1, False), (1, 1, 2, False)]),  # a run past the last level
+        (("", "0"), [(0, 0, 1, False), (2, 1, 2, False)]),  # a cell between two runs
+        (("", "+"), [(0, 0, 1, False), (1, 1, 2, False)]),  # halves on a square run
+        (("", "0"), [(0, 0, 1, False), (1, 1, 2, True)]),  # a square on a drawn run
     ):
         with pytest.raises(InternalError) as err:
-            _check_cell_structure(cells, runs)
+            _check_cell_structure(symbols, runs)
         assert err.value.reason == "cells unlike their runs"
-    region = build_region(2, (2, 1))
-    for cells in (region.cells[:-1], region.cells + region.cells[:1]):
-        for read in (
-            dual_graph,
-            structural_stats,
-            svg_region,
-            count_matchings,
-            pick_corners,
-        ):
-            with pytest.raises(ValueError, match="cells unlike the level runs"):
-                read(region._replace(cells=cells))
 
 
 def test_a_level_without_cells_breaks_the_region():
     # the runs of a region meet every level; an empty run at either end,
     # where the cells may still be in one piece, is refused as well
-    for cells, runs in (
-        ((_square(W, 0, -1),), [(0, 0, 0, False), (0, 0, 1, False)]),
-        ((_square(W, 0, 0),), [(0, 0, 1, False), (1, 1, 1, False)]),
+    for runs in (
+        [(0, 0, 0, False), (0, 0, 1, False)],
+        [(0, 0, 1, False), (1, 1, 1, False)],
     ):
         with pytest.raises(InternalError) as err:
-            _check_cell_structure(cells, runs)
+            _check_cell_structure(("", ""), runs)
         assert err.value.reason == "region is disconnected"
 
 
@@ -455,27 +452,27 @@ def _verdict(check, *args):
     return None
 
 
-def _without_level(cells, runs, m):
-    # the cells and runs with level -m's run emptied in place
+def _without_level(runs, m):
+    # the runs with level -m's run emptied in place
     start, lo, hi, drawn = runs[m]
     size = (hi - lo) * (1 + drawn)
     later = [(s - size, a, b, d) for s, a, b, d in runs[m + 1 :]]
-    return (
-        cells[:start] + cells[start + size :],
-        [*runs[:m], (start, lo, lo, drawn), *later],
-    )
+    return (*runs[:m], (start, lo, lo, drawn), *later)
 
 
-def _recoloured(cells, k):
-    cell = cells[k]
-    color = W if cell.color is B else B
-    return cells[:k] + (cell._replace(color=color),) + cells[k + 1 :]
+# every line of a level in the other colour
+_RECOLOURED = {"": "0", "0": "", "+": "-", "-": "+"}
+
+
+def _recoloured(symbols, m):
+    return (*symbols[:m], _RECOLOURED[symbols[m]], *symbols[m + 1 :])
 
 
 def test_run_pairing_matches_the_anchor_lookup():
     # the pairs from run arithmetic are the anchor-dict pairs, and the
-    # structure check from run bounds gives the dict-and-search verdict,
-    # on the regions and on copies with a level emptied or a cell recoloured
+    # structure check from run bounds and line colours gives the
+    # dict-and-search verdict on the cells, on the regions and on copies
+    # with a level emptied or a level recoloured
     d24 = (3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5)
     specs = list(valid_specs(12))
     specs += [RegionSpec(n, (2 * n,)) for n in range(1, 21)]
@@ -484,16 +481,16 @@ def test_run_pairing_matches_the_anchor_lookup():
     verdicts = Counter()
     for spec in specs:
         region = build_region(*spec)
-        cells, runs = region.cells, _level_runs(*spec)[2]
-        assert dual_graph(region).edges == tuple(sorted(shared_sides(cells)))
-        inputs = [(cells, runs)]
+        symbols, runs = region.symbols, region.runs
+        assert dual_graph(region).edges == tuple(sorted(shared_sides(region.cells)))
+        inputs = [(symbols, runs)]
         if len(runs) > 2:
-            inputs.append(_without_level(cells, runs, len(runs) // 2))
-        for k in (0, len(cells) // 2, len(cells) - 1):
-            inputs.append((_recoloured(cells, k), runs))
-        for cells, runs in inputs:
-            verdict = _verdict(_check_cell_structure, cells, runs)
-            assert verdict == _verdict(check_cell_structure, cells)
+            inputs.append((symbols, _without_level(runs, len(runs) // 2)))
+        for m in (0, len(runs) // 2, len(runs) - 1):
+            inputs.append((_recoloured(symbols, m), runs))
+        for symbols, runs in inputs:
+            verdict = _verdict(_check_cell_structure, symbols, runs)
+            assert verdict == _verdict(check_cell_structure, _cells(symbols, runs))
             verdicts[verdict] += 1
     assert len(specs) == 2069
     assert verdicts == {
@@ -504,19 +501,20 @@ def test_run_pairing_matches_the_anchor_lookup():
     }
 
 
-def _cells_of_runs(bounds, drawn):
-    # the cells of the given level runs, each line one tier down from the
-    # last and coloured by its tier's parity, so that sides pair unlike
-    # colours; returns the cells and their runs
-    cells, runs, tier = [], [], 0
-    for j, ((lo, hi), cut) in enumerate(zip(bounds, drawn)):
-        runs.append((len(cells), lo, hi, cut))
-        kinds = (CellKind.UP, CellKind.DOWN) if cut else (CellKind.SQUARE,)
-        for kind in kinds:
-            color = B if tier % 2 else W
-            cells += [Cell(kind, color, -j, (x, x - j)) for x in range(lo, hi)]
-            tier += 1
-    return tuple(cells), runs
+def _symbols_of_runs(bounds, drawn):
+    # the line symbols and level runs of the given bounds, each line one
+    # tier down from the last and coloured by its tier's parity, so that
+    # sides pair unlike colours
+    symbols, runs, start, tier = [], [], 0, 0
+    for (lo, hi), cut in zip(bounds, drawn):
+        runs.append((start, lo, hi, cut))
+        start += (hi - lo) * (1 + cut)
+        if cut:
+            symbols.append("+" if tier % 2 else "-")
+        else:
+            symbols.append("0" if tier % 2 else "")
+        tier += 1 + cut
+    return symbols, runs
 
 
 @given(
@@ -536,12 +534,13 @@ def test_run_arithmetic_on_any_runs(levels):
     starts = accumulate(shift for shift, _, _ in levels)
     bounds = [(lo, lo + n) for lo, (_, n, _) in zip(starts, levels)]
     drawn = [False] + [cut for _, _, cut in levels[1:]]
-    cells, runs = _cells_of_runs(bounds, drawn)
+    symbols, runs = _symbols_of_runs(bounds, drawn)
+    cells = _cells(symbols, runs)
     same, east = _pair_blocks(runs)
     pairs = [
         (i + k, j + k) for i, j, n, _ in same + east for k in range(n)
     ]
     assert sorted(pairs) == sorted(shared_sides(cells))
-    verdict = _verdict(_check_cell_structure, cells, runs)
+    verdict = _verdict(_check_cell_structure, symbols, runs)
     assert verdict == _verdict(check_cell_structure, cells)
     assert verdict in (None, "region is disconnected")
