@@ -5,8 +5,9 @@ spec is malformed or does not describe a region, a `--spec` file cannot
 be read or parsed or comes with `--a` or `--d`, `--sweep` comes with
 `--a`, `--d` or `--spec` or is below 1, an `--out` file cannot be
 written or `--matching` lacks `--format svg`, 3 an exact
-computation, or a `--sweep` total past `SWEEP_LIMIT`, was refused for
-size (a `trace` Kuo block past the size limit is null instead), 4 an
+computation, a `--sweep` total past `SWEEP_LIMIT`, or a `render` of a
+region past `render.CELL_LIMIT` cells, was refused for size (a `trace`
+Kuo block past the size limit is null instead), 4 an
 internal consistency check failed or any other exception escaped (a
 bug, not a property of the input), with one `internal error:` line, 141
 the reader closed stdout early (128 + SIGPIPE, as a shell reports a
@@ -31,7 +32,7 @@ from . import __version__, condensation, regions, shuffle
 from .condensation import condensation_count, stats_deltas
 from .matching import SizeLimit, count_matchings, dual_graph, perfect_matching
 from .regions import InternalError, RegionSpec, SpecInvalid
-from .render import ascii_region, svg_region
+from .render import CELL_LIMIT, ascii_region, svg_region
 
 __all__ = [
     "SWEEP_LIMIT",
@@ -416,6 +417,10 @@ def cmd_render(args) -> int:
         print("--matching needs --format svg", file=sys.stderr)
         return 2
     region = regions.build_region(*_resolve(args))
+    # the last run's end is the cell count: no cell is made to refuse
+    cells = regions._run_end(region.runs[-1])
+    if cells > CELL_LIMIT:
+        raise SizeLimit(f"{cells} cells exceed {CELL_LIMIT}")
     if args.format == "ascii":
         text = ascii_region(region)
     else:
@@ -467,7 +472,6 @@ def _failure(exc: Exception) -> tuple[int, str | None]:
         return 4, f"internal error: {getattr(exc, 'reason', str(exc))}"
     if isinstance(exc, BrokenPipeError):
         return 141, None
-    # anything else escaping an engine is a bug as well, the elimination's
-    # ArithmeticError on an inexact division included
+    # anything else escaping an engine is a bug as well
     reason = " ".join(f"{type(exc).__name__}: {exc}".split())
     return 4, f"internal error: {reason}"

@@ -8,11 +8,11 @@ method", 1998).  The edges carry signs under which every face walk of
 length 2k but each component's outer walk has k + 1 negative edges mod 2;
 then every perfect matching enters the determinant of the signed black x
 white matrix with the same sign, and the determinant is one sparse exact
-elimination.  Each column's pivot is a row with a unit entry (+1 or -1)
-there when one has it; a unit pivot scales no row up, so |det| is then
-exactly the product of the row contents divided out.  The entries still
-grow, to 99 bits on the Aztec diamond dual of order 64, and that dual of
-order 160 (51,520 vertices) counts in about 10 s.
+elimination.  Each column pivots on a row whose entry there is +1 or -1
+when one has it, as on region rows it always has, and else on the gcd
+that Euclid's algorithm down the column leaves (`_determinant`); no step
+scales a row up, so nothing is divided at the end.  The dual of the
+Aztec diamond of order 160 (51,520 vertices) counts in about 10 s.
 
 `_region_rows` reads the signed rows straight off the region's level
 runs, under the parity rule that Kasteleyn gave the square grid, with no
@@ -48,7 +48,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import namedtuple
 from itertools import chain, repeat
-from math import gcd, prod
+from math import gcd
 
 from .regions import _CORNERS, _SIXTHS, Region, _pair_blocks, _region_lines, _run_end
 
@@ -174,99 +174,93 @@ def _ends(graph: MatchGraph):
     return black, ends
 
 
-def _permutation_sign(perm: list[int]) -> int:
-    sign = 1
-    seen = bytearray(len(perm))
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        i = start
-        length = 0
-        while not seen[i]:
-            seen[i] = 1
-            i = perm[i]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+def _gcd_pivot(rows, col_rows, c: int, inner: list[int]) -> int:
+    """The row of `inner` to pivot on in column c, which none holds as a
+    unit: Euclid's algorithm down the column, each round subtracting from
+    every other row the multiple of the row with the least entry that
+    leaves the remainder, until one row alone holds c, with the gcd.  A
+    row less a multiple of another leaves the determinant as it is."""
+    while len(inner) > 1:
+        p = min(inner, key=lambda r: (abs(rows[r][c]), r))
+        prow = rows[p]
+        for r in inner:
+            if r == p:
+                continue
+            row = rows[r]
+            q = row[c] // prow[c]
+            for k, v in prow.items():
+                w = row.get(k, 0) - q * v
+                if w:
+                    row[k] = w
+                    col_rows[k].add(r)
+                elif k in row:
+                    del row[k]
+                    col_rows[k].discard(r)
+        inner = [r for r in inner if c in rows[r]]
+    return inner[0]
 
 
-def _determinant(rows: list[dict[int, int]], border=None, skip=()) -> int:
-    """Exact determinant of a sparse square integer matrix, rows as dicts.
+def _determinant(rows: list[dict[int, int]], border=(), skip=()) -> int:
+    """|det| of a sparse square integer matrix, rows as dicts.
 
-    Fraction-free elimination, column by column.  The pivot is the first
-    remaining row whose entry in the column is +1 or -1, or the first
-    row with a nonzero entry when no entry there is a unit.  Every other
-    such row r becomes a*r - b*pivot: a unit pivot gives a = 1 and
-    b = r's entry times the pivot, otherwise a, b are the pivot and r
-    entries over their gcd.  The content of the new row is divided out.
-    The scalings are undone by one exact division at the end.  A unit
-    pivot scales no row up, so under unit pivots |det| is exactly the
-    product of the row contents divided out.  The entries still grow: on
-    region rows, which start at +1 and -1, they reach 99 bits on the
-    Aztec diamond dual of order 64 and 135 bits on the region of distances
-    (3,1,4,1,5,9,2,6,5,3,5) times 4.
+    Column by column, the pivot is the first remaining row whose entry in
+    the column is +1 or -1, and every other such row r becomes r - b *
+    pivot, b = r's entry times the pivot's.  No row is scaled up, so |det|
+    is exactly the product of the row contents divided out.  A column that
+    no row holds as a unit pivots on the row of `_gcd_pivot`, whose steps
+    leave the determinant as it is.  Region rows, and a Kuo block's, have
+    never been seen to need it, and the tests pin that up to total 12 and
+    Aztec order 32; why is not proved.  What is proved: a row whose least
+    column is c is no candidate before c, so no earlier pivot touches it
+    and it still holds its own +-1 there.  In line order, a black cell
+    whose first white neighbour is the column's cell is such a row; that
+    covers most columns, not all.  G - S in general does need it: deleting
+    one domino on the rim of the Aztec diamond of order n leaves a column
+    without a unit for 8n - 9 of its 8n choices.
 
-    A border stands where it is: `border` maps each border row to its
-    scaling, 1 on entry, and `skip` is the set of border columns.  Every
-    other column is eliminated, in order, and only the other rows, the
-    interior A, pivot; A must be square.  A border row is reduced like the
-    others, but its content is never divided out, and each factor a that
-    scales it multiplies its scaling instead of the end division.  The
-    result is then det A, each pivot row is None, and border row r holds
-    border[r] times row r of the Schur complement D - C A^-1 B in the
+    A border stands where it is: `border` is a set of rows and `skip` the
+    set of border columns.  Every other column is eliminated, in order,
+    and only the other rows, the interior A, pivot; A must be square.  A
+    border row is reduced like the others, but its content is never
+    divided out.  The result is then |det A|, each pivot row is None, and
+    border row r holds row r of the Schur complement D - C A^-1 B in the
     `skip` columns (B, C and D are A's rows there, the border rows in A's
-    columns, and the border's own block).  0 means that A is singular,
-    and then the border rows are left half reduced.
-
-    The result carries the sign of the pivot order, read off the ranks of
-    the pivot rows, so it is the determinant itself: a weighted sum over
-    matchings, whose value may be negative, needs it.
+    columns, and the border's own block).  0 means that A is singular, or
+    that a pivot that is not a unit met a border row, which no integer
+    multiple of it reduces; the border rows are then left half reduced.
     """
-    if border is None:
-        border = {}
     col_rows = [set() for _ in range(len(rows) - len(border) + len(skip))]
     for r, row in enumerate(rows):
         for c in row:
             col_rows[c].add(r)
-    product = scaled_up = scaled_down = 1
-    pivots = []
+    det = 1
     for c, cand in enumerate(col_rows):
         if c in skip:
             continue
-        # a column that no interior row holds makes A singular
-        if not cand:
-            return 0
-        p = min(cand)
-        if p in border or rows[p][c] not in (1, -1):
+        p = min(cand, default=None)
+        if p is None or p in border or rows[p][c] not in (1, -1):
             inner = [r for r in cand if r not in border]
+            # a column that no interior row holds makes A singular
             if not inner:
                 return 0
             units = [r for r in inner if rows[r][c] in (1, -1)]
-            p = min(units or inner)
-        pivots.append(p)
+            if units:
+                p = min(units)
+            else:
+                p = _gcd_pivot(rows, col_rows, c, inner)
+                if rows[p][c] not in (1, -1):
+                    # no other interior row holds the column now
+                    if len(cand) > 1:
+                        return 0
+                    det *= abs(rows[p][c])
         prow = rows[p]
         rows[p] = None
         for k in prow:
             col_rows[k].discard(p)
         pv = prow.pop(c)
-        product *= pv
-        unit = pv == 1 or pv == -1
         for r in cand:
             row = rows[r]
-            rv = row.pop(c)
-            if unit:
-                a, b = 1, rv * pv
-            else:
-                g = gcd(pv, rv)
-                a, b = pv // g, rv // g
-            if a != 1:
-                if r in border:
-                    border[r] *= a
-                else:
-                    scaled_up *= a
-                for k in row:
-                    row[k] *= a
+            b = row.pop(c) * pv
             for k, v in prow.items():
                 w = row.get(k)
                 if w is None:
@@ -285,16 +279,11 @@ def _determinant(rows: list[dict[int, int]], border=None, skip=()) -> int:
                 return 0
             content = gcd(*row.values())
             if content != 1:
-                scaled_down *= content
+                det *= content
                 for k in row:
                     row[k] //= content
         cand.clear()
-    det, remainder = divmod(product * scaled_down, scaled_up)
-    if remainder:
-        raise ArithmeticError("fraction-free elimination did not divide")
-    # the columns sorted by their pivot rows: the inverse of the
-    # permutation that takes each column to its pivot row's rank
-    return _permutation_sign(sorted(range(len(pivots)), key=pivots.__getitem__)) * det
+    return det
 
 
 def _reference_matching(keys, n: int) -> list[int] | None:
@@ -414,15 +403,11 @@ def _outer_ranks(region: Region, cells) -> dict[int, tuple[bool, int]]:
 
 
 def _kept_minor(block: list[list[int]]) -> int:
-    """Determinant of a small dense block: its terms up to 2 x 2, past that
-    `_determinant`."""
-    k = len(block)
-    if k > 2:
-        return _determinant([{j: v for j, v in enumerate(row) if v} for row in block])
-    if k == 2:
+    """Determinant of a kept block of at most 2 x 2."""
+    if len(block) == 2:
         (a, b), (c, d) = block
         return a * d - b * c
-    return block[0][0] if k else 1
+    return block[0][0] if block else 1
 
 
 def deletion_counts(region: Region, deletions) -> list[int]:
@@ -436,22 +421,27 @@ def deletion_counts(region: Region, deletions) -> list[int]:
     the cells in some S as the border (`_determinant`).  When the interior
     A is square and nonsingular, G - S counts |det A| |det R[K]|, K the
     block of the Schur complement R that S does not delete, read off the
-    border rows and divided exactly by their scalings, which are 1 under
-    unit pivots; a K with fewer rows than columns, or more, counts 0.
-    When A is singular or not square, each S is counted alone, as
-    `deletion_counts(region, [S])`: fresh rows whose border is S, so that
-    A is G - S and counts 0 where it is singular or not square.
+    border rows; a K with fewer rows than columns, or more, counts 0.
+    When A is singular or not square, or a pivot that is not a unit met a
+    border row, each S is counted alone, as `deletion_counts(region, [S])`,
+    and so is an S whose K is larger than 2 x 2: fresh rows whose border
+    is S, emptied as no block of it is kept, so that A is G - S.
     """
     size = _run_end(region.runs[-1])
     check_size(size)
     drops = [set(drop) for drop in deletions]
-    ranks = _outer_ranks(region, chain.from_iterable(drops))
+    # S empty ranks no cell, so it walks no lines for the outer test
+    ranks = _outer_ranks(region, chain.from_iterable(drops)) if any(drops) else {}
     rows = _region_rows(region)
-    border = {r: 1 for black, r in ranks.values() if black}
+    border = {r for black, r in ranks.values() if black}
     skip = {c for black, c in ranks.values() if not black}
+    if len(drops) == 1:
+        # nothing reads them, so none is reduced or met by a pivot
+        for r in border:
+            rows[r].clear()
     det = 0
     if len(rows) - len(border) == size - len(rows) - len(skip):
-        det = abs(_determinant(rows, border, skip))
+        det = _determinant(rows, border, skip)
     if not det and ranks and len(drops) > 1:
         return [deletion_counts(region, [drop])[0] for drop in drops]
     counts = []
@@ -461,14 +451,11 @@ def deletion_counts(region: Region, deletions) -> list[int]:
         cols = [c for c in skip if (False, c) not in gone]
         if len(keep) != len(cols):
             counts.append(0)
-            continue
-        block = [[rows[r].get(c, 0) for c in cols] for r in keep]
-        count, remainder = divmod(
-            det * abs(_kept_minor(block)), abs(prod(border[r] for r in keep))
-        )
-        if remainder:
-            raise ArithmeticError("fraction-free elimination did not divide")
-        counts.append(count)
+        elif len(keep) > 2:
+            counts.append(deletion_counts(region, [drop])[0])
+        else:
+            block = [[rows[r].get(c, 0) for c in cols] for r in keep]
+            counts.append(det * abs(_kept_minor(block)))
     return counts
 
 

@@ -13,6 +13,7 @@ import pytest
 from conftest import valid_specs
 from douglastile import cli, condensation, matching, regions, shuffle
 from douglastile.cli import main
+from douglastile.render import CELL_LIMIT
 from douglastile.regions import Color, RegionSpec
 
 DEEP = ["--a", "7", "--d", "4,2,5,4"]
@@ -163,6 +164,43 @@ def test_brute_size_limit_exits_three(capsys, monkeypatch, tmp_path):
         assert (code, out) == (3, "")
         assert err == f"size limit: {cells} vertices exceed 52000\n"
     assert graphs.calls() == []
+
+
+def test_render_size_limit_exits_three(capsys, monkeypatch):
+    # a region's cell count is its last run's end: past `CELL_LIMIT`
+    # every format is refused before a cell is read, a polygon made or an
+    # overlay found.  The Aztec diamond of order 499 is the last under the
+    # limit, and the 200-layer staircase, the largest region that
+    # perfbench or scripts/draw_figures.py draws, is far under it
+    assert 2 * 499 * 500 <= CELL_LIMIT < 2 * 500 * 501
+    staircase = regions.build_region(1, (1,) * 199 + (2,))
+    assert regions._run_end(staircase.runs[-1]) == 40600 <= CELL_LIMIT
+    refuse_cells(monkeypatch)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("drawn past the limit")
+
+    for name in ("ascii_region", "svg_region", "dual_graph"):
+        monkeypatch.setattr(cli, name, refuse)
+    formats = (
+        ["--format", "ascii"],
+        ["--format", "svg"],
+        ["--format", "svg", "--matching", "sample-by-forced-order"],
+    )
+    for n, cells in ((500, 501000), (3000, 18006000)):
+        for extra in formats:
+            code, out, err = run_cli(
+                capsys, "render", "--a", str(n), "--d", str(2 * n), *extra
+            )
+            assert (code, out) == (3, ""), extra
+            assert err == f"size limit: {cells} cells exceed 500000\n"
+    # the limit is on the count itself: 40 cells pass a limit of 40
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "CELL_LIMIT", 40)
+    code, out, _ = run_cli(capsys, "render", "--a", "4", "--d", "8")
+    assert (code, len(out.split())) == (0, 8)
+    code, _, err = run_cli(capsys, "render", "--a", "5", "--d", "10")
+    assert (code, err) == (3, "size limit: 60 cells exceed 40\n")
 
 
 def refuse_cells(monkeypatch):
@@ -394,43 +432,30 @@ def test_verify_surfaces_a_fault_inside_stats_deltas(capsys, monkeypatch):
     assert err == "internal error: ValueError: injected\n"
 
 
-def test_inexact_elimination_exits_four(capsys, monkeypatch):
-    # the exact-division guards of the determinant and of a Kuo block's
-    # residual minors are no input's fault
-    real = matching._determinant
+def test_elimination_fault_exits_four(capsys, monkeypatch):
+    # a fault inside the elimination is no input's fault: rows with an
+    # entry in a column past the last make `_determinant` index out of
+    # its column list, which surfaces as one internal error line
+    real = matching._region_rows
 
-    def inexact(rows, border=None, skip=()):
-        raise ArithmeticError("fraction-free elimination did not divide")
+    def corrupt(region):
+        rows = real(region)
+        rows[0][len(region.cells) - len(rows)] = 1
+        return rows
 
-    def scaled(rows, border=None, skip=()):
-        # a scaling that no residual minor is a multiple of
-        det = real(rows, border, skip)
-        for r in border:
-            border[r] = 2**61 - 1
-        return det
-
-    monkeypatch.setattr(matching, "_determinant", inexact)
+    monkeypatch.setattr(matching, "_region_rows", corrupt)
+    fault = "internal error: IndexError: list index out of range\n"
     code, out, err = run_cli(capsys, "count", *DEEP, "--engine", "brute")
-    assert code == 4
-    assert out == ""
-    assert err == (
-        "internal error: ArithmeticError: "
-        "fraction-free elimination did not divide\n"
-    )
+    assert (code, out, err) == (4, "", fault)
     # the trace stops at its first Kuo block, past the records too large
     # for one
-    for fake in (inexact, scaled):
-        monkeypatch.setattr(matching, "_determinant", fake)
-        code, out, err = run_cli(
-            capsys, "trace", "--d", "4,2,5,4,3,6,2,3", "--kuo-max", "16"
-        )
-        assert code == 4
-        records = [json.loads(line) for line in out.splitlines()]
-        assert records and all(r["kuo"] is None for r in records)
-        assert err == (
-            "internal error: ArithmeticError: "
-            "fraction-free elimination did not divide\n"
-        )
+    code, out, err = run_cli(
+        capsys, "trace", "--d", "4,2,5,4,3,6,2,3", "--kuo-max", "16"
+    )
+    assert code == 4
+    records = [json.loads(line) for line in out.splitlines()]
+    assert records and all(r["kuo"] is None for r in records)
+    assert err == fault
 
 
 def test_trace_refuses_a_kuo_block_before_its_cells(capsys, monkeypatch, tmp_path):
@@ -589,8 +614,8 @@ def count_signing_work(monkeypatch, tmp_path):
     eliminations = CallLog(tmp_path / "_determinant.calls")
     real = matching._determinant
 
-    def eliminate(matrix, border=None, skip=()):
-        eliminations.add(len(border or ()))
+    def eliminate(matrix, border=(), skip=()):
+        eliminations.add(len(border))
         return real(matrix, border, skip)
 
     monkeypatch.setattr(matching, "_determinant", eliminate)
@@ -746,8 +771,10 @@ print(json.dumps([codes, sorted(missed)]))
 def test_cli_runs_enter_every_function(tmp_path):
     # the package holds what its commands run: code that only the tests
     # call belongs in tests/.  Not entered here: the forked sweep (one
-    # CPU verifies in-process), the fault-only InternalError and the
-    # trace that scripts/draw_figures.py prints
+    # CPU verifies in-process), the fault-only InternalError, the trace
+    # that scripts/draw_figures.py prints, and `_gcd_pivot`, which only a
+    # G - S that no command deletes reaches (`deletion_counts` counts any
+    # S on the outer face; the commands delete Kuo's corners at most)
     (tmp_path / "spec.json").write_text('{"a": 7, "d": [4, 2, 5, 4]}')
     runs = [[arg.format(tmp=tmp_path) for arg in argv] for argv in _REACH_RUNS]
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
@@ -765,6 +792,7 @@ def test_cli_runs_enter_every_function(tmp_path):
         "cli._Reported.__init__",
         "cli._forked_lines",
         "cli._worker",
+        "matching._gcd_pivot",
         "regions.InternalError.__init__",
         "shuffle.code_trace",
     ]

@@ -18,6 +18,7 @@ from reference_graphs import (
     SignedGraph,
     _signed_rows,
     canonical_embedding,
+    fraction_free_determinant,
     graph_count,
     graph_deletion_counts,
     graph_kuo_counts,
@@ -35,6 +36,7 @@ from reference_kasteleyn import (
     lattice_signed,
     signed,
 )
+from douglastile import matching
 from douglastile.condensation import CornersNotFound, kuo_counts, pick_corners
 from douglastile.matching import (
     VERTEX_LIMIT,
@@ -130,7 +132,12 @@ def plane_graphs(draw, weights=(Fraction(1),)):
     )
 
 
-def test_base_counts_match_formula():
+def test_base_counts_match_formula(monkeypatch):
+    # S empty ranks no cell, so the count runs no outer test
+    def refuse(region, cells):
+        raise AssertionError("outer test run for no cell")
+
+    monkeypatch.setattr(matching, "_outer_ranks", refuse)
     for spec in valid_specs(4):
         region = build_region(spec.side, spec.distances)
         assert count_matchings(region) == formula_count(region)
@@ -248,11 +255,15 @@ def test_fallback_shapes_count_like_the_graph_reference(monkeypatch):
     # the five sets is border, so one elimination serves them all; with
     # S's cells (0,) and (1,) its interior is not square, and the other
     # region's interior is square but singular: then each square G - S is
-    # an elimination of its own with S alone as the border
+    # an elimination of its own with S alone as the border.  On the Aztec
+    # diamond of order 2 less the rim domino (0, 2) a pivot that is not a
+    # unit meets a border row, and on the one of order 3 less three cells
+    # of each colour the empty S keeps a 3 x 3 block: each S is then
+    # counted alone too, the 3 x 3 one only
     borders = []
 
-    def counted(rows, border=None, skip=()):
-        borders.append((len(border or ()), len(skip)))
+    def counted(rows, border=(), skip=()):
+        borders.append((len(border), len(skip)))
         return _determinant(rows, border, skip)
 
     monkeypatch.setattr("douglastile.matching._determinant", counted)
@@ -265,6 +276,8 @@ def test_fallback_shapes_count_like_the_graph_reference(monkeypatch):
             [1, 0, 0],
             [(1, 1), (0, 0), (1, 1)],
         ),
+        (_aztec_region(2), ((), (0, 2)), [8, 6], [(1, 1), (0, 0), (1, 1)]),
+        (_aztec_region(3), ((), (0, 1, 3, 4, 5, 7)), [64, 8], [(3, 3), (0, 0)]),
     ]
     for region, sets, counts, eliminations in cases:
         borders.clear()
@@ -389,7 +402,7 @@ def test_weighted_sign_comes_from_the_unit_determinant():
     weights = tuple(map(Fraction, (1, -3, 1, 1)))
     black, ends = _ends(g)
     neg, _ = g.signing
-    assert _determinant(_signed_rows(black, ends, neg, ())) == -2
+    assert fraction_free_determinant(_signed_rows(black, ends, neg, ())) == -2
     assert matching_generating_function(g, weights) == -2
     assert permanent_oracle(g, weights) == -2
 
@@ -413,6 +426,10 @@ def fraction_determinant(matrix):
     return det
 
 
+def sparse(matrix):
+    return [{c: v for c, v in enumerate(row) if v} for row in matrix]
+
+
 @given(
     matrix=st.integers(0, 7).flatmap(
         lambda n: st.lists(
@@ -427,16 +444,70 @@ def fraction_determinant(matrix):
 @example(matrix=[[2, 1], [1, 1]], repeat=False)
 @example(matrix=[[0, 1, 0], [2, 0, 0], [0, 0, -3]], repeat=False)
 @example(matrix=[[2, 3], [3, 2]], repeat=False)
+@example(matrix=[[2, 1], [4, 1]], repeat=False)
 @settings(max_examples=500, deadline=None)
 def test_determinant_matches_fraction_elimination(matrix, repeat):
-    # entries of +-2 and +-3 leave some columns without a unit entry, and
-    # a unit below the first candidate row moves the pivot off the
-    # diagonal, so the fallback and the permutation sign are both reached;
-    # `repeat` makes the last row a copy of the first, a singular matrix
+    # entries of +-2 and +-3 leave some columns without a unit entry, so
+    # the product reaches `_gcd_pivot` (the last example pivots on 2) and
+    # the oracle its gcd-scaled update; a unit below the first candidate
+    # row moves the pivot off the diagonal, so the oracle's permutation
+    # sign is reached; `repeat` makes the last row a copy of the first, a
+    # singular matrix.  The product gives |det|, the oracle det
     if repeat and len(matrix) > 1:
         matrix[-1] = list(matrix[0])
-    rows = [{c: v for c, v in enumerate(row) if v} for row in matrix]
-    assert _determinant(rows) == fraction_determinant(matrix)
+    want = fraction_determinant(matrix)
+    assert _determinant(sparse(matrix)) == abs(want)
+    assert fraction_free_determinant(sparse(matrix)) == want
+
+
+def check_schur_complement(matrix, border_rows, border_cols, eliminate):
+    """Run `eliminate(rows, border_rows, border_cols)`, which returns the
+    interior's determinant, 0 or up to sign, and each border row's
+    scaling, and check that it leaves the Schur complement: a minor that
+    keeps the interior A and as many border rows as border columns is
+    det A times the determinant of the kept residual block, each border
+    row over its own scaling, with A's rows and columns first, each in its
+    order.  Returns the result and det A."""
+    inner_rows = [r for r in range(len(matrix)) if r not in border_rows]
+    inner_cols = [c for c in range(len(matrix)) if c not in border_cols]
+    rows = sparse(matrix)
+    det, scales = eliminate(rows, border_rows, set(border_cols))
+    want = fraction_determinant(
+        [[matrix[r][c] for c in inner_cols] for r in inner_rows]
+    )
+    assert det in (want, -want, 0)
+    if not det:
+        return det, want
+    assert all(rows[r] is None for r in inner_rows)
+    assert all(c in border_cols for r in border_rows for c in rows[r])
+    for size in range(len(border_rows) + 1):
+        for keep in combinations(border_rows, size):
+            for cols in combinations(border_cols, size):
+                minor = [
+                    [matrix[r][c] for c in inner_cols + list(cols)]
+                    for r in inner_rows + list(keep)
+                ]
+                block = [
+                    [Fraction(rows[r].get(c, 0), scales[r]) for c in cols]
+                    for r in keep
+                ]
+                assert want * fraction_determinant(block) == fraction_determinant(
+                    minor
+                )
+    return det, want
+
+
+def product_elimination(rows, border_rows, skip):
+    return _determinant(rows, set(border_rows), skip), dict.fromkeys(border_rows, 1)
+
+
+def oracle_elimination(rows, border_rows, skip):
+    scales = dict.fromkeys(border_rows, 1)
+    return fraction_free_determinant(rows, scales, skip), scales
+
+
+def refuse_gcd_pivot(rows, col_rows, c, inner):
+    raise AssertionError(f"column {c} has no unit pivot")
 
 
 @st.composite
@@ -453,6 +524,52 @@ def bordered_matrices(draw):
     return matrix, sorted(draw(index)), sorted(draw(index))
 
 
+@st.composite
+def unit_pivot_matrices(draw):
+    """A matrix and border as `bordered_matrices`, whose interior rows are
+    totally unimodular: each is +-1 on a run of a drawn column order, 0
+    elsewhere, with a sign per row and per column.  A pivot on a unit
+    leaves such rows so, so every column that an interior row holds holds
+    a unit.  `singular` makes the last interior row a copy of the first,
+    or, when it is the only one, 0."""
+    matrix, border_rows, border_cols = draw(bordered_matrices())
+    n = len(matrix)
+    order = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    inner_rows = [r for r in range(n) if r not in border_rows]
+    for r in inner_rows:
+        lo = draw(st.integers(0, n))
+        hi = draw(st.integers(lo, n))
+        sign = draw(st.sampled_from((1, -1)))
+        matrix[r] = [0] * n
+        for c in order[lo:hi]:
+            matrix[r][c] = sign * signs[c]
+    if inner_rows and draw(st.booleans()):
+        first, last = inner_rows[0], inner_rows[-1]
+        matrix[last] = list(matrix[first]) if first != last else [0] * n
+    return matrix, border_rows, border_cols
+
+
+@given(case=unit_pivot_matrices())
+@example(case=([[1, 1], [1, 0]], [0], [1]))
+@example(case=([[0, 1, 1], [1, 1, 0], [3, 2, -3]], [2], [2]))
+@example(case=([[1, 1, 0], [1, 2, 3], [1, 1, 1]], [1], [0]))
+@settings(max_examples=500, deadline=None)
+def test_bordered_elimination_leaves_the_schur_complement(case):
+    # the product on interiors that admit unit pivots: it never reaches
+    # `_gcd_pivot`, gives |det A| and leaves the border rows holding the
+    # Schur complement, unscaled.  In the first example a border row is
+    # the column's first candidate, which must not pivot; in the last the
+    # border row's 2 lies in an interior column, reduced by a unit pivot
+    matrix, border_rows, border_cols = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matching, "_gcd_pivot", refuse_gcd_pivot)
+        det, want = check_schur_complement(
+            matrix, border_rows, border_cols, product_elimination
+        )
+    assert det == abs(want)
+
+
 @given(case=bordered_matrices(), singular=st.booleans())
 @example(case=([[2, 1], [1, 1]], [1], [1]), singular=False)
 @example(case=([[1, 1], [1, 2]], [0], [1]), singular=False)
@@ -461,17 +578,16 @@ def bordered_matrices(draw):
 @example(case=([[0, 1], [1, 0]], [1], [1]), singular=False)
 @example(case=([[1, 2, 0], [2, 1, 1], [3, 0, 1]], [0, 2], [1, 2]), singular=False)
 @settings(max_examples=500, deadline=None)
-def test_bordered_elimination_leaves_the_schur_complement(case, singular):
-    # the border rows and columns stand where they are.  A minor that
-    # keeps the interior A and as many border rows as border columns is
-    # det A times the determinant of the kept residual block, each border
-    # row over its own scaling, with A's rows and columns first, each in
-    # its order.  Entries of +-2 and +-3 give non-unit pivots, which scale
-    # the border rows (the first example scales one by 2, the last two,
-    # which stand away from the end); in the second a border row is a
-    # column's first candidate, which must not pivot;
-    # `singular` makes A's last row a copy of its first, or its one entry
-    # 0, and the fourth and fifth examples have a singular A of their own
+def test_bordered_elimination_on_any_interior(case, singular):
+    # entries of +-2 and +-3 give columns without a unit.  The oracle
+    # scales the border rows for its pivots that are not units (the first
+    # example scales one by 2, the last two, which stand away from the
+    # end) and gives det A with its sign.  The product gives |det A|, or 0
+    # where a pivot that is not a unit met a border row: then with the
+    # border rows emptied, as `deletion_counts` does for one S, it gives
+    # |det A| too.  `singular` makes A's last row a copy of its first, or
+    # its one entry 0, and the fourth and fifth examples have a singular
+    # A of their own
     matrix, border_rows, border_cols = case
     inner_rows = [r for r in range(len(matrix)) if r not in border_rows]
     inner_cols = [c for c in range(len(matrix)) if c not in border_cols]
@@ -479,30 +595,98 @@ def test_bordered_elimination_leaves_the_schur_complement(case, singular):
         first, last = inner_rows[0], inner_rows[-1]
         for c in inner_cols:
             matrix[last][c] = matrix[first][c] if first != last else 0
-    rows = [{c: v for c, v in enumerate(row) if v} for row in matrix]
-    scales = dict.fromkeys(border_rows, 1)
-    det = _determinant(rows, scales, set(border_cols))
-    assert det == fraction_determinant(
-        [[matrix[r][c] for c in inner_cols] for r in inner_rows]
+    det, want = check_schur_complement(
+        matrix, border_rows, border_cols, oracle_elimination
     )
-    if not det:
-        return
-    assert all(rows[r] is None for r in inner_rows)
-    assert all(c in border_cols for r in border_rows for c in rows[r])
-    for size in range(len(border_rows) + 1):
-        for keep in combinations(border_rows, size):
-            for cols in combinations(border_cols, size):
-                minor = [
-                    [matrix[r][c] for c in inner_cols + list(cols)]
-                    for r in inner_rows + list(keep)
-                ]
-                block = [
-                    [Fraction(rows[r].get(c, 0), scales[r]) for c in cols]
-                    for r in keep
-                ]
-                assert det * fraction_determinant(block) == fraction_determinant(
-                    minor
-                )
+    assert det == want
+    det, _ = check_schur_complement(
+        matrix, border_rows, border_cols, product_elimination
+    )
+    assert det in (abs(want), 0)
+    rows = sparse(matrix)
+    for r in border_rows:
+        rows[r].clear()
+    assert _determinant(rows, set(border_rows), set(border_cols)) == abs(want)
+
+
+def oracle_minor(rows, whites, cells):
+    """|det| of `rows` (over `whites` columns) less the rows and columns
+    of `cells`, each a (black, rank) pair, by the oracle; 0 if the rest is
+    not square."""
+    gone_rows = {r for black, r in cells if black}
+    cols = [c for c in range(whites) if (False, c) not in cells]
+    new = {c: i for i, c in enumerate(cols)}
+    sub = [
+        {new[c]: v for c, v in row.items() if c in new}
+        for r, row in enumerate(rows)
+        if r not in gone_rows
+    ]
+    return abs(fraction_free_determinant(sub)) if len(sub) == len(cols) else 0
+
+
+def test_region_matrices_take_unit_pivots(monkeypatch):
+    # the invariant that `_determinant` states without a proof: no column
+    # of a region's rows, or of a Kuo block's with the corners as the
+    # border, lacks a unit, so `_gcd_pivot` is never reached.  Each count
+    # is checked against the oracle on the same rows: every region with
+    # total at most 12, the Aztec diamond duals up to order 32, and the
+    # six counts of every Kuo block with total at most 10, whose interior
+    # (G less the four corners) is nonsingular, so one elimination serves
+    monkeypatch.setattr(matching, "_gcd_pivot", refuse_gcd_pivot)
+    specs = list(valid_specs(12)) + [RegionSpec(n, (2 * n,)) for n in range(1, 33)]
+    assert len(specs) == 2079
+    for spec in specs:
+        region = build_region(*spec)
+        want = abs(fraction_free_determinant(_region_rows(region)))
+        assert count_matchings(region) == want, spec
+    names = (
+        ("full", ()),
+        ("minus_all", "xyzt"),
+        ("minus_west_south", "xy"),
+        ("minus_east_north", "zt"),
+        ("minus_north_west", "tx"),
+        ("minus_south_east", "yz"),
+    )
+    for spec in valid_specs(10):
+        region = build_region(*spec)
+        quad = pick_corners(region)
+        rank = dict(zip("xyzt", _outer_ranks(region, quad).values()))
+        rows = _region_rows(region)
+        whites = len(region.cells) - len(rows)
+        want = {
+            name: oracle_minor(rows, whites, {rank[k] for k in corners})
+            for name, corners in names
+        }
+        assert want["minus_all"], spec
+        assert kuo_counts(region, quad) == want, spec
+
+
+def test_rim_dominoes_need_the_gcd_pivot(monkeypatch):
+    # G - S in general does lack units: less one domino of two rim cells,
+    # the Aztec diamond of order n reaches `_gcd_pivot` for 8n - 9 of its
+    # 8n such dominoes, and each count still matches the graph reference
+    reached = []
+    real = matching._gcd_pivot
+
+    def logged(rows, col_rows, c, inner):
+        reached.append(c)
+        return real(rows, col_rows, c, inner)
+
+    monkeypatch.setattr(matching, "_gcd_pivot", logged)
+    for n in range(2, 5):
+        region = _aztec_region(n)
+        g = dual_graph(region)
+        outer = set(_aztec_outer(g))
+        dominoes = [edge for edge in g.edges if set(edge) <= outer]
+        assert len(dominoes) == 8 * n
+        needed = 0
+        for drop in dominoes:
+            reached.clear()
+            assert deletion_counts(region, [drop]) == [
+                graph_count(signed(without(g, drop)[0]))
+            ]
+            needed += bool(reached)
+        assert needed == 8 * n - 9
 
 
 def test_rejects_malformed_edges():

@@ -30,6 +30,23 @@ def test_ascii_goldens():
         assert ascii_region(build_region(side, distances)) == want
 
 
+def test_ascii_digests():
+    # the pictures of D24 and of the Aztec diamond of order 32, pinned by
+    # the digests that the per-row bounds scan gave before the bounds were
+    # taken once
+    digests = {
+        (24, (3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5)): (
+            "15d329f54bf815a231d43f8a6ca4810f7183b23d891505f4a0db3bf18f262f7c"
+        ),
+        (32, (64,)): (
+            "64589f2e1cdffc30f4632cbde09096d828b805a11833abdf052f6ede81925554"
+        ),
+    }
+    for spec, want in digests.items():
+        text = ascii_region(build_region(*spec))
+        assert hashlib.sha256(text.encode()).hexdigest() == want, spec
+
+
 def test_ascii_row_count():
     # one text row per lattice row of anchors
     region = build_region(7, (4, 2, 5, 4))
